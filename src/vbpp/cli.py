@@ -83,7 +83,7 @@ def cmd_simulate(args) -> int:
 def _fit_config_from_args(args):
     from .optimizer import FitConfig
     return FitConfig(max_iters=args.max_iters, grad_tol=args.grad_tol,
-                     optimize_z=args.optimize_z, use_map=args.map, seed=args.seed)
+                     optimize_z=args.optimize_z, use_map=args.map)
 
 
 def cmd_fit(args) -> int:
@@ -94,9 +94,6 @@ def cmd_fit(args) -> int:
     d = parse_domain(args.domain)
     events = load_events(args.data, d)
     inducing = args.inducing_per_dim if args.inducing_per_dim else args.inducing
-    if d.dims > 1 and not args.inducing_per_dim:
-        # --inducing M is a 1-D convenience; multi-D grids are specified per dim.
-        inducing = args.inducing
     cfg = _fit_config_from_args(args)
     model = fit(events, d, inducing, cfg)
 
@@ -111,7 +108,7 @@ def cmd_fit(args) -> int:
         "data": args.data, "domain": args.domain, "inducing": args.inducing,
         "inducing_per_dim": args.inducing_per_dim, "optimize_z": args.optimize_z,
         "max_iters": args.max_iters, "grad_tol": args.grad_tol,
-        "map": args.map, "seed": args.seed,
+        "map": args.map,
     })
     print(f"fit: N={events.n}, M={model.num_inducing}, "
           f"objective={meta['objective']:.4f}, iterations={meta['iterations']}")
@@ -138,7 +135,7 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     from .baseline import fit_bandwidth, ks_log_predictive
-    from .core import elbo, kl_qu_pu, load_model
+    from .core import load_model
     from .pointdata import load_events, split_events
     from .predictive import posterior_intensity, predictive_report
     from .simulate import make_grid
@@ -159,7 +156,6 @@ def cmd_evaluate(args) -> int:
                                grid_res=args.grid_res, seed=args.seed)
     doc = report.to_dict()
     doc["n_test"] = test.n
-    doc["elbo_plus_kl_on_test"] = elbo(model, test) + kl_qu_pu(model)
 
     if args.baseline:
         if train is None:
@@ -234,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--grad-tol", type=float, default=1e-5)
     p.add_argument("--map", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_fit)
 

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from . import specfun
 from .kernel import HyperParams, gram, sq_dists_per_dim, psi_matrix, psi_with_partials
@@ -86,13 +88,23 @@ class InducingPoints:
         return self.Z.shape[0]
 
 
+def kzz_factor(Z: np.ndarray, hyper: HyperParams):
+    """K_zz with its diagonal jitter, and the lower Cholesky factor of it."""
+    K = gram(Z, Z, hyper)
+    K[np.diag_indices_from(K)] += JITTER_SCALE * hyper.gamma
+    try:
+        return K, cholesky(K, lower=True)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - jitter normally suffices
+        raise NumericalError(f"Cholesky of K_zz failed: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class Model:
     """Hyperparameters + inducing points + variational state over a domain.
 
-    Kernel-derived factors (Cholesky of K_zz + jitter, Psi) are computed once
-    at construction and shared by every downstream evaluation; the model is
-    immutable, so they can never go stale.
+    K_zz + jitter and its Cholesky factor are computed at construction, Psi
+    when it is first read; every downstream evaluation shares them, and the
+    model is immutable, so they can never go stale.
     """
 
     hyper: HyperParams
@@ -100,8 +112,7 @@ class Model:
     var_state: VariationalState
     domain: Domain
     fit_metadata: dict | None = None
-    _chol: tuple = field(init=False, repr=False, compare=False, default=None)
-    _psi: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    _kzz: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         Z = self.inducing.Z
@@ -109,30 +120,30 @@ class Model:
             raise ValueError("inducing points, domain and hyperparameters disagree on R")
         if self.var_state.m.size != Z.shape[0]:
             raise ValueError("variational state size must match the number of inducing points")
-        K = gram(Z, Z, self.hyper)
-        K[np.diag_indices_from(K)] += JITTER_SCALE * self.hyper.gamma
-        try:
-            chol = cho_factor(K, lower=True)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - jitter normally suffices
-            raise NumericalError(f"Cholesky of K_zz failed: {exc}") from exc
-        object.__setattr__(self, "_chol", chol)
-        object.__setattr__(self, "_psi", psi_matrix(Z, self.hyper, self.domain))
+        kzz = kzz_factor(Z, self.hyper)
+        for arr in kzz:
+            arr.setflags(write=False)
+        object.__setattr__(self, "_kzz", kzz)
 
     # -- cached factors -------------------------------------------------
     @property
-    def kzz_chol(self):
-        return self._chol
+    def kzz(self) -> np.ndarray:
+        return self._kzz[0]
 
     @property
+    def kzz_chol(self) -> np.ndarray:
+        return self._kzz[1]
+
+    @cached_property
     def psi(self) -> np.ndarray:
-        return self._psi
+        return psi_matrix(self.inducing.Z, self.hyper, self.domain)
 
     def kzz_solve(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve(self._chol, rhs)
+        return cho_solve((self._kzz[1], True), rhs)
 
     @property
     def kzz_logdet(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.diag(self._chol[0]))))
+        return 2.0 * float(np.sum(np.log(np.diag(self._kzz[1]))))
 
     @property
     def num_inducing(self) -> int:
@@ -169,78 +180,61 @@ def qf_marginal(x, model: Model):
     return float(mu[0]), float(var[0])
 
 
-# ----------------------------------------------------------------------
-# Bound terms
-# ----------------------------------------------------------------------
-
-def kl_qu_pu(model: Model) -> float:
-    """KL( N(m, S) || N(1 u_bar, K_zz) ), via Cholesky log-determinants."""
-    m = model.var_state.m
-    L = model.var_state.L
-    S = model.var_state.S
-    M = m.size
-    d = model.hyper.u_bar - m
-    q = model.kzz_solve(d)
-    logdet_s = 2.0 * float(np.sum(np.log(np.diag(L))))
-    tr = float(np.sum(model.kzz_solve(S) * np.eye(M)))
-    kl = 0.5 * (tr + model.kzz_logdet - logdet_s - M + float(d @ q))
-    return kl
-
-
 def expected_log_f_sq(mu_n: float, var_n: float) -> float:
     """E[log f^2] for f ~ N(mu_n, var_n), through the lookup table."""
     var_n = max(float(var_n), VAR_FLOOR)
-    val, _ = specfun.g_tilde(-mu_n**2 / (2.0 * var_n))
+    val, _ = specfun.g_tilde_batch(-mu_n**2 / (2.0 * var_n))
     return -val + np.log(var_n / 2.0) - specfun.EULER_MASCHERONI
 
 
-def integral_terms(model: Model):
-    """(int E[f]^2 dx, int Var[f] dx) over the domain, closed form via Psi."""
-    m = model.var_state.m
-    S = model.var_state.S
-    psi = model.psi
-    c = model.kzz_solve(m)
-    kinv_psi = model.kzz_solve(psi)
-    int_mean_sq = float(c @ psi @ c)
-    int_var = (model.hyper.gamma * domain_measure(model.domain)
-               - float(np.trace(kinv_psi))
-               + float(np.sum(model.kzz_solve(S) * kinv_psi.T)))
-    return int_mean_sq, int_var
+# ----------------------------------------------------------------------
+# The bound and its views
+# ----------------------------------------------------------------------
+
+class BoundTerms(NamedTuple):
+    """The bound's four terms and the gradient blocks that were requested."""
+
+    int_mean_sq: float      # int E[f]^2 dx
+    int_var: float          # int Var[f] dx
+    data: float             # sum_n E[log f_n^2]
+    kl: float               # KL(q(u) || p(u))
+    grads: dict
+
+    @property
+    def expected_log_lik(self) -> float:
+        """E_q[log p(D | f)]; the predictive bound when D is held out."""
+        return -(self.int_mean_sq + self.int_var) + self.data
+
+    @property
+    def elbo(self) -> float:
+        return self.expected_log_lik - self.kl
 
 
 def elbo(model: Model, events: EventSet) -> float:
     """The variational lower bound on log p(D | Theta)."""
-    return _bound_value(model, events, include_kl=True)
+    return _evaluate(model, events).elbo
 
 
-def _bound_value(model: Model, events: EventSet, include_kl: bool,
-                 collapse_s: bool = False) -> float:
-    int_mean_sq, int_var = integral_terms(model) if not collapse_s \
-        else _integral_terms_collapsed(model)
-    total = -(int_mean_sq + int_var)
-    if events.n:
-        mu, var = qf_marginals(events.points, model, collapse_s=collapse_s)
-        gval, _ = specfun.g_tilde_batch(-mu**2 / (2.0 * var))
-        total += float(np.sum(-gval + np.log(var / 2.0) - specfun.EULER_MASCHERONI))
-    if include_kl:
-        total -= kl_qu_pu(model)
-    return total
+def kl_qu_pu(model: Model) -> float:
+    """KL( N(m, S) || N(1 u_bar, K_zz) )."""
+    return _evaluate(model).kl
 
 
-def _integral_terms_collapsed(model: Model):
-    # S -> 0: the trace(K^-1 S K^-1 Psi) term vanishes.
-    m = model.var_state.m
-    psi = model.psi
-    c = model.kzz_solve(m)
-    int_mean_sq = float(c @ psi @ c)
-    int_var = (model.hyper.gamma * domain_measure(model.domain)
-               - float(np.trace(model.kzz_solve(psi))))
-    return int_mean_sq, int_var
+def integral_terms(model: Model):
+    """(int E[f]^2 dx, int Var[f] dx) over the domain, closed form via Psi."""
+    terms = _evaluate(model)
+    return terms.int_mean_sq, terms.int_var
 
 
-# ----------------------------------------------------------------------
-# Analytic gradient
-# ----------------------------------------------------------------------
+def predictive_bound_lp(model: Model, test: EventSet) -> float:
+    """Lower bound on the approximate predictive log-likelihood of ``test``."""
+    return _evaluate(model, test).expected_log_lik
+
+
+def predictive_bound_l0(model: Model, test: EventSet) -> float:
+    """Tightened bound with the variational covariance collapsed to zero."""
+    return _evaluate(model, test, collapse_s=True).expected_log_lik
+
 
 def elbo_and_gradient(model: Model, events: EventSet, wrt=GRAD_BLOCKS):
     """Bound value and its analytic gradient for the selected blocks.
@@ -253,12 +247,31 @@ def elbo_and_gradient(model: Model, events: EventSet, wrt=GRAD_BLOCKS):
 
     Returns (value, dict of gradient blocks).
     """
+    terms = _evaluate(model, events, wrt)
+    return terms.elbo, terms.grads
+
+
+def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
+              collapse_s: bool = False) -> BoundTerms:
+    """The one evaluation of the bound behind every function above.
+
+    K_zz and Psi come from the model; only the log_alpha and omega blocks
+    take Psi with its partials from ``psi_with_partials``, which agrees with
+    the model's Psi to rounding (exactly when R = 1).  K^-1 is formed once
+    from the model's Cholesky factor and every product below goes through
+    it; the fit's iterates depend on this arithmetic bit for bit.
+    ``collapse_s`` sets S to zero in the expectations of f, not in the KL;
+    no caller differentiates that variant.  ``wrt`` is as in
+    :func:`elbo_and_gradient`.
+    """
     wrt = tuple(wrt)
     unknown = set(wrt) - set(GRAD_BLOCKS)
     if unknown:
         raise ValueError(f"unknown gradient blocks: {sorted(unknown)}")
     if wrt == GRAD_BLOCKS and model.inducing.omega is None:
         wrt = wrt[:-1]   # the default selection means "everything applicable"
+    if "omega" in wrt and model.inducing.omega is None:
+        raise ValueError("omega gradient requested but inducing points carry no angles")
 
     h = model.hyper
     dmn = model.domain
@@ -266,63 +279,64 @@ def elbo_and_gradient(model: Model, events: EventSet, wrt=GRAD_BLOCKS):
     M, R = Z.shape
     m = model.var_state.m
     Lc = model.var_state.L
-    S = Lc @ Lc.T
+    S = model.var_state.S
     gamma = h.gamma
     measure = domain_measure(dmn)
-
     need_hyper = bool({"log_gamma", "log_alpha", "omega"} & set(wrt))
 
     eye = np.eye(M)
     Kinv = model.kzz_solve(eye)
-    K = gram(Z, Z, h)
-    K[np.diag_indices_from(K)] += JITTER_SCALE * gamma
-    if need_hyper and ("log_alpha" in wrt or "omega" in wrt):
+    K = model.kzz
+    if "log_alpha" in wrt or "omega" in wrt:
         psi, dpsi_dlog_alpha, dpsi_dzi = psi_with_partials(Z, h, dmn)
     else:
         psi = model.psi
-        dpsi_dlog_alpha = dpsi_dzi = None
 
     c = Kinv @ m
     kinv_psi = Kinv @ psi
-    B = kinv_psi @ Kinv
-    W = Kinv @ S @ Kinv
-    v = kinv_psi @ c
-
     int_mean_sq = float(c @ psi @ c)
-    int_var = gamma * measure - float(np.trace(kinv_psi)) + float(np.sum(W * psi))
+    int_var = gamma * measure - float(np.trace(kinv_psi))
+    if not collapse_s:
+        W = Kinv @ S @ Kinv
+        int_var += float(np.sum(W * psi))
 
     d = h.u_bar - m
     q = Kinv @ d
     logdet_s = 2.0 * float(np.sum(np.log(np.diag(Lc))))
     kl = 0.5 * (float(np.sum(Kinv * S)) + model.kzz_logdet - logdet_s - M + float(d @ q))
 
-    N = events.n
+    N = 0 if events is None else events.n
+    data = 0.0
     if N:
         X = events.points
         A = gram(X, Z, h)                    # N x M
         Abar = A @ Kinv
         mu = Abar @ m
-        var_raw = gamma - np.einsum("nm,nm->n", Abar, A) \
-            + np.einsum("nm,nm->n", Abar @ S, Abar)
+        var_raw = gamma - np.einsum("nm,nm->n", Abar, A)
+        if not collapse_s:
+            var_raw += np.einsum("nm,nm->n", Abar @ S, Abar)
         clamped = var_raw < VAR_FLOOR
         var = np.maximum(var_raw, VAR_FLOOR)
-        zeta = -mu**2 / (2.0 * var)
-        gval, gslope = specfun.g_tilde_batch(zeta)
-        data_term = float(np.sum(-gval + np.log(var / 2.0) - specfun.EULER_MASCHERONI))
+        gval, gslope = specfun.g_tilde_batch(-mu**2 / (2.0 * var))
+        data = float(np.sum(-gval + np.log(var / 2.0) - specfun.EULER_MASCHERONI))
+
+    grads: dict[str, np.ndarray | float] = {}
+    if not wrt:
+        return BoundTerms(int_mean_sq, int_var, data, kl, grads)
+
+    B = kinv_psi @ Kinv
+    if N:
         e_mu = gslope * mu / var
         e_s = 1.0 / var - gslope * mu**2 / (2.0 * var**2)
         e_s = np.where(clamped, 0.0, e_s)    # floored variance is locally constant
-    else:
-        data_term = 0.0
-
-    value = -(int_mean_sq + int_var) + data_term - kl
-
-    grads: dict[str, np.ndarray | float] = {}
+        Amu = Abar.T @ e_mu                  # sum_n e_mu_n a_n
+        if "L" in wrt or need_hyper:
+            AsA = Abar.T @ (e_s[:, None] * Abar)
 
     if "m" in wrt:
         g_m = -2.0 * (B @ m) + q
         if N:
-            g_m = g_m + Abar.T @ e_mu
+            g_m = g_m + Amu
         grads["m"] = g_m
 
     if "L" in wrt:
@@ -333,7 +347,7 @@ def elbo_and_gradient(model: Model, events: EventSet, wrt=GRAD_BLOCKS):
         Sinv = Linv.T @ Linv
         Gs = -B - 0.5 * Kinv + 0.5 * Sinv
         if N:
-            Gs = Gs + Abar.T @ (e_s[:, None] * Abar)
+            Gs = Gs + AsA
         gl = (Gs + Gs.T) @ Lc
         gl[np.diag_indices_from(gl)] *= np.diag(Lc)   # log-diagonal parameterisation
         grads["L"] = gl[np.tril_indices(M)]
@@ -343,14 +357,13 @@ def elbo_and_gradient(model: Model, events: EventSet, wrt=GRAD_BLOCKS):
 
     if need_hyper:
         # Raw partials of the bound w.r.t. the kernel structures.
+        v = kinv_psi @ c
         g_psi = -np.outer(c, c) + Kinv - W
         M1 = W @ psi @ Kinv
         Gk = (np.outer(v, c) + np.outer(c, v)) - B + (M1 + M1.T) \
             - 0.5 * (Kinv - W - np.outer(q, q))
         g_gamma_direct = -measure
         if N:
-            Amu = Abar.T @ e_mu                    # sum_n e_mu_n a_n
-            AsA = Abar.T @ (e_s[:, None] * Abar)
             What = A @ W                            # rows w_n^T
             AsW = Abar.T @ (e_s[:, None] * What)
             Gk = Gk - np.outer(Amu, c) + AsA - AsW - AsW.T
@@ -380,8 +393,6 @@ def elbo_and_gradient(model: Model, events: EventSet, wrt=GRAD_BLOCKS):
             grads["log_alpha"] = ga
 
         if "omega" in wrt:
-            if model.inducing.omega is None:
-                raise ValueError("omega gradient requested but inducing points carry no angles")
             gz = np.empty((M, R))
             Gk_sym = Gk + Gk.T
             g_psi_sym = g_psi + g_psi.T
@@ -395,7 +406,7 @@ def elbo_and_gradient(model: Model, events: EventSet, wrt=GRAD_BLOCKS):
             dz_domega = 0.5 * dmn.extent[None, :] * np.cos(model.inducing.omega)
             grads["omega"] = gz * dz_domega
 
-    return value, grads
+    return BoundTerms(int_mean_sq, int_var, data, kl, grads)
 
 
 def elbo_gradient(model: Model, events: EventSet, wrt=GRAD_BLOCKS) -> np.ndarray:

@@ -13,16 +13,18 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import solve_triangular
 from scipy.optimize import minimize
 
 from .core import (
     InducingPoints,
     Model,
     VariationalState,
+    elbo,
     elbo_and_gradient,
+    kzz_factor,
 )
-from .kernel import HyperParams, gram
+from .kernel import HyperParams
 from .pointdata import Domain, EventSet, domain_measure
 
 
@@ -67,7 +69,6 @@ class FitConfig:
     optimize_z: bool = False
     use_map: bool = False
     map_prior: MapPrior | None = None
-    seed: int = 0
     init_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -187,9 +188,7 @@ def _initial_model(events: EventSet, d: Domain, Z: np.ndarray, cfg: FitConfig) -
     u_bar0 = float(ov.get("u_bar", np.sqrt(events.n / measure)))
     hyper = HyperParams(gamma=gamma0, alpha=alpha0, u_bar=u_bar0)
 
-    K = gram(Z, Z, hyper)
-    K[np.diag_indices_from(K)] += 1e-8 * gamma0
-    L0 = 0.1 * cholesky(K, lower=True)
+    L0 = 0.1 * kzz_factor(Z, hyper)[1]
     m0 = np.full(Z.shape[0], u_bar0)
     omega = omega_from_z(Z, d) if cfg.optimize_z else None
     return Model(
@@ -340,16 +339,14 @@ def fit(events: EventSet, d: Domain, inducing, cfg: FitConfig | None = None) -> 
     fixed_z = None if cfg.optimize_z else Z
     objective = _objective_factory(events, d, M, cfg, fixed_z, prior)
 
-    K0 = gram(Z, Z, init.hyper)
-    K0[np.diag_indices_from(K0)] += 1e-8 * init.hyper.gamma
     wobj, to_canonical, from_canonical = _whitened_coords(
-        objective, cholesky(K0, lower=True), M, d.dims)
+        objective, init.kzz_chol, M, d.dims)
     y0 = from_canonical(pack(init, cfg))
 
     trace = [-wobj(y0)[0]]
 
-    def record(yk):
-        trace.append(-wobj(yk)[0])
+    def record(intermediate_result):   # this parameter name makes scipy pass the value
+        trace.append(-intermediate_result.fun)
 
     result = minimize(
         wobj, y0, jac=True, method="L-BFGS-B", callback=record,
@@ -371,12 +368,10 @@ def fit(events: EventSet, d: Domain, inducing, cfg: FitConfig | None = None) -> 
             "grad_tol": cfg.grad_tol,
             "optimize_z": cfg.optimize_z,
             "map": prior is not None,
-            "seed": cfg.seed,
         },
     }
     model = unpack(to_canonical(result.x)[0], d, M, cfg,
                    fixed_z=fixed_z, fit_metadata=metadata)
     if metadata["elbo"] is None:
-        from .core import elbo as _elbo
-        metadata["elbo"] = float(_elbo(model, events))
+        metadata["elbo"] = float(elbo(model, events))
     return model

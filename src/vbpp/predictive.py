@@ -3,7 +3,8 @@ intensity summaries.
 
 Given a fitted model, the predictive bound on a test set H is the training
 bound evaluated with the fitted (m*, S*, Theta*) and the test events, with no
-KL term.  The tightened variant collapses S to zero.  The corresponding true
+KL term.  The tightened variant collapses S to zero.  Both are views of the
+one bound evaluation in :mod:`vbpp.core`.  The corresponding true
 predictive log-likelihoods are estimated by exact joint Gaussian sampling of
 f on the test points plus a quadrature grid.  That dense joint-covariance
 work runs at the machine's BLAS thread count (``threads.machine_threads``).
@@ -15,12 +16,12 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 from scipy.linalg import cholesky
-from scipy.stats import norm
+from scipy.special import ndtri
 
-from .core import Model, _bound_value, qf_marginals
+from .core import Model, predictive_bound_l0, predictive_bound_lp, qf_marginals
 from .kernel import gram
 from .optimizer import regular_grid
-from .pointdata import Domain, EventSet, domain_measure
+from .pointdata import EventSet, domain_measure
 from .threads import machine_threads
 
 
@@ -39,16 +40,6 @@ class PredictiveReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def predictive_bound_lp(model: Model, test: EventSet) -> float:
-    """Lower bound on the approximate predictive log-likelihood of ``test``."""
-    return _bound_value(model, test, include_kl=False)
-
-
-def predictive_bound_l0(model: Model, test: EventSet) -> float:
-    """Tightened bound with the variational covariance collapsed to zero."""
-    return _bound_value(model, test, include_kl=False, collapse_s=True)
 
 
 def _joint_qf(model: Model, points: np.ndarray, collapse_s: bool):
@@ -174,7 +165,7 @@ def posterior_intensity(model: Model, query):
         query = query[:, None]
     mu, var = qf_marginals(query, model)
     sd = np.sqrt(var)
-    zq = norm.ppf(0.975)
+    zq = ndtri(0.975)
     f_lo = mu - zq * sd
     f_hi = mu + zq * sd
     straddles = (f_lo <= 0) & (f_hi >= 0)

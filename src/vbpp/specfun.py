@@ -28,7 +28,6 @@ active interval so that value and derivative are exactly consistent.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +38,6 @@ EULER_MASCHERONI = 0.5772156649015329
 _LITERAL_MAX = 14.0
 _POISSON_MAX = 300.0
 _SERIES_CAP = 400
-
-_TABLE_MAGIC = b"GTBL"
-_TABLE_VERSION = 2
 
 # Knot layout: z = -10^(k / KNOTS_PER_DECADE) spanning |z| in
 # [10^LO_EXP, 10^HI_EXP], plus the knot z = 0.  Linear interpolation at this
@@ -237,36 +233,3 @@ def g_tilde_batch(z, table: GTildeTable | None = None):
     if scalar:
         return float(values[0]), float(slopes[0])
     return values, slopes
-
-
-def g_tilde(z: float, table: GTildeTable | None = None):
-    """Scalar (value, derivative) via table interpolation."""
-    return g_tilde_batch(z, table)
-
-
-def save_table(table: GTildeTable, path) -> None:
-    """Cache a table: magic "GTBL", u32 version, u64 knot count, 3 f8 arrays."""
-    with open(path, "wb") as fh:
-        fh.write(_TABLE_MAGIC)
-        fh.write(struct.pack("<IQ", _TABLE_VERSION, table.knots.size))
-        for arr in (table.knots, table.values, table.derivs):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def load_table(path) -> GTildeTable | None:
-    """Load a cached table; returns None on missing file or version mismatch."""
-    try:
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != _TABLE_MAGIC:
-                return None
-            version, count = struct.unpack("<IQ", fh.read(12))
-            if version != _TABLE_VERSION:
-                return None
-            payload = fh.read(3 * 8 * count)
-            if len(payload) != 3 * 8 * count:
-                return None
-    except FileNotFoundError:
-        return None
-    data = np.frombuffer(payload, dtype="<f8").reshape(3, count).copy()
-    return GTildeTable(knots=data[0], values=data[1], derivs=data[2])

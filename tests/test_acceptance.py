@@ -214,7 +214,7 @@ def test_training_bound_sits_below_monte_carlo_evidence():
         d = Domain([0.0], [extent])
         n = int(rng.integers(2, 6))
         ev = EventSet(np.sort(rng.uniform(0, extent, n))[:, None])
-        model = fit(ev, d, 5, FitConfig(seed=0))
+        model = fit(ev, d, 5, FitConfig())
         log_z, se = _mc_log_evidence(model, ev, 2048, 100_000, seed=1000 + case)
         bound = elbo(model, ev)
         assert bound <= log_z + 3 * se, (case, bound, log_z, se)
@@ -227,7 +227,7 @@ def test_predictive_bounds_hold_and_collapsed_gap_is_tighter():
     ev, d = coal_style_dataset()
     train, test = split_events(ev, 0.5, seed=42)
     for M in (5, 10, 20):
-        model = fit(train, d, M, FitConfig(seed=0))
+        model = fit(train, d, M, FitConfig())
         lp = predictive_bound_lp(model, test)
         l0 = predictive_bound_l0(model, test)
         mp, mp_se = mc_predictive(model, test, "Mp", 4000, 4096, seed=1)
@@ -244,7 +244,7 @@ def test_bound_evaluation_scales_linearly_in_events():
     d = Domain([0.0], [10.0])
     rng = np.random.default_rng(4)
     warm = EventSet(rng.uniform(0, 10, 200)[:, None])
-    model = fit(warm, d, 32, FitConfig(seed=0, max_iters=5))
+    model = fit(warm, d, 32, FitConfig(max_iters=5))
     sizes = [1_000, 3_000, 10_000, 30_000, 100_000]
     times = []
     for n in sizes:
@@ -277,7 +277,7 @@ def test_recovers_synthetic_intensities_better_than_smoothing_baseline():
         truth = ground_truth(h, d, link="square", resolution=512, seed=seed)
         train = thin_sample(truth, d, seed=seed * 100)
         tests = [thin_sample(truth, d, seed=seed * 100 + k + 1) for k in range(5)]
-        model = fit(train, d, 16, FitConfig(seed=0))
+        model = fit(train, d, 16, FitConfig())
         ks = fit_bandwidth(train, d)
         vb_ll = np.mean([predictive_bound_l0(model, t) for t in tests])
         ks_ll = np.mean([ks_log_predictive(ks, t, d) for t in tests])
@@ -326,7 +326,7 @@ def test_bound_plateaus_once_inducing_grid_is_dense_enough():
     train, test = split_events(ev, 0.5, seed=42)
     vals = {}
     for M in (10, 30):
-        model = fit(train, d, M, FitConfig(seed=0))
+        model = fit(train, d, M, FitConfig())
         vals[M] = predictive_bound_l0(model, test)
     assert abs(vals[10] - vals[30]) < 2.0, vals
 

@@ -109,7 +109,7 @@ def test_map_prior_gradient_fd():
 
 
 def test_fit_empty_data_drives_rate_to_zero():
-    model = fit(EventSet(np.empty((0, 1))), Domain([0.0], [1.0]), 5, FitConfig(seed=0))
+    model = fit(EventSet(np.empty((0, 1))), Domain([0.0], [1.0]), 5, FitConfig())
     int_mean_sq, int_var = integral_terms(model)
     assert int_mean_sq + int_var < 0.5
 
@@ -121,7 +121,7 @@ def test_fit_recovers_homogeneous_rate():
     for _ in range(5):
         n = rng.poisson(100)
         ev = EventSet(np.sort(rng.uniform(0, 4, n))[:, None])
-        model = fit(ev, d, 8, FitConfig(seed=0))
+        model = fit(ev, d, 8, FitConfig())
         total = sum(integral_terms(model))
         if abs(total - n) < 0.2 * n:
             hits += 1
@@ -131,7 +131,7 @@ def test_fit_recovers_homogeneous_rate():
 def test_fit_trace_monotone():
     rng = np.random.default_rng(2)
     ev = EventSet(rng.uniform(0, 2, 40)[:, None])
-    model = fit(ev, Domain([0.0], [2.0]), 6, FitConfig(seed=0))
+    model = fit(ev, Domain([0.0], [2.0]), 6, FitConfig())
     trace = model.fit_metadata["trace"]
     assert len(trace) >= 2
     assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
@@ -140,7 +140,7 @@ def test_fit_trace_monotone():
 def test_fit_improves_on_init_elbo():
     rng = np.random.default_rng(3)
     ev = EventSet(rng.uniform(0, 1, 25)[:, None])
-    model = fit(ev, Domain([0.0], [1.0]), 5, FitConfig(seed=0))
+    model = fit(ev, Domain([0.0], [1.0]), 5, FitConfig())
     trace = model.fit_metadata["trace"]
     assert trace[-1] > trace[0]
     assert model.fit_metadata["elbo"] == pytest.approx(
@@ -151,7 +151,7 @@ def test_fit_keeps_grid_z_fixed():
     rng = np.random.default_rng(4)
     ev = EventSet(rng.uniform(0, 1, 30)[:, None])
     d = Domain([0.0], [1.0])
-    model = fit(ev, d, 4, FitConfig(seed=0))
+    model = fit(ev, d, 4, FitConfig())
     assert np.allclose(model.inducing.Z, regular_grid(d, 4))
 
 
@@ -159,7 +159,7 @@ def test_fit_optimize_z_moves_points_inside_domain():
     rng = np.random.default_rng(5)
     ev = EventSet(rng.uniform(0, 1, 30)[:, None])
     d = Domain([0.0], [1.0])
-    model = fit(ev, d, 4, FitConfig(seed=0, optimize_z=True, max_iters=60))
+    model = fit(ev, d, 4, FitConfig(optimize_z=True, max_iters=60))
     assert model.inducing.omega is not None
     assert d.contains(model.inducing.Z).all()
     assert not np.allclose(model.inducing.Z, regular_grid(d, 4))
@@ -169,7 +169,7 @@ def test_fit_accepts_explicit_inducing_locations():
     rng = np.random.default_rng(6)
     ev = EventSet(rng.uniform(0, 1, 20)[:, None])
     Z = np.array([[0.2], [0.5], [0.9]])
-    model = fit(ev, Domain([0.0], [1.0]), Z, FitConfig(seed=0, max_iters=40))
+    model = fit(ev, Domain([0.0], [1.0]), Z, FitConfig(max_iters=40))
     assert np.allclose(model.inducing.Z, Z)
 
 
@@ -177,8 +177,8 @@ def test_fit_deterministic():
     rng = np.random.default_rng(7)
     ev = EventSet(rng.uniform(0, 1, 35)[:, None])
     d = Domain([0.0], [1.0])
-    a = fit(ev, d, 5, FitConfig(seed=0, max_iters=80))
-    b = fit(ev, d, 5, FitConfig(seed=0, max_iters=80))
+    a = fit(ev, d, 5, FitConfig(max_iters=80))
+    b = fit(ev, d, 5, FitConfig(max_iters=80))
     assert np.array_equal(a.var_state.m, b.var_state.m)
     assert a.hyper.gamma == b.hyper.gamma
 
@@ -187,10 +187,10 @@ def test_fit_with_map_prior_shrinks_towards_init():
     rng = np.random.default_rng(8)
     ev = EventSet(rng.uniform(0, 1, 12)[:, None])
     d = Domain([0.0], [1.0])
-    free = fit(ev, d, 5, FitConfig(seed=0, max_iters=150))
+    free = fit(ev, d, 5, FitConfig(max_iters=150))
     tight = MapPrior(log_gamma_mean=np.log(12.0), log_alpha_mean=np.log([0.04]),
                      u_bar_mean=np.sqrt(12.0), u_bar_sd=0.01, log_sd=0.01)
-    pinned = fit(ev, d, 5, FitConfig(seed=0, max_iters=150, map_prior=tight))
+    pinned = fit(ev, d, 5, FitConfig(max_iters=150, map_prior=tight))
     assert abs(np.log(pinned.hyper.gamma) - np.log(12.0)) < \
         abs(np.log(free.hyper.gamma) - np.log(12.0)) + 1e-9
     assert abs(np.log(pinned.hyper.gamma) - np.log(12.0)) < 0.2
@@ -200,7 +200,7 @@ def test_default_map_prior_centred_on_init():
     rng = np.random.default_rng(9)
     ev = EventSet(rng.uniform(0, 2, 20)[:, None])
     d = Domain([0.0], [2.0])
-    model = fit(ev, d, 4, FitConfig(seed=0, max_iters=5))
+    model = fit(ev, d, 4, FitConfig(max_iters=5))
     prior = default_map_prior(model)
     assert prior.log_sd == 1.0
     assert prior.u_bar_sd > 1.0
@@ -209,3 +209,33 @@ def test_default_map_prior_centred_on_init():
 def test_fit_dimension_mismatch():
     with pytest.raises(ValueError):
         fit(EventSet(np.zeros((3, 2))), Domain([0.0], [1.0]), 4, FitConfig())
+
+
+@pytest.fixture(scope="module")
+def coal_fit():
+    """The bundled coal data fitted at M = 16, counting objective evaluations."""
+    import vbpp.optimizer as optimizer
+    from vbpp.pointdata import coal_style_dataset
+    ev, d = coal_style_dataset()
+    real, calls = optimizer.elbo_and_gradient, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "elbo_and_gradient", counted)
+        model = fit(ev, d, 16)
+    return model, ev, len(calls)
+
+
+def test_fit_elbo_is_the_elbo_of_the_fitted_model(coal_fit):
+    model, ev, _ = coal_fit
+    assert model.fit_metadata["elbo"] == elbo(model, ev)
+
+
+def test_fit_trace_costs_no_extra_evaluations(coal_fit):
+    model, _, n_evals = coal_fit
+    iterations = model.fit_metadata["iterations"]
+    assert len(model.fit_metadata["trace"]) == iterations + 1
+    assert n_evals <= 1.1 * iterations + 2, (n_evals, iterations)

@@ -7,12 +7,9 @@ from vbpp import specfun
 from vbpp.specfun import (
     GTildeDomainError,
     build_table,
-    g_tilde,
     g_tilde_batch,
     g_tilde_derivative,
     g_tilde_series,
-    load_table,
-    save_table,
 )
 
 
@@ -24,7 +21,7 @@ def dawsn_integral_oracle(z: float) -> float:
 
 def test_value_at_zero():
     assert g_tilde_series(0.0) == 0.0
-    v, s = g_tilde(0.0)
+    v, s = g_tilde_batch(0.0)
     assert v == 0.0
     assert s == pytest.approx(2.0, rel=1e-6)
 
@@ -101,9 +98,9 @@ def test_table_value_slope_consistency():
     # finite difference of the interpolated value reproduces it exactly
     table = specfun.default_table()
     for z in (-1e-5, -0.02, -3.0, -700.0):
-        v0, s0 = g_tilde(z, table)
+        v0, s0 = g_tilde_batch(z, table)
         h = 1e-9 * abs(z)
-        v1, _ = g_tilde(z - h, table)
+        v1, _ = g_tilde_batch(z - h, table)
         assert (v1 - v0) / (-h) == pytest.approx(s0, rel=1e-5)
 
 
@@ -115,24 +112,14 @@ def test_monotone_decreasing():
 
 
 def test_beyond_table_range_uses_asymptotics():
-    v, s = g_tilde(-1e7)
+    v, s = g_tilde_batch(-1e7)
     assert v == pytest.approx(g_tilde_series(-1e7), rel=1e-10)
     assert s == pytest.approx(g_tilde_derivative(-1e7), rel=1e-10)
 
 
-def test_small_table_build_and_roundtrip(tmp_path):
+def test_small_table_build():
     table = build_table(knots_per_decade=64, lo_exp=-3, hi_exp=2)
-    path = tmp_path / "table.bin"
-    save_table(table, path)
-    back = load_table(path)
-    assert back is not None
-    assert np.array_equal(back.knots, table.knots)
-    assert np.array_equal(back.values, table.values)
-    assert np.array_equal(back.derivs, table.derivs)
-
-
-def test_load_table_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"not a table")
-    assert load_table(path) is None
-    assert load_table(tmp_path / "missing.bin") is None
+    assert table.knots.size == 1 + 5 * 64 + 1
+    assert table.z_min == pytest.approx(-100.0, rel=1e-12)
+    for i in (1, 64, 200, table.knots.size - 1):
+        assert table.values[i] == pytest.approx(g_tilde_series(table.knots[i]), rel=1e-12)
