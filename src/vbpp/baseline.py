@@ -20,6 +20,9 @@ from .pointdata import Domain, EventSet, poisson_log_likelihood
 
 SIGMA_FLOOR_FRAC = 1e-3   # of the domain extent; guards the duplicate-point collapse
 SIGMA_CEIL_FRAC = 10.0
+# numpy's exp is 10-100x slower per element where the result falls below
+# about e^-708, so leave-one-out kernel terms below e^-700 are cut to zero.
+LOG_KERNEL_CUT = -700.0
 
 
 class InsufficientDataError(ValueError):
@@ -69,15 +72,46 @@ def truncnorm_pdf(x, center, sigma, d: Domain, end_correction: bool = True) -> f
     return float(_dim_pdfs(x, center, sigma, d, end_correction)[0, 0])
 
 
+def _loo(train: EventSet, d: Domain, end_correction: bool):
+    """The leave-one-out objective of ``train`` as a function of sigma.
+
+    The per-dimension squared differences are built once.  The diagonal is
+    zeroed, never subtracted from the row sums: at the floor bandwidth an
+    isolated point's row sum is far below the diagonal term and would cancel
+    to zero.  Exponents are clipped at LOG_KERNEL_CUT and e^LOG_KERNEL_CUT
+    is taken off every term, so clipped terms are exactly zero and terms
+    above 1e-288 are unchanged.
+    """
+    X = train.points
+    half_sq = [-0.5 * (X[:, r][:, None] - X[:, r][None, :]) ** 2 for r in range(d.dims)]
+    buf = np.empty_like(half_sq[0])
+    cut = np.exp(LOG_KERNEL_CUT)
+
+    def objective(sigma) -> float:
+        sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
+        np.multiply(half_sq[0], sigma[0] ** -2, out=buf)
+        for r in range(1, d.dims):
+            np.add(buf, half_sq[r] * sigma[r] ** -2, out=buf)
+        np.maximum(buf, LOG_KERNEL_CUT, out=buf)
+        np.exp(buf, out=buf)
+        np.subtract(buf, cut, out=buf)
+        np.fill_diagonal(buf, 0.0)
+        weight = np.full(X.shape[0], (2.0 * np.pi) ** (-d.dims / 2) / np.prod(sigma))
+        if end_correction:
+            for r in range(d.dims):
+                s = sigma[r]
+                weight /= ndtr((d.hi[r] - X[:, r]) / s) - ndtr((d.lo[r] - X[:, r]) / s)
+        row = buf @ weight
+        if (row <= 0).any():
+            return -np.inf
+        return float(np.sum(np.log(row)))
+
+    return objective
+
+
 def loo_objective(train: EventSet, sigma, d: Domain, end_correction: bool) -> float:
     """sum_i log sum_{j != i} N_T(x_i; x_j, Sigma)."""
-    sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-    pdfs = _dim_pdfs(train.points, train.points, sigma, d, end_correction)
-    np.fill_diagonal(pdfs, 0.0)
-    row = pdfs.sum(axis=1)
-    if (row <= 0).any():
-        return -np.inf
-    return float(np.sum(np.log(row)))
+    return _loo(train, d, end_correction)(sigma)
 
 
 def fit_bandwidth(train: EventSet, d: Domain, end_correction: bool = True,
@@ -95,8 +129,10 @@ def fit_bandwidth(train: EventSet, d: Domain, end_correction: bool = True,
     lo = np.log(SIGMA_FLOOR_FRAC * d.extent)
     hi = np.log(SIGMA_CEIL_FRAC * d.extent)
 
+    loo = _loo(train, d, end_correction)
+
     def objective(log_sigma):
-        return loo_objective(train, np.exp(log_sigma), d, end_correction)
+        return loo(np.exp(log_sigma))
 
     rng = np.random.Generator(np.random.Philox(key=[seed, 0x4B53]))
     starts = [lo + rng.random(R) * (hi - lo) for _ in range(n_starts)]

@@ -43,11 +43,11 @@ def _write_manifest(out_dir: str, command: str, config: dict) -> None:
 
 def _intensity_csv(path, grid, mean, lower, upper) -> None:
     import numpy as np
+    header = [f"x{r}" for r in range(grid.shape[1])] + ["mean", "lower", "upper"]
+    rows = np.column_stack([grid, mean, lower, upper]).tolist()
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
     with open(path, "w", encoding="utf-8") as fh:
-        dims = grid.shape[1]
-        fh.write(",".join([f"x{r}" for r in range(dims)] + ["mean", "lower", "upper"]) + "\n")
-        for row in np.column_stack([grid, mean, lower, upper]):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def cmd_simulate(args) -> int:

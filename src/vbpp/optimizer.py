@@ -26,6 +26,7 @@ from .core import (
 )
 from .kernel import HyperParams
 from .pointdata import Domain, EventSet, domain_measure
+from .threads import pool_threads
 
 
 class FitError(RuntimeError):
@@ -318,7 +319,8 @@ def fit(events: EventSet, d: Domain, inducing, cfg: FitConfig | None = None) -> 
     cfg : FitConfig
 
     Returns a model whose ``fit_metadata`` records the objective trace
-    (non-decreasing across accepted iterations), iteration count and config.
+    (non-decreasing across accepted iterations), iteration count, config and
+    the BLAS thread count of each bundled OpenBLAS pool during the fit.
     """
     cfg = cfg or FitConfig()
     if np.isscalar(inducing):
@@ -369,6 +371,7 @@ def fit(events: EventSet, d: Domain, inducing, cfg: FitConfig | None = None) -> 
             "optimize_z": cfg.optimize_z,
             "map": prior is not None,
         },
+        "blas_threads": pool_threads(),
     }
     model = unpack(to_canonical(result.x)[0], d, M, cfg,
                    fixed_z=fixed_z, fit_metadata=metadata)

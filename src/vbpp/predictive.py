@@ -6,8 +6,10 @@ bound evaluated with the fitted (m*, S*, Theta*) and the test events, with no
 KL term.  The tightened variant collapses S to zero.  Both are views of the
 one bound evaluation in :mod:`vbpp.core`.  The corresponding true
 predictive log-likelihoods are estimated by exact joint Gaussian sampling of
-f on the test points plus a quadrature grid.  That dense joint-covariance
-work runs at the machine's BLAS thread count (``threads.machine_threads``).
+f on the test points plus a quadrature grid.  One Cholesky factor of the
+joint covariance and one draw stream serve both Monte-Carlo modes; that
+dense work runs at the machine's BLAS thread count
+(``threads.machine_threads``).
 """
 
 from __future__ import annotations
@@ -42,17 +44,17 @@ class PredictiveReport:
         return asdict(self)
 
 
-def _joint_qf(model: Model, points: np.ndarray, collapse_s: bool):
-    """Mean vector and covariance of q(f) jointly at ``points``."""
+def _joint_qf(model: Model, points: np.ndarray):
+    """q(f) jointly at ``points``: the mean A-bar m, the covariance
+    K_pp - A-bar A^T of q(f | u = m), and A-bar L.
+
+    The covariance of q*(f) is that one plus (A-bar L)(A-bar L)^T.
+    """
     A = gram(points, model.inducing.Z, model.hyper)
     Abar = model.kzz_solve(A.T).T
-    mean = Abar @ model.var_state.m
     cov = gram(points, points, model.hyper)
     cov -= Abar @ A.T
-    if not collapse_s:
-        AbarL = Abar @ model.var_state.L
-        cov += AbarL @ AbarL.T
-    return mean, cov
+    return Abar @ model.var_state.m, cov, Abar @ model.var_state.L
 
 
 def _chol_with_jitter(cov: np.ndarray, scale: float):
@@ -91,6 +93,49 @@ def _jackknife_stderr(values: np.ndarray, block: int = 100) -> float:
     return float(np.sqrt((n_blocks - 1) / n_blocks * np.sum((estimates - centre) ** 2)))
 
 
+def _mc_log_liks(model: Model, test: EventSet, n_samples: int, grid_res,
+                 seed: int) -> dict[str, np.ndarray]:
+    """Per-draw log p(H | f) for both Monte-Carlo modes, keyed "Mp" and "M0".
+
+    One factor and one draw stream serve both.  Each batch draws
+    e ~ N(0, I_n) and eta ~ N(0, I_M): f0 = mean + chol e is a draw from
+    q(f | u = m) (mode "M0"), and f0 + (A-bar L) eta, whose covariance adds
+    (A-bar L)(A-bar L)^T, is an exact draw from q*(f) (mode "Mp").
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    d = model.domain
+    res = np.broadcast_to(np.asarray(grid_res, dtype=int), (d.dims,))
+    if (res < 8).any():
+        raise ValueError("grid resolution must be at least 8 per dimension")
+    grid = regular_grid(d, list(res))
+    cell_vol = domain_measure(d) / grid.shape[0]
+
+    points = np.vstack([test.points, grid]) if test.n else grid
+    rng = np.random.Generator(np.random.Philox(key=[seed, 0x4D43]))
+
+    n_test = test.n
+    log_liks = {"Mp": np.empty(n_samples), "M0": np.empty(n_samples)}
+
+    def score(f):
+        quad = cell_vol * np.sum(f[n_test:] ** 2, axis=0)
+        log_ev = np.sum(np.log(f[:n_test] ** 2), axis=0) if n_test else 0.0
+        return -quad + log_ev
+
+    with machine_threads():
+        mean, cov, AbarL = _joint_qf(model, points)
+        chol = _chol_with_jitter(cov, model.hyper.gamma)
+        del cov
+        for done in range(0, n_samples, 512):
+            batch = min(512, n_samples - done)
+            f = mean[:, None] + chol @ rng.standard_normal((points.shape[0], batch))
+            eta = rng.standard_normal((AbarL.shape[1], batch))
+            log_liks["M0"][done:done + batch] = score(f)
+            f += AbarL @ eta
+            log_liks["Mp"][done:done + batch] = score(f)
+    return log_liks
+
+
 def mc_predictive(model: Model, test: EventSet, mode: str, n_samples: int,
                   grid_res, seed: int = 0):
     """Monte-Carlo estimate of the true predictive log-likelihood.
@@ -102,33 +147,7 @@ def mc_predictive(model: Model, test: EventSet, mode: str, n_samples: int,
     """
     if mode not in ("Mp", "M0"):
         raise ValueError(f"mode must be 'Mp' or 'M0', got {mode!r}")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    d = model.domain
-    res = np.broadcast_to(np.asarray(grid_res, dtype=int), (d.dims,))
-    if (res < 8).any():
-        raise ValueError("grid resolution must be at least 8 per dimension")
-    grid = regular_grid(d, list(res))
-    cell_vol = domain_measure(d) / grid.shape[0]
-
-    points = np.vstack([test.points, grid]) if test.n else grid
-    tag = 0x4D50 if mode == "Mp" else 0x4D30
-    rng = np.random.Generator(np.random.Philox(key=[seed, tag]))
-
-    n_test = test.n
-    log_liks = np.empty(n_samples)
-    with machine_threads():
-        mean, cov = _joint_qf(model, points, collapse_s=(mode == "M0"))
-        chol = _chol_with_jitter(cov, model.hyper.gamma)
-        done = 0
-        while done < n_samples:
-            batch = min(512, n_samples - done)
-            f = mean[:, None] + chol @ rng.standard_normal((points.shape[0], batch))
-            quad = cell_vol * np.sum(f[n_test:] ** 2, axis=0)
-            log_ev = np.sum(np.log(f[:n_test] ** 2), axis=0) if n_test else 0.0
-            log_liks[done:done + batch] = -quad + log_ev
-            done += batch
-
+    log_liks = _mc_log_liks(model, test, n_samples, grid_res, seed)[mode]
     return _log_mean_exp(log_liks), _jackknife_stderr(log_liks)
 
 
@@ -139,14 +158,13 @@ def predictive_report(model: Model, test: EventSet, n_samples: int = 10_000,
     if grid_res is None:
         grid_res = 512 if d.dims == 1 else 64
     res = np.broadcast_to(np.asarray(grid_res, dtype=int), (d.dims,))
-    with machine_threads():   # one switch for both modes
-        mp, mp_se = mc_predictive(model, test, "Mp", n_samples, res, seed=seed)
-        m0, m0_se = mc_predictive(model, test, "M0", n_samples, res, seed=seed)
+    log_liks = _mc_log_liks(model, test, n_samples, res, seed)
+    mp, m0 = log_liks["Mp"], log_liks["M0"]
     return PredictiveReport(
         l_p=predictive_bound_lp(model, test),
         l_0=predictive_bound_l0(model, test),
-        m_p_hat=mp, m_p_stderr=mp_se,
-        m_0_hat=m0, m_0_stderr=m0_se,
+        m_p_hat=_log_mean_exp(mp), m_p_stderr=_jackknife_stderr(mp),
+        m_0_hat=_log_mean_exp(m0), m_0_stderr=_jackknife_stderr(m0),
         n_samples=n_samples,
         grid_resolution=[int(r) for r in res],
     )

@@ -7,7 +7,8 @@ tens), where waking a second thread costs far more than the product itself
 (10-200x on a two-core machine) and the fixed cost hides the bound's linear
 scaling in N.  So importing vbpp sets both pools to one thread, and only
 ``machine_threads`` scopes -- the joint-covariance Cholesky and sampling of
-Monte Carlo prediction -- run at the count each pool had on import.
+Monte Carlo prediction, one factorisation serving both modes -- run at the
+count each pool had on import.
 
 A user who sets OMP_NUM_THREADS, OPENBLAS_NUM_THREADS or MKL_NUM_THREADS
 keeps the count OpenBLAS took from it everywhere.  VBPP_THREADS sets both

@@ -4,6 +4,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from vbpp.baseline import (
+    SIGMA_FLOOR_FRAC,
     InsufficientDataError,
     KsModel,
     fit_bandwidth,
@@ -11,6 +12,7 @@ from vbpp.baseline import (
     ks_log_predictive,
     ks_log_predictive_rate_form,
     loo_objective,
+    _dim_pdfs,
     truncnorm_pdf,
 )
 from vbpp.pointdata import Domain, EventSet
@@ -62,6 +64,30 @@ def test_loo_objective_permutation_invariant():
     a = loo_objective(EventSet(pts), sigma, d, True)
     b = loo_objective(EventSet(pts[::-1]), sigma, d, True)
     assert a == pytest.approx(b, rel=1e-13)
+
+
+@pytest.mark.parametrize("end_correction", [True, False])
+@pytest.mark.parametrize("dims", [1, 2])
+def test_loo_objective_matches_the_pairwise_reference(dims, end_correction):
+    rng = np.random.default_rng(4)
+    d = Domain([0.0] * dims, [1.0 + r for r in range(dims)])
+    cluster = rng.uniform(0.2, 0.21, (12, dims))
+    # at the floor bandwidth the isolated point sits 20 sigma or more from
+    # the cluster, so its row sum is below e^-200 of the diagonal term
+    isolated = np.full((1, dims), 0.2) + 20 * SIGMA_FLOOR_FRAC * d.extent
+    isolated[0, 0] += 0.01
+    train = EventSet(np.vstack([cluster, isolated]))
+    for sigma in (SIGMA_FLOOR_FRAC * d.extent, np.full(dims, 0.02), np.full(dims, 0.7)):
+        pdfs = _dim_pdfs(train.points, train.points, sigma, d, end_correction)
+        np.fill_diagonal(pdfs, 0.0)
+        reference = float(np.sum(np.log(pdfs.sum(axis=1))))
+        assert np.isfinite(reference)
+        assert loo_objective(train, sigma, d, end_correction) == pytest.approx(
+            reference, rel=1e-12)
+    # 40 floor bandwidths further out, a point has no kernel mass left
+    far = np.vstack([train.points, isolated + 40 * SIGMA_FLOOR_FRAC * d.extent])
+    assert loo_objective(EventSet(far), SIGMA_FLOOR_FRAC * d.extent, d,
+                         end_correction) == -np.inf
 
 
 def test_two_point_optimal_bandwidth():

@@ -121,16 +121,21 @@ def test_help_exits_zero(workspace):
 
 
 def test_rerun_byte_identical(workspace):
-    for out in ("rep1", "rep2"):
-        code = run(workspace, "fit", "--data", "sim/events.csv",
-                   "--domain", "0:3", "--inducing", "4", "--max-iters", "40",
-                   "--out-dir", out)
-        assert code == 0
-    a, b = workspace / "rep1", workspace / "rep2"
-    names = sorted(p.name for p in a.iterdir())
-    assert names == sorted(p.name for p in b.iterdir())
-    for name in names:
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+    commands = {
+        "fit": ("fit", "--data", "sim/events.csv", "--domain", "0:3",
+                "--inducing", "4", "--max-iters", "40"),
+        "evaluate": ("evaluate", "--model", "fit/model.json", "--data", "sim/events.csv",
+                     "--samples", "600", "--grid-res", "64", "--seed", "7", "--baseline"),
+    }
+    for name, argv in commands.items():
+        for out in ("rep1", "rep2"):
+            assert run(workspace, *argv, "--out-dir", f"{name}_{out}") == 0
+        a, b = workspace / f"{name}_rep1", workspace / f"{name}_rep2"
+        files = sorted(p.name for p in a.iterdir())
+        assert files == sorted(p.name for p in b.iterdir())
+        for file in files:
+            assert (a / file).read_bytes() == (b / file).read_bytes(), (name, file)
+    assert {"report.json", "intensity.csv"} <= set(files)
 
 
 def test_import_skips_scipy_stats():

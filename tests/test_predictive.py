@@ -1,11 +1,21 @@
 import numpy as np
 import pytest
 
-from vbpp.core import InducingPoints, Model, VariationalState, elbo, kl_qu_pu
-from vbpp.kernel import HyperParams
+from vbpp.core import (
+    VAR_FLOOR,
+    InducingPoints,
+    Model,
+    VariationalState,
+    elbo,
+    kl_qu_pu,
+    qf_marginals,
+)
+from vbpp.kernel import HyperParams, gram
 from vbpp.optimizer import FitConfig, fit
 from vbpp.pointdata import Domain, EventSet
 from vbpp.predictive import (
+    _chol_with_jitter,
+    _joint_qf,
     mc_predictive,
     posterior_intensity,
     predictive_bound_l0,
@@ -45,6 +55,32 @@ def test_l0_equals_lp_when_s_collapses():
     ev = EventSet(np.array([[0.5], [1.5]]))
     assert predictive_bound_l0(model, ev) == pytest.approx(
         predictive_bound_lp(model, ev), abs=1e-4)
+
+
+def test_joint_qf_factors_the_qstar_covariance(fitted):
+    model, ev, d = fitted
+    points = np.vstack([ev.points, np.linspace(d.lo[0], d.hi[0], 33)[:, None]])
+    mean, cov, AbarL = _joint_qf(model, points)
+    cov_diag = cov.diagonal().copy()
+    chol = _chol_with_jitter(cov, model.hyper.gamma)
+    jitter = float(np.max(cov.diagonal() - cov_diag))
+    cov_m0 = chol @ chol.T
+    cov_mp = cov_m0 + AbarL @ AbarL.T
+
+    # q*(f) built directly: K_pp - K_pz K^-1 K_zp + K_pz K^-1 S K^-1 K_zp
+    A = gram(points, model.inducing.Z, model.hyper)
+    KinvAT = np.linalg.solve(model.kzz, A.T)
+    direct = gram(points, points, model.hyper) - A @ KinvAT \
+        + KinvAT.T @ model.var_state.S @ KinvAT
+    tol = jitter + 1e-12 * model.hyper.gamma
+    assert np.abs(cov_mp - direct).max() <= tol
+
+    mu, var = qf_marginals(points, model)
+    _, var0 = qf_marginals(points, model, collapse_s=True)
+    assert np.allclose(mean, mu, rtol=1e-12, atol=1e-12)
+    # qf_marginals floors the variances at VAR_FLOOR
+    assert np.abs(cov_mp.diagonal() - var).max() <= tol + VAR_FLOOR
+    assert np.abs(cov_m0.diagonal() - var0).max() <= tol + VAR_FLOOR
 
 
 def test_mc_predictive_input_validation(fitted):

@@ -85,7 +85,7 @@ def observe(tmp_path, **user_vars):
     proc = python(f"OPENBLAS = {OPENBLAS!r}\n" + PROBE, str(tmp_path), **user_vars)
     assert proc.returncode == 0, proc.stderr[-3000:]
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert len(seen["inside"]) == 2   # one joint covariance per Monte Carlo mode
+    assert len(seen["inside"]) == 1   # one factorisation per predictive_report
     return seen
 
 
@@ -94,7 +94,7 @@ def test_import_sets_one_thread_and_prediction_uses_the_machines(tmp_path):
     seen = observe(tmp_path)
     one = {"numpy": 1, "scipy": 1}
     assert seen["imported"] == one
-    assert seen["inside"] == [seen["before"]] * 2
+    assert seen["inside"] == [seen["before"]]
     assert seen["after"] == one
 
 
@@ -103,14 +103,14 @@ def test_vbpp_threads_sets_the_count_everywhere(tmp_path):
     seen = observe(tmp_path, VBPP_THREADS="1")
     one = {"numpy": 1, "scipy": 1}
     assert seen["imported"] == seen["after"] == one
-    assert seen["inside"] == [one] * 2
+    assert seen["inside"] == [one]
 
 
 @needs_openblas
 def test_a_users_openblas_setting_is_left_in_place(tmp_path):
     seen = observe(tmp_path, OPENBLAS_NUM_THREADS=str(os.cpu_count()))
     assert seen["imported"] == seen["after"] == seen["before"]
-    assert seen["inside"] == [seen["before"]] * 2
+    assert seen["inside"] == [seen["before"]]
 
 
 def test_a_malformed_vbpp_threads_is_refused():
