@@ -9,14 +9,13 @@ intensity integrates exactly to N there.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import ndtr
 
-from .pointdata import Domain, EventSet, poisson_log_likelihood
+from .pointdata import Domain, EventSet, poisson_log_likelihood, write_json
 
 SIGMA_FLOOR_FRAC = 1e-3   # of the domain extent; guards the duplicate-point collapse
 SIGMA_CEIL_FRAC = 10.0
@@ -114,14 +113,13 @@ def loo_objective(train: EventSet, sigma, d: Domain, end_correction: bool) -> fl
     return _loo(train, d, end_correction)(sigma)
 
 
-def fit_bandwidth(train: EventSet, d: Domain, end_correction: bool = True,
-                  n_starts: int = 8, seed: int = 0) -> KsModel:
+def fit_bandwidth(train: EventSet, d: Domain, end_correction: bool = True) -> KsModel:
     """Select the diagonal bandwidth by maximising the leave-one-out objective.
 
-    Multi-start (log-uniform in the allowed band) followed by coordinate-wise
-    bounded scalar maximisation in log space.  Bandwidths are confined to
-    [1e-3, 10] times the per-dimension extent; the lower floor is load-bearing
-    for duplicate points, where the raw objective is unbounded.
+    Eight fixed starts (log-uniform in the allowed band), each followed by
+    coordinate-wise bounded scalar maximisation in log space.  Bandwidths are
+    confined to [1e-3, 10] times the per-dimension extent; the lower floor is
+    load-bearing for duplicate points, where the raw objective is unbounded.
     """
     if train.n < 2:
         raise InsufficientDataError("leave-one-out bandwidth selection needs N >= 2")
@@ -134,8 +132,8 @@ def fit_bandwidth(train: EventSet, d: Domain, end_correction: bool = True,
     def objective(log_sigma):
         return loo(np.exp(log_sigma))
 
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0x4B53]))
-    starts = [lo + rng.random(R) * (hi - lo) for _ in range(n_starts)]
+    rng = np.random.Generator(np.random.Philox(key=[0, 0x4B53]))
+    starts = [lo + rng.random(R) * (hi - lo) for _ in range(8)]
 
     best_ls, best_val = None, -np.inf
     for start in starts:
@@ -202,6 +200,4 @@ def save_ks_model(model: KsModel, path, train_ref: str | None = None) -> None:
         "train_ref": train_ref,
         "n_train": model.train.n,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(doc, path)

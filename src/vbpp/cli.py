@@ -1,15 +1,13 @@
 """Command-line front-end: simulate | fit | predict | evaluate | baseline.
 
 Every command writes a manifest JSON beside its outputs echoing the fully
-resolved configuration, and is deterministic given that manifest.  The
-VBPP_THREADS environment variable sets the BLAS thread count, applied when
-the package is imported (see ``vbpp.threads``).
+resolved configuration, and is deterministic given that manifest.  The BLAS
+thread policy applies when the package is imported (see ``vbpp.threads``).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -30,24 +28,17 @@ def parse_domain(spec: str):
     return Domain(lo=lo, hi=hi)
 
 
-def _write_json(doc: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_manifest(out_dir: str, command: str, config: dict) -> None:
-    _write_json({"command": command, "config": config},
-                os.path.join(out_dir, f"{command}_manifest.json"))
+    from .pointdata import write_json
+    write_json({"command": command, "config": config},
+               os.path.join(out_dir, f"{command}_manifest.json"))
 
 
 def _intensity_csv(path, grid, mean, lower, upper) -> None:
     import numpy as np
-    header = [f"x{r}" for r in range(grid.shape[1])] + ["mean", "lower", "upper"]
-    rows = np.column_stack([grid, mean, lower, upper]).tolist()
-    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    from .pointdata import write_csv
+    write_csv(path, np.column_stack([grid, mean, lower, upper]).tolist(),
+              header=[f"x{r}" for r in range(grid.shape[1])] + ["mean", "lower", "upper"])
 
 
 def cmd_simulate(args) -> int:
@@ -89,7 +80,7 @@ def _fit_config_from_args(args):
 def cmd_fit(args) -> int:
     from .core import save_model
     from .optimizer import fit
-    from .pointdata import load_events
+    from .pointdata import load_events, write_csv
 
     d = parse_domain(args.domain)
     events = load_events(args.data, d)
@@ -100,10 +91,9 @@ def cmd_fit(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     save_model(model, os.path.join(args.out_dir, "model.json"))
     meta = model.fit_metadata
-    with open(os.path.join(args.out_dir, "trace.csv"), "w", encoding="utf-8") as fh:
-        fh.write("iteration,objective\n")
-        for i, val in enumerate(meta["trace"]):
-            fh.write(f"{i},{float(val)!r}\n")
+    write_csv(os.path.join(args.out_dir, "trace.csv"),
+              [[i, float(val)] for i, val in enumerate(meta["trace"])],
+              header=["iteration", "objective"])
     _write_manifest(args.out_dir, "fit", {
         "data": args.data, "domain": args.domain, "inducing": args.inducing,
         "inducing_per_dim": args.inducing_per_dim, "optimize_z": args.optimize_z,
@@ -136,7 +126,7 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     from .baseline import fit_bandwidth, ks_log_predictive
     from .core import load_model
-    from .pointdata import load_events, split_events
+    from .pointdata import load_events, split_events, write_json
     from .predictive import posterior_intensity, predictive_report
     from .simulate import make_grid
 
@@ -168,7 +158,7 @@ def cmd_evaluate(args) -> int:
         doc["ks_sigma"] = ks.sigma.tolist()
 
     os.makedirs(args.out_dir, exist_ok=True)
-    _write_json(doc, os.path.join(args.out_dir, "report.json"))
+    write_json(doc, os.path.join(args.out_dir, "report.json"))
     grid, _ = make_grid(d, args.grid_res if d.dims > 1 else 512)
     mean, lower, upper = posterior_intensity(model, grid)
     _intensity_csv(os.path.join(args.out_dir, "intensity.csv"), grid, mean, lower, upper)

@@ -22,8 +22,8 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from . import specfun
-from .kernel import HyperParams, gram, sq_dists_per_dim, psi_matrix, psi_with_partials
-from .pointdata import Domain, EventSet, domain_measure
+from .kernel import HyperParams, gram, sq_dists_per_dim, psi_with_partials
+from .pointdata import Domain, EventSet, domain_measure, write_json
 
 JITTER_SCALE = 1e-8
 VAR_FLOOR = 1e-12
@@ -88,12 +88,27 @@ class InducingPoints:
         return self.Z.shape[0]
 
 
+def chol_with_jitter(K: np.ndarray, jitter: float, tries: int = 1) -> np.ndarray:
+    """Lower Cholesky factor of ``K`` plus the smallest jitter that works.
+
+    The jitter goes onto ``K``'s diagonal in place and grows 100-fold after
+    each failure, for at most ``tries`` values; then LinAlgError is raised.
+    """
+    diag = K.diagonal().copy()
+    for _ in range(tries):
+        np.fill_diagonal(K, diag + jitter)
+        try:
+            return cholesky(K, lower=True)
+        except np.linalg.LinAlgError:
+            jitter *= 100.0
+    raise np.linalg.LinAlgError(f"not positive definite even with jitter {jitter / 100.0:g}")
+
+
 def kzz_factor(Z: np.ndarray, hyper: HyperParams):
     """K_zz with its diagonal jitter, and the lower Cholesky factor of it."""
     K = gram(Z, Z, hyper)
-    K[np.diag_indices_from(K)] += JITTER_SCALE * hyper.gamma
     try:
-        return K, cholesky(K, lower=True)
+        return K, chol_with_jitter(K, JITTER_SCALE * hyper.gamma)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - jitter normally suffices
         raise NumericalError(f"Cholesky of K_zz failed: {exc}") from exc
 
@@ -103,8 +118,9 @@ class Model:
     """Hyperparameters + inducing points + variational state over a domain.
 
     K_zz + jitter and its Cholesky factor are computed at construction, Psi
-    when it is first read; every downstream evaluation shares them, and the
-    model is immutable, so they can never go stale.
+    with its partials (``psi_with_partials``) when first read; every
+    downstream evaluation shares them, and the model is immutable, so they
+    can never go stale.
     """
 
     hyper: HyperParams
@@ -135,8 +151,9 @@ class Model:
         return self._kzz[1]
 
     @cached_property
-    def psi(self) -> np.ndarray:
-        return psi_matrix(self.inducing.Z, self.hyper, self.domain)
+    def psi(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Psi, its partials w.r.t. log alpha, w.r.t. Z), as in psi_with_partials."""
+        return psi_with_partials(self.inducing.Z, self.hyper, self.domain)
 
     def kzz_solve(self, rhs: np.ndarray) -> np.ndarray:
         return cho_solve((self._kzz[1], True), rhs)
@@ -255,9 +272,7 @@ def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
               collapse_s: bool = False) -> BoundTerms:
     """The one evaluation of the bound behind every function above.
 
-    K_zz and Psi come from the model; only the log_alpha and omega blocks
-    take Psi with its partials from ``psi_with_partials``, which agrees with
-    the model's Psi to rounding (exactly when R = 1).  K^-1 is formed once
+    K_zz and Psi with its partials come from the model.  K^-1 is formed once
     from the model's Cholesky factor and every product below goes through
     it; the fit's iterates depend on this arithmetic bit for bit.
     ``collapse_s`` sets S to zero in the expectations of f, not in the KL;
@@ -287,10 +302,7 @@ def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
     eye = np.eye(M)
     Kinv = model.kzz_solve(eye)
     K = model.kzz
-    if "log_alpha" in wrt or "omega" in wrt:
-        psi, dpsi_dlog_alpha, dpsi_dzi = psi_with_partials(Z, h, dmn)
-    else:
-        psi = model.psi
+    psi, dpsi_dlog_alpha, dpsi_dzi = model.psi
 
     c = Kinv @ m
     kinv_psi = Kinv @ psi
@@ -466,9 +478,7 @@ def model_from_dict(doc: dict) -> Model:
 
 
 def save_model(model: Model, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(model_to_dict(model), path)
 
 
 def load_model(path) -> Model:

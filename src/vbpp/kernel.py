@@ -117,14 +117,10 @@ def psi_matrix(Z, h: HyperParams, d: Domain) -> np.ndarray:
 
     For the ARD exponentiated-quadratic kernel the product of kernels is a
     single exponentiated quadratic in x, so the integral factorises over
-    dimensions into Gaussian-error-function terms.
+    dimensions into Gaussian-error-function terms.  The value part of
+    :func:`psi_with_partials`.
     """
-    Z = _as_points(Z, h.dims)
-    out = np.full((Z.shape[0], Z.shape[0]), h.gamma**2)
-    for r in range(h.dims):
-        fac, _, _ = _psi_dim_factors(Z, h, d, r)
-        out *= fac
-    return out
+    return psi_with_partials(Z, h, d)[0]
 
 
 def psi_with_partials(Z, h: HyperParams, d: Domain):

@@ -10,7 +10,7 @@ Optimisation is limited-memory quasi-Newton (L-BFGS-B on the negated bound).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -70,7 +70,6 @@ class FitConfig:
     optimize_z: bool = False
     use_map: bool = False
     map_prior: MapPrior | None = None
-    init_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -183,10 +182,9 @@ def unpack(y: np.ndarray, domain: Domain, M: int, cfg: FitConfig,
 def _initial_model(events: EventSet, d: Domain, Z: np.ndarray, cfg: FitConfig) -> Model:
     measure = domain_measure(d)
     n_eff = max(events.n, 1)              # keeps gamma positive for empty data
-    ov = cfg.init_overrides
-    gamma0 = float(ov.get("gamma", n_eff / measure))
-    alpha0 = np.asarray(ov.get("alpha", (d.extent / 5.0) ** 2), dtype=float)
-    u_bar0 = float(ov.get("u_bar", np.sqrt(events.n / measure)))
+    gamma0 = n_eff / measure
+    alpha0 = (d.extent / 5.0) ** 2
+    u_bar0 = float(np.sqrt(events.n / measure))
     hyper = HyperParams(gamma=gamma0, alpha=alpha0, u_bar=u_bar0)
 
     L0 = 0.1 * kzz_factor(Z, hyper)[1]

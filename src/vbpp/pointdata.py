@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,11 +129,27 @@ def load_events(path, d: Domain) -> EventSet:
     return EventSet(pts)
 
 
+def write_csv(path, rows, header=None) -> None:
+    """Write rows of Python numbers as CSV, each value as its repr, in one call.
+
+    ``header`` is an optional list of column names for a first line.
+    """
+    lines = [",".join(header)] if header else []
+    lines += [",".join(map(repr, row)) for row in rows]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+
+
+def write_json(doc: dict, path) -> None:
+    """Write ``doc`` as JSON with indent 2, sorted keys and a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def save_events(events: EventSet, path) -> None:
     """Write an event set as bare CSV (no header), round-trippable by load_events."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in events.points:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_csv(path, events.points.tolist())
 
 
 def poisson_log_likelihood(log_rates_at_events, integrated_rate: float) -> float:

@@ -17,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.linalg import cholesky
 from scipy.special import ndtri
 
-from .core import Model, predictive_bound_l0, predictive_bound_lp, qf_marginals
+from .core import Model, chol_with_jitter, predictive_bound_l0, predictive_bound_lp, qf_marginals
 from .kernel import gram
 from .optimizer import regular_grid
 from .pointdata import EventSet, domain_measure
@@ -55,20 +54,6 @@ def _joint_qf(model: Model, points: np.ndarray):
     cov = gram(points, points, model.hyper)
     cov -= Abar @ A.T
     return Abar @ model.var_state.m, cov, Abar @ model.var_state.L
-
-
-def _chol_with_jitter(cov: np.ndarray, scale: float):
-    """Lower Cholesky factor of ``cov`` plus the smallest jitter that works;
-    the jitter goes onto ``cov``'s diagonal in place."""
-    diag = cov.diagonal().copy()
-    jitter = 1e-10 * scale
-    for _ in range(6):
-        np.fill_diagonal(cov, diag + jitter)
-        try:
-            return cholesky(cov, lower=True)
-        except np.linalg.LinAlgError:
-            jitter *= 100.0
-    raise np.linalg.LinAlgError("joint covariance not factorizable even with jitter")
 
 
 def _log_mean_exp(values: np.ndarray) -> float:
@@ -124,7 +109,7 @@ def _mc_log_liks(model: Model, test: EventSet, n_samples: int, grid_res,
 
     with machine_threads():
         mean, cov, AbarL = _joint_qf(model, points)
-        chol = _chol_with_jitter(cov, model.hyper.gamma)
+        chol = chol_with_jitter(cov, 1e-10 * model.hyper.gamma, tries=6)
         del cov
         for done in range(0, n_samples, 512):
             batch = min(512, n_samples - done)

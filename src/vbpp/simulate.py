@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky
 
+from .core import chol_with_jitter
 from .kernel import HyperParams, gram
 from .optimizer import regular_grid
-from .pointdata import Domain, EventSet, domain_measure
+from .pointdata import Domain, EventSet, domain_measure, write_csv
 
 DEFAULT_GRID_1D = 2048
 DEFAULT_GRID_2D = 128
@@ -85,20 +85,8 @@ def sample_gp_grid(h: HyperParams, grid_points: np.ndarray, seed: int) -> np.nda
 
     Jitter starts at 1e-8 gamma and escalates to 1e-4 gamma before giving up.
     """
-    K = gram(grid_points, grid_points, h)
-    diag = K.diagonal().copy()
-    jitter = 1e-8 * h.gamma
-    chol = None
-    while jitter <= 1e-4 * h.gamma:
-        np.fill_diagonal(K, diag + jitter)    # in place: K is the grid size squared
-        try:
-            chol = cholesky(K, lower=True)
-            break
-        except np.linalg.LinAlgError:
-            jitter *= 100.0
-    if chol is None:
-        raise np.linalg.LinAlgError(
-            "grid covariance not positive definite even at jitter 1e-4 * gamma")
+    K = gram(grid_points, grid_points, h)     # jittered in place: the grid size squared
+    chol = chol_with_jitter(K, 1e-8 * h.gamma, tries=3)
     rng = _rng(seed, 0x4750)
     return h.u_bar + chol @ rng.standard_normal(grid_points.shape[0])
 
@@ -139,9 +127,5 @@ def thin_sample(truth: GroundTruth, d: Domain, seed: int) -> EventSet:
 
 def save_ground_truth(truth: GroundTruth, path) -> None:
     """CSV of grid coordinates plus intensity, for downstream RMSE scoring."""
-    header = ",".join([f"x{r}" for r in range(truth.domain.dims)] + ["lambda"])
-    data = np.column_stack([truth.grid, truth.lambda_values])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in data:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_csv(path, np.column_stack([truth.grid, truth.lambda_values]).tolist(),
+              header=[f"x{r}" for r in range(truth.domain.dims)] + ["lambda"])

@@ -192,7 +192,7 @@ def default_table() -> GTildeTable:
     return _DEFAULT_TABLE
 
 
-def g_tilde_batch(z, table: GTildeTable | None = None):
+def g_tilde_batch(z):
     """Interpolated (value, derivative) at an array of nonpositive arguments.
 
     Within the table range the value is linear interpolation between knots and
@@ -200,8 +200,7 @@ def g_tilde_batch(z, table: GTildeTable | None = None):
     consistent under finite differencing.  Below the table range the
     asymptotic expansion takes over.
     """
-    if table is None:
-        table = default_table()
+    table = default_table()
     z = np.asarray(z, dtype=float)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)

@@ -11,9 +11,8 @@ Monte Carlo prediction, one factorisation serving both modes -- run at the
 count each pool had on import.
 
 A user who sets OMP_NUM_THREADS, OPENBLAS_NUM_THREADS or MKL_NUM_THREADS
-keeps the count OpenBLAS took from it everywhere.  VBPP_THREADS sets both
-pools to its value everywhere.  Where neither bundled OpenBLAS is loaded,
-nothing changes.
+keeps the count OpenBLAS took from it everywhere.  Where neither bundled
+OpenBLAS is loaded, nothing changes.
 """
 
 from __future__ import annotations
@@ -63,27 +62,11 @@ def _loaded_pool(package: str, pattern: str, getter: str) -> _Pool | None:
     return None
 
 
-def _vbpp_threads() -> int | None:
-    cap = os.environ.get("VBPP_THREADS")
-    if not cap:
-        return None
-    try:
-        n = int(cap)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError(f"VBPP_THREADS must be a positive integer, got {cap!r}")
-    return n
-
-
 _POOLS = tuple(p for p in (_loaded_pool(*spec) for spec in _OPENBLAS) if p is not None)
-_CAP = _vbpp_threads()
 # The policy applies only where the user has chosen no thread count.
-_MANAGED = _CAP is None and not any(os.environ.get(v) for v in _USER_VARS)
-for _pool in _POOLS:
-    if _CAP is not None:
-        _pool.set_local(_CAP)
-    elif _MANAGED:
+_MANAGED = not any(os.environ.get(v) for v in _USER_VARS)
+if _MANAGED:
+    for _pool in _POOLS:
         _pool.set_local(1)
 
 

@@ -234,6 +234,16 @@ def test_fit_elbo_is_the_elbo_of_the_fitted_model(coal_fit):
     assert model.fit_metadata["elbo"] == elbo(model, ev)
 
 
+def test_fit_elbo_is_the_elbo_of_a_2d_fitted_model():
+    # For R > 1 Psi's product over dimensions must round as in the fit.
+    from vbpp.simulate import ground_truth, thin_sample
+    d = Domain([0.0, 0.0], [5.0, 5.0])
+    truth = ground_truth(HyperParams(4.0, [2.0, 2.0]), d, resolution=24, seed=2)
+    ev = thin_sample(truth, d, seed=2)
+    model = fit(ev, d, 3, FitConfig(max_iters=200))
+    assert model.fit_metadata["elbo"] == elbo(model, ev)
+
+
 def test_fit_trace_costs_no_extra_evaluations(coal_fit):
     model, _, n_evals = coal_fit
     iterations = model.fit_metadata["iterations"]

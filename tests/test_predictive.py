@@ -6,6 +6,7 @@ from vbpp.core import (
     InducingPoints,
     Model,
     VariationalState,
+    chol_with_jitter,
     elbo,
     kl_qu_pu,
     qf_marginals,
@@ -14,7 +15,6 @@ from vbpp.kernel import HyperParams, gram
 from vbpp.optimizer import FitConfig, fit
 from vbpp.pointdata import Domain, EventSet
 from vbpp.predictive import (
-    _chol_with_jitter,
     _joint_qf,
     mc_predictive,
     posterior_intensity,
@@ -57,12 +57,31 @@ def test_l0_equals_lp_when_s_collapses():
         predictive_bound_lp(model, ev), abs=1e-4)
 
 
+def test_mc_jitter_sequence(fitted, monkeypatch):
+    # The joint covariance gets six tries, from 1e-10 gamma up by 100 each.
+    import vbpp.core
+    model, ev, _ = fitted
+    diags = []
+
+    def cholesky(K, lower):
+        diags.append(K.diagonal().copy())
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(vbpp.core, "cholesky", cholesky)
+    with pytest.raises(np.linalg.LinAlgError):
+        mc_predictive(model, ev, "Mp", 4, 8)
+    assert len(diags) == 6
+    added = np.array([np.max(dg - diags[0]) for dg in diags[1:]])
+    expected = 1e-10 * model.hyper.gamma * (100.0 ** np.arange(1, 6) - 1.0)
+    assert np.allclose(added, expected, rtol=1e-6, atol=0)
+
+
 def test_joint_qf_factors_the_qstar_covariance(fitted):
     model, ev, d = fitted
     points = np.vstack([ev.points, np.linspace(d.lo[0], d.hi[0], 33)[:, None]])
     mean, cov, AbarL = _joint_qf(model, points)
     cov_diag = cov.diagonal().copy()
-    chol = _chol_with_jitter(cov, model.hyper.gamma)
+    chol = chol_with_jitter(cov, 1e-10 * model.hyper.gamma, tries=6)
     jitter = float(np.max(cov.diagonal() - cov_diag))
     cov_m0 = chol @ chol.T
     cov_mp = cov_m0 + AbarL @ AbarL.T

@@ -56,6 +56,27 @@ def test_sample_gp_correlation_at_lengthscale():
     assert emp == pytest.approx(np.exp(-1.0), abs=0.08)
 
 
+def test_grid_jitter_escalates_to_1e4_gamma(monkeypatch):
+    # A Cholesky that fails below 1e-4 gamma of jitter: the grid draw must
+    # still try 1e-8, 1e-6 and 1e-4 gamma, also where gamma * 100^k rounds up.
+    import scipy.linalg
+    import vbpp.core
+
+    h = HyperParams(gamma=7.0, alpha=np.array([0.5]))
+    jitters = []
+
+    def cholesky(K, lower):
+        jitters.append(K[0, 0] - h.gamma)
+        if jitters[-1] < 1e-4 * h.gamma * (1 - 1e-6):
+            raise np.linalg.LinAlgError("not positive definite")
+        return scipy.linalg.cholesky(K, lower=lower)
+
+    monkeypatch.setattr(vbpp.core, "cholesky", cholesky)
+    grid, _ = make_grid(Domain([0.0], [4.0]), 16)
+    assert np.isfinite(sample_gp_grid(h, grid, seed=0)).all()
+    assert np.allclose(jitters, [7e-8, 7e-6, 7e-4], rtol=1e-6, atol=0)
+
+
 def test_square_link_is_exact():
     d = Domain([0.0], [2.0])
     h = HyperParams(gamma=1.0, alpha=np.array([1.0]))
