@@ -1,8 +1,9 @@
 """Command-line front-end: simulate | fit | predict | evaluate | baseline.
 
 Every command writes a manifest JSON beside its outputs echoing the fully
-resolved configuration, and is deterministic given that manifest.  The BLAS
-thread policy applies when the package is imported (see ``vbpp.threads``).
+resolved configuration, and is deterministic given that manifest.  evaluate
+sizes its quadrature from the model and records the node count in report.json.
+The BLAS thread policy applies when the package is imported (see ``vbpp.threads``).
 """
 
 from __future__ import annotations
@@ -142,8 +143,7 @@ def cmd_evaluate(args) -> int:
         print("error: provide --test or --data with --split", file=sys.stderr)
         return 2
 
-    report = predictive_report(model, test, n_samples=args.samples,
-                               grid_res=args.grid_res, seed=args.seed)
+    report = predictive_report(model, test, n_samples=args.samples, seed=args.seed)
     doc = report.to_dict()
     doc["n_test"] = test.n
 
@@ -159,13 +159,13 @@ def cmd_evaluate(args) -> int:
 
     os.makedirs(args.out_dir, exist_ok=True)
     write_json(doc, os.path.join(args.out_dir, "report.json"))
-    grid, _ = make_grid(d, args.grid_res if d.dims > 1 else 512)
+    grid, _ = make_grid(d, 512 if d.dims == 1 else None)
     mean, lower, upper = posterior_intensity(model, grid)
     _intensity_csv(os.path.join(args.out_dir, "intensity.csv"), grid, mean, lower, upper)
     _write_manifest(args.out_dir, "evaluate", {
         "model": args.model, "test": args.test, "data": args.data,
         "train": args.train, "split": args.split, "split_seed": args.split_seed,
-        "samples": args.samples, "grid_res": args.grid_res, "seed": args.seed,
+        "samples": args.samples, "seed": args.seed,
         "baseline": args.baseline, "no_end_correction": args.no_end_correction,
     })
     print(f"l_p={report.l_p:.4f} l_0={report.l_0:.4f} "
@@ -237,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", type=float, default=0.5)
     p.add_argument("--split-seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--grid-res", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--baseline", action="store_true")
     p.add_argument("--no-end-correction", action="store_true")

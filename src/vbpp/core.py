@@ -178,9 +178,6 @@ def qf_marginals(X, model: Model, collapse_s: bool = False):
     (the tightened predictive regime), dropping the third variance term.
     Variances are floored at 1e-12.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.ndim == 1:
-        X = X[:, None]
     A = gram(X, model.inducing.Z, model.hyper)        # N x M
     Abar = model.kzz_solve(A.T).T                     # rows a_n^T = k_n^T K^-1
     mu = Abar @ model.var_state.m

@@ -185,7 +185,10 @@ def split_events(events: EventSet, p: float, seed: int) -> tuple[EventSet, Event
     """Allocate each event independently to (train, test) with P(train) = p.
 
     Deterministic in ``seed``; used for held-out evaluation protocols.
+    Raises ValueError unless 0 <= p <= 1.
     """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"split fraction must lie in [0, 1], got {p}")
     rng = np.random.Generator(np.random.Philox(key=[seed, 0x5BB1]))
     mask = rng.random(events.n) < p
     return EventSet(events.points[mask]), EventSet(events.points[~mask])

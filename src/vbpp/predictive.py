@@ -6,10 +6,9 @@ bound evaluated with the fitted (m*, S*, Theta*) and the test events, with no
 KL term.  The tightened variant collapses S to zero.  Both are views of the
 one bound evaluation in :mod:`vbpp.core`.  The corresponding true
 predictive log-likelihoods are estimated by exact joint Gaussian sampling of
-f on the test points plus a quadrature grid.  One Cholesky factor of the
-joint covariance and one draw stream serve both Monte-Carlo modes; that
-dense work runs at the machine's BLAS thread count
-(``threads.machine_threads``).
+f on the test points plus tensor-product Gauss-Legendre nodes over the
+domain, which integrate f^2.  One Cholesky factor of the joint covariance
+and one draw stream serve both Monte-Carlo modes.
 """
 
 from __future__ import annotations
@@ -17,13 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtri, roots_legendre
 
 from .core import Model, chol_with_jitter, predictive_bound_l0, predictive_bound_lp, qf_marginals
 from .kernel import gram
-from .optimizer import regular_grid
-from .pointdata import EventSet, domain_measure
-from .threads import machine_threads
+from .pointdata import Domain, EventSet
 
 
 @dataclass(frozen=True)
@@ -78,11 +75,42 @@ def _jackknife_stderr(values: np.ndarray, block: int = 100) -> float:
     return float(np.sqrt((n_blocks - 1) / n_blocks * np.sum((estimates - centre) ** 2)))
 
 
+def _gauss_legendre(d: Domain, res) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor-product Gauss-Legendre nodes and weights over the domain,
+    ``res[r]`` of them along dimension r."""
+    half = 0.5 * d.extent
+    rules = [roots_legendre(int(n)) for n in res]
+    nodes = np.meshgrid(*[lo + h * (x + 1.0) for lo, h, (x, _) in zip(d.lo, half, rules)],
+                        indexing="ij")
+    weights = np.meshgrid(*[h * w for h, (_, w) in zip(half, rules)], indexing="ij")
+    return np.stack(nodes, axis=-1).reshape(-1, d.dims), np.prod(weights, axis=0).ravel()
+
+
+def _node_count(model: Model) -> int:
+    """Gauss-Legendre nodes per dimension for the Monte-Carlo quadrature:
+    from n = 8, doubled until the rule's integral of E_q*[f^2] = mu^2 +
+    sigma^2 agrees at n and 2n to 1e-9 relative, or until 2n would exceed
+    4096 nodes in all."""
+    def integral(n):
+        nodes, weights = _gauss_legendre(model.domain, [n] * model.domain.dims)
+        mu, var = qf_marginals(nodes, model)
+        return weights @ (mu**2 + var)
+
+    n, value = 8, integral(8)
+    while (2 * n) ** model.domain.dims <= 4096:
+        finer = integral(2 * n)
+        if abs(finer - value) <= 1e-9 * abs(finer):
+            break
+        n, value = 2 * n, finer
+    return n
+
+
 def _mc_log_liks(model: Model, test: EventSet, n_samples: int, grid_res,
                  seed: int) -> dict[str, np.ndarray]:
     """Per-draw log p(H | f) for both Monte-Carlo modes, keyed "Mp" and "M0".
 
-    One factor and one draw stream serve both.  Each batch draws
+    ``grid_res`` is the number of Gauss-Legendre nodes per dimension.  One
+    factor and one draw stream serve both modes.  Each batch draws
     e ~ N(0, I_n) and eta ~ N(0, I_M): f0 = mean + chol e is a draw from
     q(f | u = m) (mode "M0"), and f0 + (A-bar L) eta, whose covariance adds
     (A-bar L)(A-bar L)^T, is an exact draw from q*(f) (mode "Mp").
@@ -92,32 +120,28 @@ def _mc_log_liks(model: Model, test: EventSet, n_samples: int, grid_res,
     d = model.domain
     res = np.broadcast_to(np.asarray(grid_res, dtype=int), (d.dims,))
     if (res < 8).any():
-        raise ValueError("grid resolution must be at least 8 per dimension")
-    grid = regular_grid(d, list(res))
-    cell_vol = domain_measure(d) / grid.shape[0]
+        raise ValueError("at least 8 quadrature nodes per dimension are required")
+    nodes, weights = _gauss_legendre(d, res)
 
-    points = np.vstack([test.points, grid]) if test.n else grid
+    points = np.vstack([test.points, nodes]) if test.n else nodes
     rng = np.random.Generator(np.random.Philox(key=[seed, 0x4D43]))
 
     n_test = test.n
     log_liks = {"Mp": np.empty(n_samples), "M0": np.empty(n_samples)}
 
     def score(f):
-        quad = cell_vol * np.sum(f[n_test:] ** 2, axis=0)
-        log_ev = np.sum(np.log(f[:n_test] ** 2), axis=0) if n_test else 0.0
-        return -quad + log_ev
+        return np.sum(np.log(f[:n_test] ** 2), axis=0) - weights @ f[n_test:] ** 2
 
-    with machine_threads():
-        mean, cov, AbarL = _joint_qf(model, points)
-        chol = chol_with_jitter(cov, 1e-10 * model.hyper.gamma, tries=6)
-        del cov
-        for done in range(0, n_samples, 512):
-            batch = min(512, n_samples - done)
-            f = mean[:, None] + chol @ rng.standard_normal((points.shape[0], batch))
-            eta = rng.standard_normal((AbarL.shape[1], batch))
-            log_liks["M0"][done:done + batch] = score(f)
-            f += AbarL @ eta
-            log_liks["Mp"][done:done + batch] = score(f)
+    mean, cov, AbarL = _joint_qf(model, points)
+    chol = chol_with_jitter(cov, 1e-10 * model.hyper.gamma, tries=6)
+    del cov
+    for done in range(0, n_samples, 512):
+        batch = min(512, n_samples - done)
+        f = mean[:, None] + chol @ rng.standard_normal((points.shape[0], batch))
+        eta = rng.standard_normal((AbarL.shape[1], batch))
+        log_liks["M0"][done:done + batch] = score(f)
+        f += AbarL @ eta
+        log_liks["Mp"][done:done + batch] = score(f)
     return log_liks
 
 
@@ -125,10 +149,11 @@ def mc_predictive(model: Model, test: EventSet, mode: str, n_samples: int,
                   grid_res, seed: int = 0):
     """Monte-Carlo estimate of the true predictive log-likelihood.
 
-    Draws joint samples of f at the test points and a midpoint quadrature
-    grid from q*(f) (mode "Mp") or from q(f | u = m) (mode "M0"); each sample
-    scores log p(H | f) with the domain integral of f^2 approximated on the
-    grid.  Returns (log-mean-exp estimate, jackknife stderr).
+    Draws joint samples of f at the test points and ``grid_res``
+    Gauss-Legendre nodes per dimension from q*(f) (mode "Mp") or from
+    q(f | u = m) (mode "M0"); each sample scores log p(H | f) with the
+    domain integral of f^2 taken by the Gauss-Legendre rule.  Returns
+    (log-mean-exp estimate, jackknife stderr).
     """
     if mode not in ("Mp", "M0"):
         raise ValueError(f"mode must be 'Mp' or 'M0', got {mode!r}")
@@ -137,12 +162,10 @@ def mc_predictive(model: Model, test: EventSet, mode: str, n_samples: int,
 
 
 def predictive_report(model: Model, test: EventSet, n_samples: int = 10_000,
-                      grid_res=None, seed: int = 0) -> PredictiveReport:
-    """Bundle both bounds and both MC estimates for a test set."""
-    d = model.domain
-    if grid_res is None:
-        grid_res = 512 if d.dims == 1 else 64
-    res = np.broadcast_to(np.asarray(grid_res, dtype=int), (d.dims,))
+                      seed: int = 0) -> PredictiveReport:
+    """Bundle both bounds and both MC estimates for a test set, with the
+    quadrature's node count (``grid_resolution``) chosen by ``_node_count``."""
+    res = [_node_count(model)] * model.domain.dims
     log_liks = _mc_log_liks(model, test, n_samples, res, seed)
     mp, m0 = log_liks["Mp"], log_liks["M0"]
     return PredictiveReport(
@@ -151,7 +174,7 @@ def predictive_report(model: Model, test: EventSet, n_samples: int = 10_000,
         m_p_hat=_log_mean_exp(mp), m_p_stderr=_jackknife_stderr(mp),
         m_0_hat=_log_mean_exp(m0), m_0_stderr=_jackknife_stderr(m0),
         n_samples=n_samples,
-        grid_resolution=[int(r) for r in res],
+        grid_resolution=res,
     )
 
 
@@ -163,9 +186,6 @@ def posterior_intensity(model: Model, query):
 
     Returns (mean, lower, upper) arrays.
     """
-    query = np.atleast_2d(np.asarray(query, dtype=float))
-    if query.ndim == 1:
-        query = query[:, None]
     mu, var = qf_marginals(query, model)
     sd = np.sqrt(var)
     zq = ndtri(0.975)

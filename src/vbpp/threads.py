@@ -1,14 +1,13 @@
-"""BLAS thread policy: one thread for the bound, the machine's threads for
-the dense Monte Carlo work of prediction.
+"""BLAS thread policy: one thread for every BLAS call in vbpp.
 
 numpy and scipy each bundle their own OpenBLAS, with separate thread pools
 sized to the machine.  The bound works on small matrices (N x M, M in the
 tens), where waking a second thread costs far more than the product itself
 (10-200x on a two-core machine) and the fixed cost hides the bound's linear
-scaling in N.  So importing vbpp sets both pools to one thread, and only
-``machine_threads`` scopes -- the joint-covariance Cholesky and sampling of
-Monte Carlo prediction, one factorisation serving both modes -- run at the
-count each pool had on import.
+scaling in N.  The joint covariance of Monte Carlo prediction holds the test
+events plus the quadrature nodes, a few hundred points on typical models, too
+few to repay a second thread either.  So importing vbpp sets both pools to one
+thread, and results do not depend on the machine's core count.
 
 A user who sets OMP_NUM_THREADS, OPENBLAS_NUM_THREADS or MKL_NUM_THREADS
 keeps the count OpenBLAS took from it everywhere.  Where neither bundled
@@ -17,7 +16,6 @@ OpenBLAS is loaded, nothing changes.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import glob
 import os
@@ -40,7 +38,6 @@ class _Pool:
     package: str
     get: Callable[[], int]
     set_local: Callable[[int], int]  # sets the count, returns the previous one
-    machine: int                     # the count when vbpp was imported
 
 
 def _loaded_pool(package: str, pattern: str, getter: str) -> _Pool | None:
@@ -58,7 +55,7 @@ def _loaded_pool(package: str, pattern: str, getter: str) -> _Pool | None:
             continue
         get.argtypes, get.restype = [], ctypes.c_int
         set_local.argtypes, set_local.restype = [ctypes.c_int], ctypes.c_int
-        return _Pool(package, get, set_local, get())
+        return _Pool(package, get, set_local)
     return None
 
 
@@ -74,20 +71,3 @@ def pool_threads() -> dict[str, int]:
     """Current thread count of each bundled OpenBLAS pool, keyed by package."""
     return {p.package: p.get() for p in _POOLS}
 
-
-@contextlib.contextmanager
-def machine_threads():
-    """Run the enclosed large BLAS-3 work at each pool's import-time count.
-
-    Does nothing where the user chose a thread count.  Nests: an inner scope
-    finds the count already set and restores it unchanged.
-    """
-    if not _MANAGED:
-        yield
-        return
-    previous = [p.set_local(p.machine) for p in _POOLS]
-    try:
-        yield
-    finally:
-        for p, n in zip(_POOLS, previous):
-            p.set_local(n)

@@ -83,7 +83,7 @@ def test_predict_outputs(workspace):
 def test_evaluate_with_split_and_baseline(workspace):
     code = run(workspace, "evaluate", "--model", "fit/model.json",
                "--data", "sim/events.csv", "--split", "0.5",
-               "--samples", "300", "--grid-res", "128", "--baseline",
+               "--samples", "300", "--baseline",
                "--out-dir", "eval")
     assert code == 0
     doc = json.loads((workspace / "eval" / "report.json").read_text())
@@ -109,11 +109,16 @@ def test_usage_errors_exit_2(workspace, capsys):
                "--out-dir", "s2") == 2
     assert run(workspace, "evaluate", "--model", "fit/model.json",
                "--out-dir", "e2") == 2
+    # evaluate sizes its quadrature from the model
+    assert run(workspace, "evaluate", "--model", "fit/model.json", "--data",
+               "sim/events.csv", "--grid-res", "8", "--out-dir", "e3") == 2
 
 
 def test_runtime_errors_exit_1(workspace):
     assert run(workspace, "fit", "--data", "no_such_file.csv",
                "--domain", "0:1", "--out-dir", "f2") == 1
+    assert run(workspace, "evaluate", "--model", "fit/model.json", "--data",
+               "sim/events.csv", "--split", "1.5", "--out-dir", "e4") == 1
 
 
 def test_help_exits_zero(workspace):
@@ -125,7 +130,7 @@ def test_rerun_byte_identical(workspace):
         "fit": ("fit", "--data", "sim/events.csv", "--domain", "0:3",
                 "--inducing", "4", "--max-iters", "40"),
         "evaluate": ("evaluate", "--model", "fit/model.json", "--data", "sim/events.csv",
-                     "--samples", "600", "--grid-res", "64", "--seed", "7", "--baseline"),
+                     "--samples", "600", "--seed", "7", "--baseline"),
     }
     for name, argv in commands.items():
         for out in ("rep1", "rep2"):

@@ -127,6 +127,13 @@ def test_split_events_extreme_probabilities():
     assert train.n == 50 and test.n == 0
 
 
+def test_split_events_rejects_a_fraction_outside_0_1():
+    ev = EventSet(np.linspace(0, 1, 50)[:, None])
+    for p in (1.5, -0.2, float("nan")):
+        with pytest.raises(ValueError):
+            split_events(ev, p, seed=0)
+
+
 def test_bundled_dataset_shape_and_domain():
     ev, d = coal_style_dataset()
     assert ev.n == 190

@@ -8,6 +8,7 @@ from vbpp.core import (
     VariationalState,
     chol_with_jitter,
     elbo,
+    integral_terms,
     kl_qu_pu,
     qf_marginals,
 )
@@ -15,7 +16,9 @@ from vbpp.kernel import HyperParams, gram
 from vbpp.optimizer import FitConfig, fit
 from vbpp.pointdata import Domain, EventSet
 from vbpp.predictive import (
+    _gauss_legendre,
     _joint_qf,
+    _node_count,
     mc_predictive,
     posterior_intensity,
     predictive_bound_l0,
@@ -158,7 +161,21 @@ def test_predictive_report_fields(fitted):
     for key in ("l_p", "l_0", "m_p_hat", "m_p_stderr", "m_0_hat", "m_0_stderr"):
         assert np.isfinite(doc[key])
     assert doc["n_samples"] == 400
-    assert doc["grid_resolution"] == [512]
+    assert doc["grid_resolution"] == [16]
+
+
+def test_quadrature_matches_the_closed_form(fitted):
+    # the chosen Gauss-Legendre nodes integrate E_q*[f^2] to the closed form
+    # int_mean_sq + int_var, in 1-D and in 2-D
+    from vbpp.simulate import ground_truth, thin_sample
+    d2 = Domain([0.0, 0.0], [5.0, 5.0])
+    truth = ground_truth(HyperParams(4.0, [2.0, 2.0]), d2, resolution=24, seed=2)
+    model2 = fit(thin_sample(truth, d2, seed=2), d2, 3, FitConfig(max_iters=200))
+    for model in (fitted[0], model2):
+        n = _node_count(model)
+        nodes, weights = _gauss_legendre(model.domain, [n] * model.domain.dims)
+        mu, var = qf_marginals(nodes, model)
+        assert weights @ (mu**2 + var) == pytest.approx(sum(integral_terms(model)), rel=2e-6)
 
 
 def _point_model(mu_target, var_target):
@@ -199,6 +216,15 @@ def test_posterior_intensity_band_coverage_by_sampling():
     lam = rng.normal(5.0, 0.5, 400_000) ** 2
     frac = np.mean((lam >= lower[0]) & (lam <= upper[0]))
     assert frac == pytest.approx(0.95, abs=0.002)
+
+
+def test_posterior_intensity_accepts_a_flat_array_of_1d_points(fitted):
+    model, _, d = fitted
+    xs = np.linspace(d.lo[0], d.hi[0], 5)
+    flat = posterior_intensity(model, xs)
+    column = posterior_intensity(model, xs[:, None])
+    for a, b in zip(flat, column):
+        assert np.array_equal(a, b)
 
 
 def test_posterior_intensity_mean_identity(fitted):

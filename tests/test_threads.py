@@ -3,7 +3,8 @@
 Each case runs the ``vbpp`` command (simulate, fit, evaluate) in a fresh
 interpreter and reads the thread count of numpy's and scipy's bundled
 OpenBLAS through their own getters: before vbpp is imported, after, inside
-the joint-covariance Cholesky of ``predictive_report``, and at the end.
+the joint-covariance Cholesky of ``predictive_report``, and at the end.  It
+also keeps evaluate's report.json.
 """
 
 import glob
@@ -64,7 +65,7 @@ for argv in (["simulate", "--domain", "0:3", "--gamma", "16", "--alpha", "0.5",
              ["fit", "--data", "sim/events.csv", "--domain", "0:3", "--inducing", "5",
               "--max-iters", "20", "--out-dir", "fit"],
              ["evaluate", "--model", "fit/model.json", "--data", "sim/events.csv",
-              "--samples", "200", "--grid-res", "16", "--out-dir", "eval"]):
+              "--samples", "200", "--out-dir", "eval"]):
     assert cli.main(argv) == 0, argv
 seen["after"] = pools()
 print(json.dumps(seen))
@@ -82,20 +83,24 @@ def python(code, *args, **user_vars):
 
 
 def observe(tmp_path, **user_vars):
+    tmp_path.mkdir(exist_ok=True)
     proc = python(f"OPENBLAS = {OPENBLAS!r}\n" + PROBE, str(tmp_path), **user_vars)
     assert proc.returncode == 0, proc.stderr[-3000:]
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
     assert len(seen["inside"]) == 1   # one factorisation per predictive_report
+    seen["report"] = (tmp_path / "eval" / "report.json").read_bytes()
     return seen
 
 
 @needs_openblas
-def test_import_sets_one_thread_and_prediction_uses_the_machines(tmp_path):
-    seen = observe(tmp_path)
+def test_import_sets_one_thread_and_prediction_keeps_it(tmp_path):
+    seen = observe(tmp_path / "default")
     one = {"numpy": 1, "scipy": 1}
     assert seen["imported"] == one
-    assert seen["inside"] == [seen["before"]]
+    assert seen["inside"] == [one]
     assert seen["after"] == one
+    # the report does not depend on the machine's core count
+    assert seen["report"] == observe(tmp_path / "user", OPENBLAS_NUM_THREADS="1")["report"]
 
 
 @needs_openblas
