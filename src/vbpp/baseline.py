@@ -116,8 +116,10 @@ def loo_objective(train: EventSet, sigma, d: Domain, end_correction: bool) -> fl
 def fit_bandwidth(train: EventSet, d: Domain, end_correction: bool = True) -> KsModel:
     """Select the diagonal bandwidth by maximising the leave-one-out objective.
 
-    Eight fixed starts (log-uniform in the allowed band), each followed by
-    coordinate-wise bounded scalar maximisation in log space.  Bandwidths are
+    Coordinate-wise bounded scalar maximisation in log space, from eight
+    fixed starts (log-uniform in the allowed band) in two or more dimensions.
+    A start only sets the coordinates that a search holds fixed, so in 1-D
+    the result is one bounded search over the whole band.  Bandwidths are
     confined to [1e-3, 10] times the per-dimension extent; the lower floor is
     load-bearing for duplicate points, where the raw objective is unbounded.
     """
@@ -132,14 +134,15 @@ def fit_bandwidth(train: EventSet, d: Domain, end_correction: bool = True) -> Ks
     def objective(log_sigma):
         return loo(np.exp(log_sigma))
 
+    n_starts, n_sweeps = (1, 1) if R == 1 else (8, 4)
     rng = np.random.Generator(np.random.Philox(key=[0, 0x4B53]))
-    starts = [lo + rng.random(R) * (hi - lo) for _ in range(8)]
+    starts = [lo + rng.random(R) * (hi - lo) for _ in range(n_starts)]
 
     best_ls, best_val = None, -np.inf
     for start in starts:
         ls = start.copy()
         val = objective(ls)
-        for _ in range(4):                       # coordinate sweeps
+        for _ in range(n_sweeps):                # coordinate sweeps
             for r in range(R):
                 def along(t, r=r, ls=ls):
                     trial = ls.copy()

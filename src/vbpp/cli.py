@@ -12,10 +12,19 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
+from .baseline import fit_bandwidth, ks_log_predictive, loo_objective, save_ks_model
+from .core import load_model, save_model
+from .kernel import HyperParams
+from .optimizer import FitConfig, fit
+from .pointdata import Domain, load_events, save_events, split_events, write_csv, write_json
+from .predictive import posterior_intensity, predictive_report
+from .simulate import ground_truth, make_grid, save_ground_truth, thin_sample
+
 
 def parse_domain(spec: str):
     """Parse 'lo1:hi1[,lo2:hi2,...]' into a Domain."""
-    from .pointdata import Domain
     lo, hi = [], []
     for part in spec.split(","):
         pieces = part.split(":")
@@ -30,24 +39,16 @@ def parse_domain(spec: str):
 
 
 def _write_manifest(out_dir: str, command: str, config: dict) -> None:
-    from .pointdata import write_json
     write_json({"command": command, "config": config},
                os.path.join(out_dir, f"{command}_manifest.json"))
 
 
 def _intensity_csv(path, grid, mean, lower, upper) -> None:
-    import numpy as np
-    from .pointdata import write_csv
     write_csv(path, np.column_stack([grid, mean, lower, upper]).tolist(),
               header=[f"x{r}" for r in range(grid.shape[1])] + ["mean", "lower", "upper"])
 
 
 def cmd_simulate(args) -> int:
-    import numpy as np
-    from .kernel import HyperParams
-    from .pointdata import save_events
-    from .simulate import ground_truth, save_ground_truth, thin_sample
-
     d = parse_domain(args.domain)
     alpha = [float(a) for a in args.alpha.split(",")] if args.alpha else \
         [(e / 5.0) ** 2 for e in d.extent]
@@ -73,16 +74,11 @@ def cmd_simulate(args) -> int:
 
 
 def _fit_config_from_args(args):
-    from .optimizer import FitConfig
     return FitConfig(max_iters=args.max_iters, grad_tol=args.grad_tol,
                      optimize_z=args.optimize_z, use_map=args.map)
 
 
 def cmd_fit(args) -> int:
-    from .core import save_model
-    from .optimizer import fit
-    from .pointdata import load_events, write_csv
-
     d = parse_domain(args.domain)
     events = load_events(args.data, d)
     inducing = args.inducing_per_dim if args.inducing_per_dim else args.inducing
@@ -107,11 +103,6 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    import numpy as np
-    from .core import load_model
-    from .predictive import posterior_intensity
-    from .simulate import make_grid
-
     model = load_model(args.model)
     grid, _ = make_grid(model.domain, args.grid_res)
     mean, lower, upper = posterior_intensity(model, grid)
@@ -125,12 +116,6 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .baseline import fit_bandwidth, ks_log_predictive
-    from .core import load_model
-    from .pointdata import load_events, split_events, write_json
-    from .predictive import posterior_intensity, predictive_report
-    from .simulate import make_grid
-
     model = load_model(args.model)
     d = model.domain
     train = None
@@ -175,9 +160,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    from .baseline import fit_bandwidth, loo_objective, save_ks_model
-    from .pointdata import load_events
-
     d = parse_domain(args.domain)
     train = load_events(args.data, d)
     ks = fit_bandwidth(train, d, end_correction=not args.no_end_correction)

@@ -10,24 +10,25 @@ equivalently sum_{k>=1} z^k / (k (1/2)_k).  Direct summation of the
 alternating series loses all precision once |z| exceeds a few tens, so three
 regimes are used, all summing the same function:
 
-* |z| <= 14: the literal series with term recurrence and compensated
-  (Kahan) summation;
+* |z| <= 14: the literal series, summed by its term recurrence;
 * 14 < |z| <= 300: the Kummer-transformed, all-positive-terms form
   gt(-t) = -E_{K ~ Poisson(t)}[psi(K + 1/2) - psi(1/2)], evaluated over the
   bulk of the Poisson weights;
 * |z| > 300: the asymptotic expansion
   gt(-t) = -(C + log 4t) + 1/(2t) + 3/(8t^2) + ... (C = Euler-Mascheroni).
 
-The derivative has the closed form gt'(z) = 2 D(sqrt(-z)) / sqrt(-z) with D
-the Dawson function, which is used when tabulating.
-
-Bound evaluation goes through a precomputed lookup table with log-uniform
-knots and linear interpolation; its reported derivative is the slope of the
-active interval so that value and derivative are exactly consistent.
+``build_table`` and the reference ``g_tilde_series`` share one
+implementation of the three regimes.  Bound evaluation goes through the
+precomputed lookup table with log-uniform knots and linear interpolation;
+its reported derivative is the slope of the active interval so that value
+and derivative are exactly consistent.  Beyond the table the asymptotic
+expansion gives the value and the closed form gt'(z) = 2 D(sqrt(-z)) /
+sqrt(-z), with D the Dawson function, gives the derivative.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,26 +50,6 @@ HI_EXP = 5
 
 class GTildeDomainError(ValueError):
     """Raised when the function is evaluated at a positive argument."""
-
-
-class GTildeConvergenceError(RuntimeError):
-    """Raised when the literal series fails to converge within the cap."""
-
-
-def _series_literal(z: float) -> float:
-    # 2z * sum_j t_j with t_0 = 1, t_{j+1} = t_j * z (j+1) / ((j+2)(j+3/2)).
-    term = 1.0
-    total = 0.0
-    comp = 0.0
-    for j in range(_SERIES_CAP):
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if j > 3 and abs(term) < 1e-16 * abs(total):
-            return 2.0 * z * total
-        term = term * z * (j + 1) / ((j + 2) * (j + 1.5))
-    raise GTildeConvergenceError(f"series did not converge for |z| = {abs(z):g}")
 
 
 def _series_poisson(t: np.ndarray) -> np.ndarray:
@@ -94,6 +75,30 @@ def _asymptotic_value(t: np.ndarray) -> np.ndarray:
     return -(EULER_MASCHERONI + np.log(4.0 * t)) + corr
 
 
+def _series(t: np.ndarray) -> np.ndarray:
+    """The function at -t for an array of t >= 0, in the three regimes."""
+    values = np.empty_like(t)
+    small = t <= _LITERAL_MAX
+    mid = (~small) & (t <= _POISSON_MAX)
+    large = t > _POISSON_MAX
+    # 2z * sum_j t_j with t_0 = 1, t_{j+1} = t_j * z (j+1) / ((j+2)(j+3/2)), for all z at once.
+    if small.any():
+        zs = -t[small]
+        term = np.ones_like(zs)
+        total = np.zeros_like(zs)
+        for j in range(_SERIES_CAP):
+            total += term
+            if j > 3 and (np.abs(term) < 1e-17 * np.abs(total)).all():
+                break
+            term = term * zs * (j + 1) / ((j + 2) * (j + 1.5))
+        values[small] = 2.0 * zs * total
+    if mid.any():
+        values[mid] = _series_poisson(t[mid])
+    if large.any():
+        values[large] = _asymptotic_value(t[large])
+    return values
+
+
 def g_tilde_series(z: float) -> float:
     """Converged series value of the function at a nonpositive argument.
 
@@ -102,14 +107,7 @@ def g_tilde_series(z: float) -> float:
     """
     if z > 0:
         raise GTildeDomainError(f"argument must be <= 0, got {z}")
-    t = -float(z)
-    if t == 0.0:
-        return 0.0
-    if t <= _LITERAL_MAX:
-        return _series_literal(-t)
-    if t <= _POISSON_MAX:
-        return float(_series_poisson(np.array([t]))[0])
-    return float(_asymptotic_value(np.array([t]))[0])
+    return float(_series(np.array([-float(z)]))[0])
 
 
 def g_tilde_derivative(z) -> np.ndarray | float:
@@ -129,67 +127,33 @@ class GTildeTable:
     """Lookup table over log-uniform knots, densest near zero.
 
     ``knots`` decrease strictly from 0; ``values`` are the series values at
-    the knots and ``derivs`` the closed-form derivative there.
+    the knots.
     """
 
     knots: np.ndarray
     values: np.ndarray
-    derivs: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.knots, self.values, self.derivs):
+        for arr in (self.knots, self.values):
             arr.setflags(write=False)
         if self.knots[0] != 0.0 or (np.diff(self.knots) >= 0).any():
             raise ValueError("knots must decrease strictly from 0")
         if self.values[0] != 0.0:
             raise ValueError("value at zero must be 0")
 
-    @property
-    def z_min(self) -> float:
-        return float(self.knots[-1])
+
+def build_table() -> GTildeTable:
+    """Tabulate the function at -10^(k / KNOTS_PER_DECADE) plus z = 0."""
+    exps = np.arange(LO_EXP * KNOTS_PER_DECADE, HI_EXP * KNOTS_PER_DECADE + 1)
+    t = 10.0 ** (exps / KNOTS_PER_DECADE)
+    return GTildeTable(knots=np.concatenate([[0.0], -t]),
+                       values=np.concatenate([[0.0], _series(t)]))
 
 
-def build_table(knots_per_decade: int = KNOTS_PER_DECADE,
-                lo_exp: int = LO_EXP, hi_exp: int = HI_EXP) -> GTildeTable:
-    """Tabulate the function at -10^(k / knots_per_decade) plus z = 0."""
-    exps = np.arange(lo_exp * knots_per_decade, hi_exp * knots_per_decade + 1)
-    t = 10.0 ** (exps / knots_per_decade)
-
-    values = np.empty_like(t)
-    small = t <= _LITERAL_MAX
-    mid = (~small) & (t <= _POISSON_MAX)
-    large = t > _POISSON_MAX
-    # The literal series vectorises over knots via the shared term recurrence.
-    if small.any():
-        zs = -t[small]
-        term = np.ones_like(zs)
-        total = np.zeros_like(zs)
-        for j in range(_SERIES_CAP):
-            total += term
-            if j > 3 and (np.abs(term) < 1e-17 * np.abs(total)).all():
-                break
-            term = term * zs * (j + 1) / ((j + 2) * (j + 1.5))
-        values[small] = 2.0 * zs * total
-    if mid.any():
-        values[mid] = _series_poisson(t[mid])
-    if large.any():
-        values[large] = _asymptotic_value(t[large])
-
-    knots = np.concatenate([[0.0], -t])
-    vals = np.concatenate([[0.0], values])
-    derivs = g_tilde_derivative(knots)
-    return GTildeTable(knots=knots, values=vals, derivs=derivs)
-
-
-_DEFAULT_TABLE: GTildeTable | None = None
-
-
+@functools.cache
 def default_table() -> GTildeTable:
     """Process-wide table, built on first use."""
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = build_table()
-    return _DEFAULT_TABLE
+    return build_table()
 
 
 def g_tilde_batch(z):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 from scipy.stats import norm
 
+from vbpp import baseline
 from vbpp.baseline import (
+    SIGMA_CEIL_FRAC,
     SIGMA_FLOOR_FRAC,
     InsufficientDataError,
     KsModel,
@@ -111,6 +114,35 @@ def test_duplicate_points_hit_the_floor():
     train = EventSet(np.array([[0.4], [0.4], [0.4]]))
     model = fit_bandwidth(train, d)
     assert model.sigma[0] == pytest.approx(1e-3, rel=1e-2)
+
+
+@pytest.mark.parametrize("end_correction", [True, False])
+def test_fit_bandwidth_in_1d_is_one_bounded_search(monkeypatch, end_correction):
+    # in 1-D no coordinate is held fixed, so starts and sweeps cannot change
+    # the result; the search must equal one bounded search over the band
+    rng = np.random.default_rng(5)
+    d = Domain([0.0], [10.0])
+    train = EventSet(10.0 * rng.beta(2, 5, 80)[:, None])   # optimum inside the band
+    calls = []
+    make_loo = baseline._loo
+
+    def counting_loo(*args):
+        objective = make_loo(*args)
+
+        def counted(sigma):
+            calls.append(1)
+            return objective(sigma)
+        return counted
+
+    monkeypatch.setattr(baseline, "_loo", counting_loo)
+    model = fit_bandwidth(train, d, end_correction=end_correction)
+    assert len(calls) <= 40
+
+    loo = make_loo(train, d, end_correction)
+    lo, hi = np.log(SIGMA_FLOOR_FRAC * d.extent), np.log(SIGMA_CEIL_FRAC * d.extent)
+    res = minimize_scalar(lambda t: -loo(np.exp(np.array([t]))), bounds=(lo[0], hi[0]),
+                          method="bounded", options={"xatol": 1e-8})
+    assert model.sigma[0] == np.exp(res.x)
 
 
 def test_fit_bandwidth_2d_shapes():

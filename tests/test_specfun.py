@@ -116,8 +116,10 @@ def test_beyond_table_range_uses_asymptotics():
 
 
 def test_small_table_build():
-    table = build_table(knots_per_decade=64, lo_exp=-3, hi_exp=2)
-    assert table.knots.size == 1 + 5 * 64 + 1
-    assert table.z_min == pytest.approx(-100.0, rel=1e-12)
-    for i in (1, 64, 200, table.knots.size - 1):
-        assert table.values[i] == pytest.approx(g_tilde_series(table.knots[i]), rel=1e-12)
+    table = build_table()
+    assert table.knots.size == 13_314
+    assert table.knots[-1] == pytest.approx(-1e5, rel=1e-12)
+    # knots near zero and in each of the literal, Poisson and asymptotic regimes
+    for i in (1, 4097, 9000, 10000, 12000, table.knots.size - 1):
+        assert table.values[i] == pytest.approx(dawsn_integral_oracle(table.knots[i]),
+                                                rel=1e-10)
