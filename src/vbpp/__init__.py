@@ -11,7 +11,8 @@ thread unless the user chose a count (see ``vbpp.threads``).
 """
 
 from . import threads  # noqa: F401  (applies the thread policy on import)
-from .pointdata import Domain, EventSet, domain_measure, load_events, poisson_log_likelihood
+from .pointdata import (Domain, EventSet, domain_measure, load_events, poisson_log_likelihood,
+                        regular_grid)
 from .kernel import HyperParams, kernel_eval, gram, psi_matrix
 from .core import (
     VariationalState,
@@ -24,7 +25,7 @@ from .core import (
     elbo,
     elbo_gradient,
 )
-from .optimizer import FitConfig, fit, pack, unpack, z_from_omega, regular_grid
+from .optimizer import FitConfig, fit, pack, unpack, z_from_omega
 from .predictive import (
     PredictiveReport,
     predictive_bound_lp,

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import ndtr
 
-from .pointdata import Domain, EventSet, poisson_log_likelihood, write_json
+from .pointdata import Domain, EventSet, as_points, poisson_log_likelihood, write_json
 
 SIGMA_FLOOR_FRAC = 1e-3   # of the domain extent; guards the duplicate-point collapse
 SIGMA_CEIL_FRAC = 10.0
@@ -162,11 +162,8 @@ def fit_bandwidth(train: EventSet, d: Domain, end_correction: bool = True) -> Ks
 
 
 def ks_intensity(model: KsModel, query, d: Domain) -> np.ndarray:
-    """Smoothed intensity lambda(x) = sum_n N_T(x; x_n, Sigma) at each query row."""
-    query = np.atleast_2d(np.asarray(query, dtype=float))
-    if query.ndim == 1:
-        query = query[:, None]
-    return _dim_pdfs(query, model.train.points, model.sigma, d,
+    """Smoothed intensity lambda(x) = sum_n N_T(x; x_n, Sigma) at each query point."""
+    return _dim_pdfs(as_points(query, d.dims), model.train.points, model.sigma, d,
                      model.end_correction).sum(axis=1)
 
 
@@ -182,8 +179,7 @@ def ks_log_predictive(model: KsModel, test: EventSet, d: Domain) -> float:
     k = test.n
     if k == 0:
         return float(-n)
-    loc = _dim_pdfs(test.points, model.train.points, model.sigma, d,
-                    model.end_correction).sum(axis=1) / n
+    loc = ks_intensity(model, test.points, d) / n
     with np.errstate(divide="ignore"):
         # a zero density far from any training point legitimately gives -inf
         return float(k * np.log(n) - n + np.sum(np.log(loc)))

@@ -38,9 +38,12 @@ def parse_domain(spec: str):
     return Domain(lo=lo, hi=hi)
 
 
-def _write_manifest(out_dir: str, command: str, config: dict) -> None:
-    write_json({"command": command, "config": config},
-               os.path.join(out_dir, f"{command}_manifest.json"))
+def _write_manifest(args, **resolved) -> None:
+    """Echo the parsed arguments, with ``resolved`` values in place of their
+    defaults, to <out_dir>/<command>_manifest.json."""
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out_dir")}
+    write_json({"command": args.command, "config": {**config, **resolved}},
+               os.path.join(args.out_dir, f"{args.command}_manifest.json"))
 
 
 def _intensity_csv(path, grid, mean, lower, upper) -> None:
@@ -63,11 +66,7 @@ def cmd_simulate(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     save_events(events, os.path.join(args.out_dir, "events.csv"))
     save_ground_truth(truth, os.path.join(args.out_dir, "truth.csv"))
-    _write_manifest(args.out_dir, "simulate", {
-        "domain": args.domain, "link": args.link, "lambda_star": args.lambda_star,
-        "gamma": args.gamma, "alpha": alpha, "grid_res": args.grid_res,
-        "seed": args.seed,
-    })
+    _write_manifest(args, alpha=alpha)
     print(f"simulated {events.n} events "
           f"(integral of lambda = {truth.integrated_rate():.2f})")
     return 0
@@ -81,9 +80,8 @@ def _fit_config_from_args(args):
 def cmd_fit(args) -> int:
     d = parse_domain(args.domain)
     events = load_events(args.data, d)
-    inducing = args.inducing_per_dim if args.inducing_per_dim else args.inducing
     cfg = _fit_config_from_args(args)
-    model = fit(events, d, inducing, cfg)
+    model = fit(events, d, args.inducing, cfg)
 
     os.makedirs(args.out_dir, exist_ok=True)
     save_model(model, os.path.join(args.out_dir, "model.json"))
@@ -91,12 +89,7 @@ def cmd_fit(args) -> int:
     write_csv(os.path.join(args.out_dir, "trace.csv"),
               [[i, float(val)] for i, val in enumerate(meta["trace"])],
               header=["iteration", "objective"])
-    _write_manifest(args.out_dir, "fit", {
-        "data": args.data, "domain": args.domain, "inducing": args.inducing,
-        "inducing_per_dim": args.inducing_per_dim, "optimize_z": args.optimize_z,
-        "max_iters": args.max_iters, "grad_tol": args.grad_tol,
-        "map": args.map,
-    })
+    _write_manifest(args)
     print(f"fit: N={events.n}, M={model.num_inducing}, "
           f"objective={meta['objective']:.4f}, iterations={meta['iterations']}")
     return 0
@@ -108,9 +101,7 @@ def cmd_predict(args) -> int:
     mean, lower, upper = posterior_intensity(model, grid)
     os.makedirs(args.out_dir, exist_ok=True)
     _intensity_csv(os.path.join(args.out_dir, "intensity.csv"), grid, mean, lower, upper)
-    _write_manifest(args.out_dir, "predict", {
-        "model": args.model, "grid_res": args.grid_res,
-    })
+    _write_manifest(args)
     print(f"wrote intensity over {grid.shape[0]} grid points")
     return 0
 
@@ -147,12 +138,7 @@ def cmd_evaluate(args) -> int:
     grid, _ = make_grid(d, 512 if d.dims == 1 else None)
     mean, lower, upper = posterior_intensity(model, grid)
     _intensity_csv(os.path.join(args.out_dir, "intensity.csv"), grid, mean, lower, upper)
-    _write_manifest(args.out_dir, "evaluate", {
-        "model": args.model, "test": args.test, "data": args.data,
-        "train": args.train, "split": args.split, "split_seed": args.split_seed,
-        "samples": args.samples, "seed": args.seed,
-        "baseline": args.baseline, "no_end_correction": args.no_end_correction,
-    })
+    _write_manifest(args)
     print(f"l_p={report.l_p:.4f} l_0={report.l_0:.4f} "
           f"m_p={report.m_p_hat:.4f}+-{report.m_p_stderr:.4f} "
           f"m_0={report.m_0_hat:.4f}+-{report.m_0_stderr:.4f}")
@@ -165,10 +151,7 @@ def cmd_baseline(args) -> int:
     ks = fit_bandwidth(train, d, end_correction=not args.no_end_correction)
     os.makedirs(args.out_dir, exist_ok=True)
     save_ks_model(ks, os.path.join(args.out_dir, "ks_model.json"), train_ref=args.data)
-    _write_manifest(args.out_dir, "baseline", {
-        "data": args.data, "domain": args.domain,
-        "no_end_correction": args.no_end_correction,
-    })
+    _write_manifest(args)
     obj = loo_objective(train, ks.sigma, d, ks.end_correction)
     print(f"bandwidth sigma={ks.sigma.tolist()} (LOO objective {obj:.4f})")
     return 0
@@ -196,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit the variational model")
     p.add_argument("--data", required=True)
     p.add_argument("--domain", required=True)
-    p.add_argument("--inducing", type=int, default=16, help="grid size (1-D)")
-    p.add_argument("--inducing-per-dim", type=int, default=None)
+    p.add_argument("--inducing", "--inducing-per-dim", type=int, default=16,
+                   help="inducing points per dimension, on a regular grid")
     p.add_argument("--optimize-z", action="store_true")
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--grad-tol", type=float, default=1e-5)

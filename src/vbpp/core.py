@@ -23,7 +23,7 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from . import specfun
 from .kernel import HyperParams, gram, sq_dists_per_dim, psi_with_partials
-from .pointdata import Domain, EventSet, domain_measure, write_json
+from .pointdata import Domain, EventSet, as_points, domain_measure, write_json
 
 JITTER_SCALE = 1e-8
 VAR_FLOOR = 1e-12
@@ -458,9 +458,7 @@ def model_from_dict(doc: dict) -> Model:
     hyper = HyperParams(gamma=doc["hyper"]["gamma"],
                         alpha=np.asarray(doc["hyper"]["alpha"]),
                         u_bar=doc["hyper"]["u_bar"])
-    Z = np.asarray(doc["Z"], dtype=float)
-    if Z.ndim == 1:
-        Z = Z[:, None]
+    Z = as_points(doc["Z"], domain.dims)
     omega = np.asarray(doc["omega"], dtype=float) if "omega" in doc else None
     M = Z.shape[0]
     L = np.zeros((M, M))

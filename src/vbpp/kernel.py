@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .pointdata import Domain
+from .pointdata import Domain, as_points
 
 
 @dataclass(frozen=True)
@@ -39,15 +39,6 @@ class HyperParams:
         return self.alpha.shape[0]
 
 
-def _as_points(x, dims: int) -> np.ndarray:
-    pts = np.asarray(x, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :] if pts.shape[0] == dims else pts[:, None]
-    if pts.ndim != 2 or pts.shape[1] != dims:
-        raise ValueError(f"points must have {dims} coordinates, got shape {pts.shape}")
-    return pts
-
-
 def kernel_eval(x, x2, h: HyperParams) -> float:
     """Kernel value at a single pair of points."""
     a = np.asarray(x, dtype=float).reshape(-1)
@@ -68,8 +59,8 @@ def gram(A, B, h: HyperParams) -> np.ndarray:
     Built in one output buffer, plus one scratch buffer when R > 1: the
     simulator's grids make n x m arrays of tens of megabytes.
     """
-    A = _as_points(A, h.dims)
-    B = _as_points(B, h.dims)
+    A = as_points(A, h.dims)
+    B = as_points(B, h.dims)
     out = np.empty((A.shape[0], B.shape[0]))
     scratch = np.empty_like(out) if h.dims > 1 else None
     for r in range(h.dims):
@@ -134,7 +125,7 @@ def psi_with_partials(Z, h: HyperParams, d: Domain):
     dpsi_dzi : (R, M, M)
         dpsi_dzi[r, i, j] is the partial of Psi[i, j] w.r.t. z_{i, r}.
     """
-    Z = _as_points(Z, h.dims)
+    Z = as_points(Z, h.dims)
     R, M = h.dims, Z.shape[0]
     facs = np.empty((R, M, M))
     dfac_da = np.empty((R, M, M))

@@ -9,7 +9,6 @@ Optimisation is limited-memory quasi-Newton (L-BFGS-B on the negated bound).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ from .core import (
     kzz_factor,
 )
 from .kernel import HyperParams
-from .pointdata import Domain, EventSet, domain_measure
+from .pointdata import Domain, EventSet, as_points, domain_measure, regular_grid
 from .threads import pool_threads
 
 
@@ -84,9 +83,7 @@ def z_from_omega(omega, d: Domain) -> np.ndarray:
     omega = 0 gives the domain midpoint, +-pi/2 the upper/lower boundary;
     any real input lands inside the closed domain.
     """
-    omega = np.asarray(omega, dtype=float)
-    if omega.ndim == 1:
-        omega = omega[:, None]
+    omega = as_points(omega, d.dims)
     mid = 0.5 * (d.lo + d.hi)
     half = 0.5 * (d.hi - d.lo)
     return mid[None, :] + half[None, :] * np.sin(omega)
@@ -94,26 +91,10 @@ def z_from_omega(omega, d: Domain) -> np.ndarray:
 
 def omega_from_z(Z, d: Domain) -> np.ndarray:
     """Angles in [-pi/2, pi/2] mapping back to Z (inverse of z_from_omega)."""
-    Z = np.asarray(Z, dtype=float)
-    if Z.ndim == 1:
-        Z = Z[:, None]
+    Z = as_points(Z, d.dims)
     mid = 0.5 * (d.lo + d.hi)
     half = 0.5 * (d.hi - d.lo)
     return np.arcsin(np.clip((Z - mid[None, :]) / half[None, :], -1.0, 1.0))
-
-
-def regular_grid(d: Domain, per_dim: int | list[int]) -> np.ndarray:
-    """Per-dimension grids at cell midpoints, Cartesian product across dims.
-
-    Midpoints sit half a cell away from the boundary, so no two grid points
-    coincide with domain corners or each other.
-    """
-    counts = np.broadcast_to(np.asarray(per_dim, dtype=int), (d.dims,))
-    axes = []
-    for r in range(d.dims):
-        w = d.extent[r] / counts[r]
-        axes.append(d.lo[r] + w * (np.arange(counts[r]) + 0.5))
-    return np.array([pt for pt in itertools.product(*axes)])
 
 
 # ----------------------------------------------------------------------
@@ -321,12 +302,7 @@ def fit(events: EventSet, d: Domain, inducing, cfg: FitConfig | None = None) -> 
     the BLAS thread count of each bundled OpenBLAS pool during the fit.
     """
     cfg = cfg or FitConfig()
-    if np.isscalar(inducing):
-        Z = regular_grid(d, int(inducing))
-    else:
-        Z = np.asarray(inducing, dtype=float)
-        if Z.ndim == 1:
-            Z = Z[:, None]
+    Z = regular_grid(d, int(inducing)) if np.isscalar(inducing) else as_points(inducing, d.dims)
     if events.n and events.points.shape[1] != d.dims:
         raise ValueError("event dimensionality does not match the domain")
 

@@ -1,4 +1,11 @@
-"""Observation domains, event sets and the inhomogeneous-Poisson log-likelihood."""
+"""Observation domains, event sets, point arrays and grids, event files and
+the inhomogeneous-Poisson log-likelihood.
+
+Points are N x R rows.  :func:`as_points` is the one rule for shaping a point
+set given R: a flat array is one point when its length is R and otherwise N
+one-dimensional points.  Grids are Cartesian products with the last
+dimension varying fastest (:func:`tensor_grid`).
+"""
 
 from __future__ import annotations
 
@@ -10,6 +17,21 @@ import numpy as np
 
 class PointDataError(ValueError):
     """Raised for malformed event files or points outside the domain."""
+
+
+def as_points(x, dims: int) -> np.ndarray:
+    """``x`` as an N x ``dims`` float array of points, one per row."""
+    pts = np.asarray(x, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[None, :] if pts.shape[0] == dims else pts[:, None]
+    if pts.ndim != 2 or pts.shape[1] != dims:
+        raise ValueError(f"points must have {dims} coordinates, got shape {pts.shape}")
+    return pts
+
+
+def tensor_grid(axes) -> np.ndarray:
+    """Cartesian product of 1-D ``axes`` as rows, the last axis varying fastest."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, len(axes))
 
 
 @dataclass(frozen=True)
@@ -50,8 +72,8 @@ class Domain:
         return self.hi - self.lo
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        """Boolean mask of rows lying inside the closed hyper-rectangle."""
-        pts = np.atleast_2d(points)
+        """Boolean mask of points lying inside the closed hyper-rectangle."""
+        pts = as_points(points, self.dims)
         return np.logical_and(pts >= self.lo, pts <= self.hi).all(axis=1)
 
 
@@ -86,8 +108,19 @@ def domain_measure(d: Domain) -> float:
     return float(np.prod(d.extent))
 
 
+def regular_grid(d: Domain, per_dim: int | list[int]) -> np.ndarray:
+    """Per-dimension grids at cell midpoints, Cartesian product across dims.
+
+    Midpoints sit half a cell away from the boundary, so no two grid points
+    coincide with domain corners or each other.
+    """
+    counts = np.broadcast_to(np.asarray(per_dim, dtype=int), (d.dims,))
+    return tensor_grid([d.lo[r] + d.extent[r] / counts[r] * (np.arange(counts[r]) + 0.5)
+                        for r in range(d.dims)])
+
+
 def _check_in_domain(points: np.ndarray, d: Domain, origin: str = "point") -> None:
-    pts = np.atleast_2d(points)
+    pts = as_points(points, d.dims)
     below = pts < d.lo
     above = pts > d.hi
     bad = below | above

@@ -20,7 +20,7 @@ from scipy.special import ndtri, roots_legendre
 
 from .core import Model, chol_with_jitter, predictive_bound_l0, predictive_bound_lp, qf_marginals
 from .kernel import gram
-from .pointdata import Domain, EventSet
+from .pointdata import Domain, EventSet, tensor_grid
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,9 @@ def _gauss_legendre(d: Domain, res) -> tuple[np.ndarray, np.ndarray]:
     ``res[r]`` of them along dimension r."""
     half = 0.5 * d.extent
     rules = [roots_legendre(int(n)) for n in res]
-    nodes = np.meshgrid(*[lo + h * (x + 1.0) for lo, h, (x, _) in zip(d.lo, half, rules)],
-                        indexing="ij")
-    weights = np.meshgrid(*[h * w for h, (_, w) in zip(half, rules)], indexing="ij")
-    return np.stack(nodes, axis=-1).reshape(-1, d.dims), np.prod(weights, axis=0).ravel()
+    nodes = tensor_grid([lo + h * (x + 1.0) for lo, h, (x, _) in zip(d.lo, half, rules)])
+    weights = tensor_grid([h * w for h, (_, w) in zip(half, rules)]).prod(axis=1)
+    return nodes, weights
 
 
 def _node_count(model: Model) -> int:

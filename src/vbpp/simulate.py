@@ -14,8 +14,7 @@ import numpy as np
 
 from .core import chol_with_jitter
 from .kernel import HyperParams, gram
-from .optimizer import regular_grid
-from .pointdata import Domain, EventSet, domain_measure, write_csv
+from .pointdata import Domain, EventSet, as_points, domain_measure, regular_grid, write_csv
 
 DEFAULT_GRID_1D = 2048
 DEFAULT_GRID_2D = 128
@@ -65,7 +64,7 @@ def make_grid(d: Domain, resolution=None):
 
 
 def _cell_index(points: np.ndarray, d: Domain, res: np.ndarray) -> np.ndarray:
-    pts = np.atleast_2d(points)
+    pts = as_points(points, d.dims)
     width = d.extent / res
     idx = np.clip(((pts - d.lo) / width).astype(int), 0, res - 1)
     flat = np.zeros(pts.shape[0], dtype=int)

@@ -57,6 +57,8 @@ def test_intensity_integrates_to_n():
     mass, _ = quad(lambda x: ks_intensity(model, [[x]], d)[0], 0.0, 2.0,
                    epsabs=1e-11, epsrel=1e-10)
     assert mass == pytest.approx(3.0, abs=1e-8)
+    grid = np.linspace(0.0, 2.0, 5)
+    assert ks_intensity(model, grid, d).tolist() == ks_intensity(model, grid[:, None], d).tolist()
 
 
 def test_loo_objective_permutation_invariant():

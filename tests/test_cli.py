@@ -68,6 +68,18 @@ def test_fit_outputs(workspace):
     assert manifest["config"]["inducing"] == 5
 
 
+def test_inducing_per_dim_is_the_inducing_count(tmp_path):
+    rng = np.random.default_rng(0)
+    np.savetxt(tmp_path / "events.csv", rng.uniform(0.0, 2.0, (30, 2)), delimiter=",")
+    assert run(tmp_path, "fit", "--data", "events.csv", "--domain", "0:2,0:2",
+               "--inducing-per-dim", "3", "--max-iters", "5", "--out-dir", "fit") == 0
+    from vbpp.core import load_model
+    assert load_model(tmp_path / "fit" / "model.json").num_inducing == 9
+    manifest = json.loads((tmp_path / "fit" / "fit_manifest.json").read_text())
+    assert manifest["config"]["inducing"] == 3
+    assert "inducing_per_dim" not in manifest["config"]
+
+
 def test_predict_outputs(workspace):
     code = run(workspace, "predict", "--model", "fit/model.json",
                "--grid-res", "32", "--out-dir", "pred")

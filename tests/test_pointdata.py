@@ -36,6 +36,8 @@ def test_domain_contains_is_closed():
     d = Domain([0.0], [1.0])
     mask = d.contains(np.array([[0.0], [1.0], [0.5], [-1e-12], [1.0 + 1e-12]]))
     assert mask.tolist() == [True, True, True, False, False]
+    flat = d.contains(np.array([0.0, 1.0, 0.5, -1e-12, 1.0 + 1e-12]))
+    assert flat.tolist() == [True, True, True, False, False]
 
 
 def test_eventset_empty_is_valid():

@@ -109,6 +109,7 @@ def test_lambda_at_nearest_cell():
                         lambda_values=np.array([1.0, 4.0]))
     got = truth.lambda_at(np.array([[0.1], [0.49], [0.51], [1.0]]))
     assert got.tolist() == [1.0, 1.0, 4.0, 4.0]
+    assert truth.lambda_at(np.array([0.1, 0.49, 0.51, 1.0])).tolist() == [1.0, 1.0, 4.0, 4.0]
 
 
 def test_integrated_rate_quadrature():
