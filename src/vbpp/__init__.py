@@ -25,7 +25,7 @@ from .core import (
     elbo,
     elbo_gradient,
 )
-from .optimizer import FitConfig, fit, pack, unpack, z_from_omega
+from .optimizer import FitConfig, fit, pack, unpack
 from .predictive import (
     PredictiveReport,
     predictive_bound_lp,
@@ -42,7 +42,7 @@ __all__ = [
     "VariationalState", "InducingPoints", "Model",
     "qf_marginal", "kl_qu_pu", "expected_log_f_sq", "integral_terms",
     "elbo", "elbo_gradient",
-    "FitConfig", "fit", "pack", "unpack", "z_from_omega", "regular_grid",
+    "FitConfig", "fit", "pack", "unpack", "regular_grid",
     "PredictiveReport", "predictive_bound_lp", "predictive_bound_l0",
     "mc_predictive", "posterior_intensity",
     "KsModel", "truncnorm_pdf", "fit_bandwidth", "ks_log_predictive", "ks_intensity",

@@ -17,7 +17,7 @@ import numpy as np
 from .baseline import fit_bandwidth, ks_log_predictive, loo_objective, save_ks_model
 from .core import load_model, save_model
 from .kernel import HyperParams
-from .optimizer import FitConfig, fit
+from .optimizer import FitConfig, default_map_prior, fit
 from .pointdata import Domain, load_events, save_events, split_events, write_csv, write_json
 from .predictive import posterior_intensity, predictive_report
 from .simulate import ground_truth, make_grid, save_ground_truth, thin_sample
@@ -72,15 +72,12 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _fit_config_from_args(args):
-    return FitConfig(max_iters=args.max_iters, grad_tol=args.grad_tol,
-                     optimize_z=args.optimize_z, use_map=args.map)
-
-
 def cmd_fit(args) -> int:
     d = parse_domain(args.domain)
     events = load_events(args.data, d)
-    cfg = _fit_config_from_args(args)
+    cfg = FitConfig(max_iters=args.max_iters, grad_tol=args.grad_tol,
+                    optimize_z=args.optimize_z,
+                    map_prior=default_map_prior(events, d) if args.map else None)
     model = fit(events, d, args.inducing, cfg)
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -181,7 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True)
     p.add_argument("--inducing", "--inducing-per-dim", type=int, default=16,
                    help="inducing points per dimension, on a regular grid")
-    p.add_argument("--optimize-z", action="store_true")
+    p.add_argument("--optimize-z", action="store_true",
+                   help="also optimise the inducing locations, kept inside the domain "
+                        "by box bounds")
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--grad-tol", type=float, default=1e-5)
     p.add_argument("--map", action="store_true")

@@ -28,7 +28,7 @@ from .pointdata import Domain, EventSet, as_points, domain_measure, write_json
 JITTER_SCALE = 1e-8
 VAR_FLOOR = 1e-12
 
-GRAD_BLOCKS = ("log_gamma", "log_alpha", "u_bar", "m", "L", "omega")
+GRAD_BLOCKS = ("log_gamma", "log_alpha", "u_bar", "m", "L", "Z")
 
 
 class NumericalError(RuntimeError):
@@ -63,14 +63,9 @@ class VariationalState:
 
 @dataclass(frozen=True)
 class InducingPoints:
-    """Inducing locations Z, optionally backed by unconstrained angles omega.
-
-    When ``omega`` is present, Z is exactly the image of omega under the sine
-    map that confines each coordinate to the domain (see optimizer module).
-    """
+    """Inducing locations Z, one row per point."""
 
     Z: np.ndarray
-    omega: np.ndarray | None = None
 
     def __post_init__(self):
         Z = np.asarray(self.Z, dtype=float)
@@ -78,10 +73,6 @@ class InducingPoints:
             Z = Z[:, None]
         object.__setattr__(self, "Z", Z)
         self.Z.setflags(write=False)
-        if self.omega is not None:
-            om = np.asarray(self.omega, dtype=float).reshape(Z.shape)
-            object.__setattr__(self, "omega", om)
-            self.omega.setflags(write=False)
 
     @property
     def count(self) -> int:
@@ -254,10 +245,10 @@ def elbo_and_gradient(model: Model, events: EventSet, wrt=GRAD_BLOCKS):
     """Bound value and its analytic gradient for the selected blocks.
 
     ``wrt`` selects any subset of ("log_gamma", "log_alpha", "u_bar", "m",
-    "L", "omega").  Positive parameters are differentiated in log space; the
+    "L", "Z").  Positive parameters are differentiated in log space; the
     diagonal of L likewise.  The "L" block is returned as vech order (rows of
-    the lower triangle).  "omega" requires the model's inducing points to
-    carry angles and applies the chain rule through the sine map.
+    the lower triangle), the "Z" block as an M x R array, the gradient with
+    respect to the inducing locations themselves.
 
     Returns (value, dict of gradient blocks).
     """
@@ -280,21 +271,16 @@ def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
     unknown = set(wrt) - set(GRAD_BLOCKS)
     if unknown:
         raise ValueError(f"unknown gradient blocks: {sorted(unknown)}")
-    if wrt == GRAD_BLOCKS and model.inducing.omega is None:
-        wrt = wrt[:-1]   # the default selection means "everything applicable"
-    if "omega" in wrt and model.inducing.omega is None:
-        raise ValueError("omega gradient requested but inducing points carry no angles")
 
     h = model.hyper
-    dmn = model.domain
     Z = model.inducing.Z
     M, R = Z.shape
     m = model.var_state.m
     Lc = model.var_state.L
     S = model.var_state.S
     gamma = h.gamma
-    measure = domain_measure(dmn)
-    need_hyper = bool({"log_gamma", "log_alpha", "omega"} & set(wrt))
+    measure = domain_measure(model.domain)
+    need_hyper = bool({"log_gamma", "log_alpha", "Z"} & set(wrt))
 
     eye = np.eye(M)
     Kinv = model.kzz_solve(eye)
@@ -401,7 +387,7 @@ def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
                 ga[r] = g
             grads["log_alpha"] = ga
 
-        if "omega" in wrt:
+        if "Z" in wrt:
             gz = np.empty((M, R))
             Gk_sym = Gk + Gk.T
             g_psi_sym = g_psi + g_psi.T
@@ -412,15 +398,14 @@ def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
                 if GA is not None:
                     gz[:, r] += np.sum(GA * A * (X[:, r][:, None] - Z[:, r][None, :])
                                        / h.alpha[r], axis=0)
-            dz_domega = 0.5 * dmn.extent[None, :] * np.cos(model.inducing.omega)
-            grads["omega"] = gz * dz_domega
+            grads["Z"] = gz
 
     return BoundTerms(int_mean_sq, int_var, data, kl, grads)
 
 
 def elbo_gradient(model: Model, events: EventSet, wrt=GRAD_BLOCKS) -> np.ndarray:
     """Flat analytic gradient of the bound, blocks concatenated in the
-    canonical order log_gamma, log_alpha, u_bar, m, vech(L), omega (restricted
+    canonical order log_gamma, log_alpha, u_bar, m, vech(L), Z (restricted
     to the selection)."""
     _, grads = elbo_and_gradient(model, events, wrt=wrt)
     parts = []
@@ -436,7 +421,7 @@ def elbo_gradient(model: Model, events: EventSet, wrt=GRAD_BLOCKS) -> np.ndarray
 
 def model_to_dict(model: Model) -> dict:
     M = model.num_inducing
-    doc = {
+    return {
         "domain": {"lo": model.domain.lo.tolist(), "hi": model.domain.hi.tolist()},
         "hyper": {
             "gamma": model.hyper.gamma,
@@ -448,9 +433,6 @@ def model_to_dict(model: Model) -> dict:
         "L": model.var_state.L[np.tril_indices(M)].tolist(),
         "fit_metadata": model.fit_metadata,
     }
-    if model.inducing.omega is not None:
-        doc["omega"] = model.inducing.omega.tolist()
-    return doc
 
 
 def model_from_dict(doc: dict) -> Model:
@@ -459,13 +441,12 @@ def model_from_dict(doc: dict) -> Model:
                         alpha=np.asarray(doc["hyper"]["alpha"]),
                         u_bar=doc["hyper"]["u_bar"])
     Z = as_points(doc["Z"], domain.dims)
-    omega = np.asarray(doc["omega"], dtype=float) if "omega" in doc else None
     M = Z.shape[0]
     L = np.zeros((M, M))
     L[np.tril_indices(M)] = np.asarray(doc["L"], dtype=float)
     return Model(
         hyper=hyper,
-        inducing=InducingPoints(Z=Z, omega=omega),
+        inducing=InducingPoints(Z=Z),
         var_state=VariationalState(m=np.asarray(doc["m"], dtype=float), L=L),
         domain=domain,
         fit_metadata=doc.get("fit_metadata"),

@@ -1,10 +1,11 @@
-"""Parameter packing, inducing-point placement and the fit driver.
+"""Parameter packing, initialisation and the fit driver.
 
 All parameters are optimised jointly through an augmented vector
-[log gamma, log alpha_1..R, u_bar, m, vech(L), (omega)], with positivity of
-gamma, alpha and the diagonal of L maintained by log transforms and the
-inducing points (when optimised) confined to the domain by a sine map.
-Optimisation is limited-memory quasi-Newton (L-BFGS-B on the negated bound).
+[log gamma, log alpha_1..R, u_bar, m, vech(L), (Z)], with positivity of
+gamma, alpha and the diagonal of L maintained by log transforms.  When the
+inducing points are optimised, L-BFGS-B's box bounds keep each coordinate of
+Z inside the domain.  Optimisation is limited-memory quasi-Newton (L-BFGS-B
+on the negated bound).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.optimize import minimize
+from scipy.optimize import Bounds, minimize
 
 from .core import (
     InducingPoints,
@@ -67,7 +68,6 @@ class FitConfig:
     max_iters: int = 500
     grad_tol: float = 1e-5
     optimize_z: bool = False
-    use_map: bool = False
     map_prior: MapPrior | None = None
 
     def __post_init__(self):
@@ -77,33 +77,13 @@ class FitConfig:
             raise ValueError("grad_tol must be positive")
 
 
-def z_from_omega(omega, d: Domain) -> np.ndarray:
-    """Map unconstrained angles to points: mid + half_extent * sin(omega).
-
-    omega = 0 gives the domain midpoint, +-pi/2 the upper/lower boundary;
-    any real input lands inside the closed domain.
-    """
-    omega = as_points(omega, d.dims)
-    mid = 0.5 * (d.lo + d.hi)
-    half = 0.5 * (d.hi - d.lo)
-    return mid[None, :] + half[None, :] * np.sin(omega)
-
-
-def omega_from_z(Z, d: Domain) -> np.ndarray:
-    """Angles in [-pi/2, pi/2] mapping back to Z (inverse of z_from_omega)."""
-    Z = as_points(Z, d.dims)
-    mid = 0.5 * (d.lo + d.hi)
-    half = 0.5 * (d.hi - d.lo)
-    return np.arcsin(np.clip((Z - mid[None, :]) / half[None, :], -1.0, 1.0))
-
-
 # ----------------------------------------------------------------------
 # Packing
 # ----------------------------------------------------------------------
 
 def pack(model: Model, cfg: FitConfig) -> np.ndarray:
     """Augmented parameter vector [log gamma, log alpha, u_bar, m,
-    vech(L) with log diagonal, (omega if cfg.optimize_z)]."""
+    vech(L) with log diagonal, (Z row by row if cfg.optimize_z)]."""
     h = model.hyper
     M = model.num_inducing
     L = model.var_state.L.copy()
@@ -116,17 +96,15 @@ def pack(model: Model, cfg: FitConfig) -> np.ndarray:
         L[np.tril_indices(M)],
     ]
     if cfg.optimize_z:
-        omega = model.inducing.omega
-        if omega is None:
-            omega = omega_from_z(model.inducing.Z, model.domain)
-        parts.append(omega.reshape(-1))
+        parts.append(model.inducing.Z.reshape(-1))
     return np.concatenate([np.asarray(p, dtype=float).reshape(-1) for p in parts])
 
 
 def unpack(y: np.ndarray, domain: Domain, M: int, cfg: FitConfig,
            fixed_z: np.ndarray | None = None, fit_metadata: dict | None = None) -> Model:
     """Inverse of :func:`pack`; requires the fixed inducing points when
-    cfg.optimize_z is false."""
+    cfg.optimize_z is false.  Raises FloatingPointError when gamma, an alpha
+    or a diagonal entry of L over- or underflows."""
     R = domain.dims
     y = np.asarray(y, dtype=float)
     i = 0
@@ -137,19 +115,23 @@ def unpack(y: np.ndarray, domain: Domain, M: int, cfg: FitConfig,
     n_tril = M * (M + 1) // 2
     L = np.zeros((M, M))
     L[np.tril_indices(M)] = y[i:i + n_tril]; i += n_tril
-    L[np.diag_indices_from(L)] = np.exp(np.diag(L))
+    with np.errstate(over="ignore"):
+        gamma, alpha, diag_L = np.exp(log_gamma), np.exp(log_alpha), np.exp(np.diag(L))
+    positive = np.concatenate(([gamma], alpha, diag_L))
+    if not (positive.min() > 0 and positive.max() < np.inf):    # NaN fails both
+        raise FloatingPointError("gamma, an alpha or a diagonal entry of L is 0, inf or NaN")
+    L[np.diag_indices_from(L)] = diag_L
     if cfg.optimize_z:
-        omega = y[i:i + M * R].reshape(M, R); i += M * R
-        inducing = InducingPoints(Z=z_from_omega(omega, domain), omega=omega)
+        Z = y[i:i + M * R].reshape(M, R); i += M * R
+    elif fixed_z is None:
+        raise ValueError("fixed_z required when optimize_z is false")
     else:
-        if fixed_z is None:
-            raise ValueError("fixed_z required when optimize_z is false")
-        inducing = InducingPoints(Z=fixed_z)
+        Z = fixed_z
     if i != y.size:
         raise ValueError(f"parameter vector has length {y.size}, expected {i}")
     return Model(
-        hyper=HyperParams(gamma=np.exp(log_gamma), alpha=np.exp(log_alpha), u_bar=u_bar),
-        inducing=inducing,
+        hyper=HyperParams(gamma=gamma, alpha=alpha, u_bar=u_bar),
+        inducing=InducingPoints(Z=Z),
         var_state=VariationalState(m=m, L=L),
         domain=domain,
         fit_metadata=fit_metadata,
@@ -160,33 +142,34 @@ def unpack(y: np.ndarray, domain: Domain, M: int, cfg: FitConfig,
 # Initialization
 # ----------------------------------------------------------------------
 
-def _initial_model(events: EventSet, d: Domain, Z: np.ndarray, cfg: FitConfig) -> Model:
+def _initial_hyper(events: EventSet, d: Domain) -> HyperParams:
     measure = domain_measure(d)
     n_eff = max(events.n, 1)              # keeps gamma positive for empty data
-    gamma0 = n_eff / measure
-    alpha0 = (d.extent / 5.0) ** 2
-    u_bar0 = float(np.sqrt(events.n / measure))
-    hyper = HyperParams(gamma=gamma0, alpha=alpha0, u_bar=u_bar0)
+    return HyperParams(gamma=n_eff / measure, alpha=(d.extent / 5.0) ** 2,
+                       u_bar=float(np.sqrt(events.n / measure)))
 
+
+def _initial_model(events: EventSet, d: Domain, Z: np.ndarray) -> Model:
+    hyper = _initial_hyper(events, d)
     L0 = 0.1 * kzz_factor(Z, hyper)[1]
-    m0 = np.full(Z.shape[0], u_bar0)
-    omega = omega_from_z(Z, d) if cfg.optimize_z else None
+    m0 = np.full(Z.shape[0], hyper.u_bar)
     return Model(
         hyper=hyper,
-        inducing=InducingPoints(Z=Z, omega=omega),
+        inducing=InducingPoints(Z=Z),
         var_state=VariationalState(m=m0, L=L0),
         domain=d,
     )
 
 
-def default_map_prior(init: Model) -> MapPrior:
-    """Prior centred on the initialisation: log-normal(log init, 1) on gamma
-    and alpha, Normal(init, (init + 1)^2) on u_bar."""
+def default_map_prior(events: EventSet, d: Domain) -> MapPrior:
+    """Prior centred on the fit's initial hyperparameters: log-normal(log
+    init, 1) on gamma and alpha, Normal(init, (|init| + 1)^2) on u_bar."""
+    h = _initial_hyper(events, d)
     return MapPrior(
-        log_gamma_mean=np.log(init.hyper.gamma),
-        log_alpha_mean=np.log(init.hyper.alpha),
-        u_bar_mean=init.hyper.u_bar,
-        u_bar_sd=abs(init.hyper.u_bar) + 1.0,
+        log_gamma_mean=np.log(h.gamma),
+        log_alpha_mean=np.log(h.alpha),
+        u_bar_mean=h.u_bar,
+        u_bar_sd=abs(h.u_bar) + 1.0,
     )
 
 
@@ -197,7 +180,7 @@ def default_map_prior(init: Model) -> MapPrior:
 def _objective_factory(events, domain, M, cfg, fixed_z, prior):
     wrt = ("log_gamma", "log_alpha", "u_bar", "m", "L")
     if cfg.optimize_z:
-        wrt = wrt + ("omega",)
+        wrt = wrt + ("Z",)
 
     def negative_bound(y):
         try:
@@ -236,7 +219,7 @@ def _whitened_coords(objective, C0: np.ndarray, M: int, R: int):
 
     Returns (wrapped_objective, to_canonical, from_canonical) where the two
     converters map whole parameter vectors and leave the hyperparameter head
-    and any trailing omega block untouched.
+    and any trailing Z block untouched.
     """
     head = 1 + R + 1
     tril = np.tril_indices(M)
@@ -306,18 +289,21 @@ def fit(events: EventSet, d: Domain, inducing, cfg: FitConfig | None = None) -> 
     if events.n and events.points.shape[1] != d.dims:
         raise ValueError("event dimensionality does not match the domain")
 
-    init = _initial_model(events, d, Z, cfg)
-    prior = None
-    if cfg.use_map or cfg.map_prior is not None:
-        prior = cfg.map_prior or default_map_prior(init)
-
+    init = _initial_model(events, d, Z)
     M = Z.shape[0]
     fixed_z = None if cfg.optimize_z else Z
-    objective = _objective_factory(events, d, M, cfg, fixed_z, prior)
+    objective = _objective_factory(events, d, M, cfg, fixed_z, cfg.map_prior)
 
     wobj, to_canonical, from_canonical = _whitened_coords(
         objective, init.kzz_chol, M, d.dims)
     y0 = from_canonical(pack(init, cfg))
+    bounds = None
+    if cfg.optimize_z:
+        lo = np.full(y0.size, -np.inf)
+        hi = np.full(y0.size, np.inf)
+        lo[-Z.size:] = np.tile(d.lo, M)
+        hi[-Z.size:] = np.tile(d.hi, M)
+        bounds = Bounds(lo, hi)
 
     trace = [-wobj(y0)[0]]
 
@@ -325,7 +311,7 @@ def fit(events: EventSet, d: Domain, inducing, cfg: FitConfig | None = None) -> 
         trace.append(-intermediate_result.fun)
 
     result = minimize(
-        wobj, y0, jac=True, method="L-BFGS-B", callback=record,
+        wobj, y0, jac=True, method="L-BFGS-B", bounds=bounds, callback=record,
         options={"maxiter": cfg.max_iters, "gtol": cfg.grad_tol,
                  "ftol": 1e-14, "maxcor": 20, "maxls": 50},
     )
@@ -333,7 +319,7 @@ def fit(events: EventSet, d: Domain, inducing, cfg: FitConfig | None = None) -> 
         raise FitError(f"optimiser failed: {result.message}")
 
     metadata = {
-        "elbo": float(-result.fun) if prior is None else None,
+        "elbo": float(-result.fun) if cfg.map_prior is None else None,
         "objective": float(-result.fun),
         "iterations": int(result.nit),
         "converged": bool(result.success),
@@ -343,7 +329,7 @@ def fit(events: EventSet, d: Domain, inducing, cfg: FitConfig | None = None) -> 
             "max_iters": cfg.max_iters,
             "grad_tol": cfg.grad_tol,
             "optimize_z": cfg.optimize_z,
-            "map": prior is not None,
+            "map": cfg.map_prior is not None,
         },
         "blas_threads": pool_threads(),
     }

@@ -37,7 +37,6 @@ from vbpp.optimizer import (
     FitConfig,
     _initial_model,
     fit,
-    omega_from_z,
     pack,
     regular_grid,
     unpack,
@@ -136,12 +135,12 @@ def _random_model(rng, M, dims):
     L = np.tril(A)
     L[np.diag_indices(M)] = np.abs(np.diag(A)) + 0.3
     vs = VariationalState(rng.standard_normal(M), L)
-    return Model(h, InducingPoints(Z, omega_from_z(Z, d)), vs, d)
+    return Model(h, InducingPoints(Z), vs, d)
 
 
 def test_analytic_gradient_matches_finite_differences():
     # 25 random models covering M in {2, 8} and N in {0, 5, 50}; every packed
-    # coordinate (hyperparameters, variational state, inducing angles) within
+    # coordinate (hyperparameters, variational state, inducing locations) within
     # relative 1e-5 of a central difference
     rng = np.random.default_rng(3)
     cfg = FitConfig(optimize_z=True)
@@ -188,8 +187,8 @@ def test_gradient_blocks_match_finite_differences_at_coal_start(M, optimize_z):
     events, d = coal_style_dataset()
     cfg = FitConfig(optimize_z=optimize_z)
     Z = regular_grid(d, M)
-    model = _initial_model(events, d, Z, cfg)
-    wrt = ("log_gamma", "log_alpha", "u_bar", "m", "L") + (("omega",) if optimize_z else ())
+    model = _initial_model(events, d, Z)
+    wrt = ("log_gamma", "log_alpha", "u_bar", "m", "L") + (("Z",) if optimize_z else ())
     _, grads = elbo_and_gradient(model, events, wrt=wrt)
     y0 = pack(model, cfg)
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from vbpp.core import (
     integral_terms,
     kl_qu_pu,
     load_model,
+    model_to_dict,
     qf_marginal,
     qf_marginals,
     save_model,
@@ -154,7 +157,7 @@ def test_elbo_homogeneous_single_point_sanity():
 def fd_gradient(model, ev, wrt, step=1e-6):
     """Central finite differences through a pack/unpack round trip."""
     from vbpp.optimizer import FitConfig, pack, unpack
-    cfg = FitConfig(optimize_z=("omega" in wrt))
+    cfg = FitConfig(optimize_z=("Z" in wrt))
     y0 = pack(model, cfg)
     M = model.num_inducing
 
@@ -178,14 +181,11 @@ def test_gradient_matches_fd_fixed_z():
 
 
 def test_gradient_matches_fd_with_omega():
-    from vbpp.optimizer import omega_from_z
-    base = make_model(M=3, seed=9)
-    model = Model(base.hyper,
-                  InducingPoints(base.inducing.Z, omega_from_z(base.inducing.Z, base.domain)),
-                  base.var_state, base.domain)
+    # every block, the inducing locations' "Z" last
+    model = make_model(M=3, seed=9)
     ev = EventSet(np.array([[0.2], [2.0], [3.8]]))
     g = elbo_gradient(model, ev)
-    fd = fd_gradient(model, ev, wrt=("omega",))
+    fd = fd_gradient(model, ev, wrt=("Z",))
     assert np.allclose(g, fd, rtol=1e-4, atol=1e-7)
 
 
@@ -202,12 +202,6 @@ def test_gradient_rejects_unknown_block():
         elbo_and_gradient(model, EventSet(np.empty((0, 1))), wrt=("bogus",))
 
 
-def test_omega_gradient_requires_angles():
-    model = make_model()
-    with pytest.raises(ValueError):
-        elbo_and_gradient(model, EventSet(np.empty((0, 1))), wrt=("omega",))
-
-
 def test_model_roundtrip(tmp_path):
     model = make_model(M=4, seed=11)
     path = tmp_path / "model.json"
@@ -217,6 +211,19 @@ def test_model_roundtrip(tmp_path):
     assert elbo(back, ev) == pytest.approx(elbo(model, ev), rel=1e-15)
     assert np.array_equal(back.inducing.Z, model.inducing.Z)
     assert np.array_equal(back.var_state.L, model.var_state.L)
+
+
+def test_model_with_angles_loads(tmp_path):
+    # files written by optimize_z fits of earlier versions carry the sine
+    # map's angles beside Z; Z alone defines the model
+    model = make_model(M=4, seed=12)
+    doc = model_to_dict(model)
+    doc["omega"] = np.arcsin(2.0 * model.inducing.Z / 4.0 - 1.0).tolist()
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    back = load_model(path)
+    assert np.array_equal(back.inducing.Z, model.inducing.Z)
+    assert model_to_dict(back) == model_to_dict(model)
 
 
 def test_model_dimension_mismatch():
