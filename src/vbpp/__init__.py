@@ -13,18 +13,8 @@ thread unless the user chose a count (see ``vbpp.threads``).
 from . import threads  # noqa: F401  (applies the thread policy on import)
 from .pointdata import (Domain, EventSet, domain_measure, load_events, poisson_log_likelihood,
                         regular_grid)
-from .kernel import HyperParams, kernel_eval, gram, psi_matrix
-from .core import (
-    VariationalState,
-    InducingPoints,
-    Model,
-    qf_marginal,
-    kl_qu_pu,
-    expected_log_f_sq,
-    integral_terms,
-    elbo,
-    elbo_gradient,
-)
+from .kernel import HyperParams, kernel_eval, gram
+from .core import VariationalState, InducingPoints, Model, expected_log_f_sq, elbo
 from .optimizer import FitConfig, fit, pack, unpack
 from .predictive import (
     PredictiveReport,
@@ -38,10 +28,8 @@ from .simulate import GroundTruth, ground_truth, sample_gp_grid, thin_sample, ma
 
 __all__ = [
     "Domain", "EventSet", "domain_measure", "load_events", "poisson_log_likelihood",
-    "HyperParams", "kernel_eval", "gram", "psi_matrix",
-    "VariationalState", "InducingPoints", "Model",
-    "qf_marginal", "kl_qu_pu", "expected_log_f_sq", "integral_terms",
-    "elbo", "elbo_gradient",
+    "HyperParams", "kernel_eval", "gram",
+    "VariationalState", "InducingPoints", "Model", "expected_log_f_sq", "elbo",
     "FitConfig", "fit", "pack", "unpack", "regular_grid",
     "PredictiveReport", "predictive_bound_lp", "predictive_bound_l0",
     "mc_predictive", "posterior_intensity",

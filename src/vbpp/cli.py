@@ -224,6 +224,9 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except argparse.ArgumentTypeError as exc:     # a malformed --domain
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, FileNotFoundError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -162,34 +162,29 @@ class Model:
 # q(f) marginals
 # ----------------------------------------------------------------------
 
-def qf_marginals(X, model: Model, collapse_s: bool = False):
+def qf_marginals(X, model: Model):
     """Marginal mean and variance of q(f) at each row of X.
 
-    With ``collapse_s`` the variational covariance S is replaced by zero
-    (the tightened predictive regime), dropping the third variance term.
     Variances are floored at 1e-12.
     """
     A = gram(X, model.inducing.Z, model.hyper)        # N x M
     Abar = model.kzz_solve(A.T).T                     # rows a_n^T = k_n^T K^-1
     mu = Abar @ model.var_state.m
-    var = model.hyper.gamma - np.einsum("nm,nm->n", Abar, A)
-    if not collapse_s:
-        AbarL = Abar @ model.var_state.L
-        var = var + np.einsum("nm,nm->n", AbarL, AbarL)
+    AbarL = Abar @ model.var_state.L
+    var = model.hyper.gamma - np.einsum("nm,nm->n", Abar, A) \
+        + np.einsum("nm,nm->n", AbarL, AbarL)
     return mu, np.maximum(var, VAR_FLOOR)
 
 
-def qf_marginal(x, model: Model):
-    """Scalar (mu, var) of q(f) at a single point."""
-    mu, var = qf_marginals(np.atleast_2d(np.asarray(x, dtype=float).reshape(1, -1)), model)
-    return float(mu[0]), float(var[0])
+def expected_log_f_sq(mu, var):
+    """E[log f^2] for f ~ N(mu, var), elementwise, through the lookup table.
 
-
-def expected_log_f_sq(mu_n: float, var_n: float) -> float:
-    """E[log f^2] for f ~ N(mu_n, var_n), through the lookup table."""
-    var_n = max(float(var_n), VAR_FLOOR)
-    val, _ = specfun.g_tilde_batch(-mu_n**2 / (2.0 * var_n))
-    return -val + np.log(var_n / 2.0) - specfun.EULER_MASCHERONI
+    Returns (values, slopes), the slopes being g-tilde' at -mu^2 / (2 var),
+    which the bound's gradient needs.  ``var`` must be positive; the bound
+    floors it at VAR_FLOOR before the call.
+    """
+    gval, gslope = specfun.g_tilde_batch(-mu**2 / (2.0 * var))
+    return -gval + np.log(var / 2.0) - specfun.EULER_MASCHERONI, gslope
 
 
 # ----------------------------------------------------------------------
@@ -220,17 +215,6 @@ def elbo(model: Model, events: EventSet) -> float:
     return _evaluate(model, events).elbo
 
 
-def kl_qu_pu(model: Model) -> float:
-    """KL( N(m, S) || N(1 u_bar, K_zz) )."""
-    return _evaluate(model).kl
-
-
-def integral_terms(model: Model):
-    """(int E[f]^2 dx, int Var[f] dx) over the domain, closed form via Psi."""
-    terms = _evaluate(model)
-    return terms.int_mean_sq, terms.int_var
-
-
 def predictive_bound_lp(model: Model, test: EventSet) -> float:
     """Lower bound on the approximate predictive log-likelihood of ``test``."""
     return _evaluate(model, test).expected_log_lik
@@ -258,14 +242,15 @@ def elbo_and_gradient(model: Model, events: EventSet, wrt=GRAD_BLOCKS):
 
 def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
               collapse_s: bool = False) -> BoundTerms:
-    """The one evaluation of the bound behind every function above.
+    """The one evaluation of the bound: every function above is a view of it.
 
     K_zz and Psi with its partials come from the model.  K^-1 is formed once
     from the model's Cholesky factor and every product below goes through
-    it; the fit's iterates depend on this arithmetic bit for bit.
-    ``collapse_s`` sets S to zero in the expectations of f, not in the KL;
-    no caller differentiates that variant.  ``wrt`` is as in
-    :func:`elbo_and_gradient`.
+    it; the fit's iterates depend on this arithmetic bit for bit.  The data
+    term goes through :func:`expected_log_f_sq`, and no events (``events``
+    None or empty) run the same code with N = 0.  ``collapse_s`` sets S to
+    zero in the expectations of f, not in the KL; no caller differentiates
+    that variant.  ``wrt`` is as in :func:`elbo_and_gradient`.
     """
     wrt = tuple(wrt)
     unknown = set(wrt) - set(GRAD_BLOCKS)
@@ -300,39 +285,32 @@ def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
     logdet_s = 2.0 * float(np.sum(np.log(np.diag(Lc))))
     kl = 0.5 * (float(np.sum(Kinv * S)) + model.kzz_logdet - logdet_s - M + float(d @ q))
 
-    N = 0 if events is None else events.n
-    data = 0.0
-    if N:
-        X = events.points
-        A = gram(X, Z, h)                    # N x M
-        Abar = A @ Kinv
-        mu = Abar @ m
-        var_raw = gamma - np.einsum("nm,nm->n", Abar, A)
-        if not collapse_s:
-            var_raw += np.einsum("nm,nm->n", Abar @ S, Abar)
-        clamped = var_raw < VAR_FLOOR
-        var = np.maximum(var_raw, VAR_FLOOR)
-        gval, gslope = specfun.g_tilde_batch(-mu**2 / (2.0 * var))
-        data = float(np.sum(-gval + np.log(var / 2.0) - specfun.EULER_MASCHERONI))
+    X = events.points if events is not None and events.n else np.empty((0, R))
+    A = gram(X, Z, h)                        # N x M
+    Abar = A @ Kinv
+    mu = Abar @ m
+    var_raw = gamma - np.einsum("nm,nm->n", Abar, A)
+    if not collapse_s:
+        var_raw += np.einsum("nm,nm->n", Abar @ S, Abar)
+    clamped = var_raw < VAR_FLOOR
+    var = np.maximum(var_raw, VAR_FLOOR)
+    ell, gslope = expected_log_f_sq(mu, var)
+    data = float(np.sum(ell))
 
     grads: dict[str, np.ndarray | float] = {}
     if not wrt:
         return BoundTerms(int_mean_sq, int_var, data, kl, grads)
 
     B = kinv_psi @ Kinv
-    if N:
-        e_mu = gslope * mu / var
-        e_s = 1.0 / var - gslope * mu**2 / (2.0 * var**2)
-        e_s = np.where(clamped, 0.0, e_s)    # floored variance is locally constant
-        Amu = Abar.T @ e_mu                  # sum_n e_mu_n a_n
-        if "L" in wrt or need_hyper:
-            AsA = Abar.T @ (e_s[:, None] * Abar)
+    e_mu = gslope * mu / var
+    e_s = 1.0 / var - gslope * mu**2 / (2.0 * var**2)
+    e_s = np.where(clamped, 0.0, e_s)        # floored variance is locally constant
+    Amu = Abar.T @ e_mu                      # sum_n e_mu_n a_n
+    if "L" in wrt or need_hyper:
+        AsA = Abar.T @ (e_s[:, None] * Abar)
 
     if "m" in wrt:
-        g_m = -2.0 * (B @ m) + q
-        if N:
-            g_m = g_m + Amu
-        grads["m"] = g_m
+        grads["m"] = -2.0 * (B @ m) + q + Amu
 
     if "L" in wrt:
         try:
@@ -340,9 +318,7 @@ def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"triangular solve with L failed: {exc}") from exc
         Sinv = Linv.T @ Linv
-        Gs = -B - 0.5 * Kinv + 0.5 * Sinv
-        if N:
-            Gs = Gs + AsA
+        Gs = -B - 0.5 * Kinv + 0.5 * Sinv + AsA
         gl = (Gs + Gs.T) @ Lc
         gl[np.diag_indices_from(gl)] *= np.diag(Lc)   # log-diagonal parameterisation
         grads["L"] = gl[np.tril_indices(M)]
@@ -357,34 +333,24 @@ def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
         M1 = W @ psi @ Kinv
         Gk = (np.outer(v, c) + np.outer(c, v)) - B + (M1 + M1.T) \
             - 0.5 * (Kinv - W - np.outer(q, q))
-        g_gamma_direct = -measure
-        if N:
-            What = A @ W                            # rows w_n^T
-            AsW = Abar.T @ (e_s[:, None] * What)
-            Gk = Gk - np.outer(Amu, c) + AsA - AsW - AsW.T
-            GA = np.outer(e_mu, c) + e_s[:, None] * (-2.0 * Abar + 2.0 * What)
-            g_gamma_direct += float(np.sum(e_s))
-        else:
-            GA = None
+        What = A @ W                                # rows w_n^T
+        AsW = Abar.T @ (e_s[:, None] * What)
+        Gk = Gk - np.outer(Amu, c) + AsA - AsW - AsW.T
+        GA = np.outer(e_mu, c) + e_s[:, None] * (-2.0 * Abar + 2.0 * What)
+        g_gamma_direct = -measure + float(np.sum(e_s))
 
         if "log_gamma" in wrt:
-            g = float(np.sum(Gk * K)) + 2.0 * float(np.sum(g_psi * psi)) \
-                + g_gamma_direct * gamma
-            if GA is not None:
-                g += float(np.sum(GA * A))
-            grads["log_gamma"] = g
+            grads["log_gamma"] = float(np.sum(Gk * K)) + 2.0 * float(np.sum(g_psi * psi)) \
+                + g_gamma_direct * gamma + float(np.sum(GA * A))
 
         if "log_alpha" in wrt:
             sq_zz = sq_dists_per_dim(Z, Z)
-            if N:
-                sq_xz = sq_dists_per_dim(X, Z)
+            sq_xz = sq_dists_per_dim(X, Z)
             ga = np.empty(R)
             for r in range(R):
-                g = float(np.sum(Gk * (K * sq_zz[r] / (2.0 * h.alpha[r])))) \
-                    + float(np.sum(g_psi * dpsi_dlog_alpha[r]))
-                if GA is not None:
-                    g += float(np.sum(GA * (A * sq_xz[r] / (2.0 * h.alpha[r]))))
-                ga[r] = g
+                ga[r] = float(np.sum(Gk * (K * sq_zz[r] / (2.0 * h.alpha[r])))) \
+                    + float(np.sum(g_psi * dpsi_dlog_alpha[r])) \
+                    + float(np.sum(GA * (A * sq_xz[r] / (2.0 * h.alpha[r]))))
             grads["log_alpha"] = ga
 
         if "Z" in wrt:
@@ -395,24 +361,11 @@ def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
                 delta = Z[:, r][:, None] - Z[:, r][None, :]
                 gz[:, r] = np.sum(Gk_sym * K * (-delta / h.alpha[r]), axis=1)
                 gz[:, r] += np.sum(g_psi_sym * dpsi_dzi[r], axis=1)
-                if GA is not None:
-                    gz[:, r] += np.sum(GA * A * (X[:, r][:, None] - Z[:, r][None, :])
-                                       / h.alpha[r], axis=0)
+                gz[:, r] += np.sum(GA * A * (X[:, r][:, None] - Z[:, r][None, :])
+                                   / h.alpha[r], axis=0)
             grads["Z"] = gz
 
     return BoundTerms(int_mean_sq, int_var, data, kl, grads)
-
-
-def elbo_gradient(model: Model, events: EventSet, wrt=GRAD_BLOCKS) -> np.ndarray:
-    """Flat analytic gradient of the bound, blocks concatenated in the
-    canonical order log_gamma, log_alpha, u_bar, m, vech(L), Z (restricted
-    to the selection)."""
-    _, grads = elbo_and_gradient(model, events, wrt=wrt)
-    parts = []
-    for name in GRAD_BLOCKS:
-        if name in grads:
-            parts.append(np.atleast_1d(np.asarray(grads[name], dtype=float)).reshape(-1))
-    return np.concatenate(parts) if parts else np.empty(0)
 
 
 # ----------------------------------------------------------------------

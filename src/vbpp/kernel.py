@@ -103,19 +103,13 @@ def _psi_dim_factors(Z: np.ndarray, h: HyperParams, d: Domain, r: int):
     return fac, dfac_dalpha, dfac_dzi
 
 
-def psi_matrix(Z, h: HyperParams, d: Domain) -> np.ndarray:
-    """Closed-form M x M matrix of integrals int_T K(z_i, x) K(x, z_j) dx.
+def psi_with_partials(Z, h: HyperParams, d: Domain):
+    """Psi, the M x M matrix of integrals int_T K(z_i, x) K(x, z_j) dx, with
+    the partials the bound's gradient needs.
 
     For the ARD exponentiated-quadratic kernel the product of kernels is a
     single exponentiated quadratic in x, so the integral factorises over
-    dimensions into Gaussian-error-function terms.  The value part of
-    :func:`psi_with_partials`.
-    """
-    return psi_with_partials(Z, h, d)[0]
-
-
-def psi_with_partials(Z, h: HyperParams, d: Domain):
-    """Psi together with the partials needed by the bound gradient.
+    dimensions into Gaussian-error-function terms.
 
     Returns
     -------

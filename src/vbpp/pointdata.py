@@ -115,6 +115,8 @@ def regular_grid(d: Domain, per_dim: int | list[int]) -> np.ndarray:
     coincide with domain corners or each other.
     """
     counts = np.broadcast_to(np.asarray(per_dim, dtype=int), (d.dims,))
+    if (counts < 1).any():
+        raise ValueError(f"grid counts must be at least 1, got {counts.tolist()}")
     return tensor_grid([d.lo[r] + d.extent[r] / counts[r] * (np.arange(counts[r]) + 0.5)
                         for r in range(d.dims)])
 

@@ -157,17 +157,16 @@ def default_table() -> GTildeTable:
 
 
 def g_tilde_batch(z):
-    """Interpolated (value, derivative) at an array of nonpositive arguments.
+    """Interpolated (values, derivatives) at an array of nonpositive arguments.
 
-    Within the table range the value is linear interpolation between knots and
-    the derivative is the slope of the active interval, so the pair is exactly
-    consistent under finite differencing.  Below the table range the
+    Both are arrays shaped like ``z`` (a scalar counts as one element).
+    Within the table range the value is linear interpolation between knots
+    and the derivative is the slope of the active interval, so the pair is
+    exactly consistent under finite differencing.  Below the table range the
     asymptotic expansion takes over.
     """
     table = default_table()
-    z = np.asarray(z, dtype=float)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
+    z = np.atleast_1d(np.asarray(z, dtype=float))
     if (z > 0).any():
         raise GTildeDomainError("argument must be <= 0")
 
@@ -192,7 +191,4 @@ def g_tilde_batch(z):
         tb = t[beyond]
         values[beyond] = _asymptotic_value(tb)
         slopes[beyond] = g_tilde_derivative(-tb)
-
-    if scalar:
-        return float(values[0]), float(slopes[0])
     return values, slopes

@@ -124,6 +124,11 @@ def test_usage_errors_exit_2(workspace, capsys):
     # evaluate sizes its quadrature from the model
     assert run(workspace, "evaluate", "--model", "fit/model.json", "--data",
                "sim/events.csv", "--grid-res", "8", "--out-dir", "e3") == 2
+    # a malformed --domain is a usage error, not a traceback
+    assert run(workspace, "fit", "--data", "sim/events.csv", "--domain", "0-3",
+               "--out-dir", "f3") == 2
+    assert run(workspace, "simulate", "--domain", "a:b", "--out-dir", "s3") == 2
+    assert "error: " in capsys.readouterr().err
 
 
 def test_runtime_errors_exit_1(workspace):
@@ -131,6 +136,15 @@ def test_runtime_errors_exit_1(workspace):
                "--domain", "0:1", "--out-dir", "f2") == 1
     assert run(workspace, "evaluate", "--model", "fit/model.json", "--data",
                "sim/events.csv", "--split", "1.5", "--out-dir", "e4") == 1
+    # grids need at least one point per dimension
+    for count in ("0", "-2"):
+        assert run(workspace, "fit", "--data", "sim/events.csv", "--domain", "0:3",
+                   "--inducing", count, "--out-dir", "f4") == 1
+    assert not (workspace / "f4").exists()
+    assert run(workspace, "predict", "--model", "fit/model.json", "--grid-res", "0",
+               "--out-dir", "p4") == 1
+    assert run(workspace, "simulate", "--domain", "0:3", "--grid-res", "0",
+               "--out-dir", "s4") == 1
 
 
 def test_help_exits_zero(workspace):

@@ -6,7 +6,6 @@ from vbpp.kernel import (
     HyperParams,
     gram,
     kernel_eval,
-    psi_matrix,
     psi_with_partials,
     sq_dists_per_dim,
 )
@@ -61,22 +60,22 @@ def test_psi_effectively_infinite_domain():
     # unit kernel, z = z' = 0 on a window wide enough that the erf terms
     # saturate: the integral of exp(-x^2) is sqrt(pi)
     h = HyperParams(gamma=1.0, alpha=np.array([1.0]))
-    psi = psi_matrix(np.array([[0.0]]), h, Domain([-50.0], [50.0]))
+    psi = psi_with_partials(np.array([[0.0]]), h, Domain([-50.0], [50.0]))[0]
     assert psi[0, 0] == pytest.approx(np.sqrt(np.pi), rel=1e-14)
 
 
 def test_psi_offdiagonal_infinite_domain():
     # two points 2 apart: the Gaussian-product factor contributes e^{-1}
     h = HyperParams(gamma=1.0, alpha=np.array([1.0]))
-    psi = psi_matrix(np.array([[-1.0], [1.0]]), h, Domain([-50.0], [50.0]))
+    psi = psi_with_partials(np.array([[-1.0], [1.0]]), h, Domain([-50.0], [50.0]))[0]
     assert psi[0, 1] == pytest.approx(np.sqrt(np.pi) * np.exp(-1.0), rel=1e-13)
 
 
 def test_psi_gamma_squared_scaling():
     d = Domain([0.0], [3.0])
     Z = np.array([[0.5], [2.0]])
-    base = psi_matrix(Z, HyperParams(1.0, np.array([0.7])), d)
-    scaled = psi_matrix(Z, HyperParams(3.0, np.array([0.7])), d)
+    base = psi_with_partials(Z, HyperParams(1.0, np.array([0.7])), d)[0]
+    scaled = psi_with_partials(Z, HyperParams(3.0, np.array([0.7])), d)[0]
     assert np.allclose(scaled, 9.0 * base, rtol=1e-14)
 
 
@@ -84,7 +83,7 @@ def test_psi_symmetric_nonnegative():
     rng = np.random.default_rng(2)
     d = Domain([0.0, 0.0], [2.0, 1.0])
     Z = rng.random((5, 2)) * [2.0, 1.0]
-    psi = psi_matrix(Z, HyperParams(1.2, np.array([0.4, 0.9])), d)
+    psi = psi_with_partials(Z, HyperParams(1.2, np.array([0.4, 0.9])), d)[0]
     assert np.allclose(psi, psi.T)
     assert (psi >= 0).all()
 
@@ -95,9 +94,11 @@ def test_psi_2d_factorises_over_dimensions():
     d2 = Domain([0.0, -1.0], [2.0, 1.0])
     h2 = HyperParams(gamma=1.0, alpha=np.array([0.5, 1.5]))
     Z2 = np.array([[0.3, -0.2], [1.7, 0.8]])
-    psi2 = psi_matrix(Z2, h2, d2)
-    p_x = psi_matrix(Z2[:, :1], HyperParams(1.0, np.array([0.5])), Domain([0.0], [2.0]))
-    p_y = psi_matrix(Z2[:, 1:], HyperParams(1.0, np.array([1.5])), Domain([-1.0], [1.0]))
+    psi2 = psi_with_partials(Z2, h2, d2)[0]
+    p_x = psi_with_partials(Z2[:, :1], HyperParams(1.0, np.array([0.5])),
+                            Domain([0.0], [2.0]))[0]
+    p_y = psi_with_partials(Z2[:, 1:], HyperParams(1.0, np.array([1.5])),
+                            Domain([-1.0], [1.0]))[0]
     assert np.allclose(psi2, p_x * p_y, rtol=1e-12)
 
 
@@ -109,7 +110,7 @@ def test_psi_against_quadrature_1d():
         d = Domain([lo], [hi])
         h = HyperParams(gamma=rng.uniform(0.2, 3), alpha=rng.uniform(0.1, 2, 1))
         Z = rng.uniform(lo, hi, (2, 1))
-        psi = psi_matrix(Z, h, d)
+        psi = psi_with_partials(Z, h, d)[0]
         for i in range(2):
             for j in range(2):
                 ref, _ = quad(
@@ -119,15 +120,15 @@ def test_psi_against_quadrature_1d():
 
 
 def _fd_partials(Z, h, d, eps=1e-6):
-    """Central finite differences of psi_matrix for the partial checks."""
+    """Central finite differences of Psi for the partial checks."""
     R = h.dims
     base_alpha = h.alpha.copy()
     dla = []
     for r in range(R):
         up = base_alpha.copy(); up[r] *= np.exp(eps)
         dn = base_alpha.copy(); dn[r] *= np.exp(-eps)
-        pa = psi_matrix(Z, HyperParams(h.gamma, up, h.u_bar), d)
-        pb = psi_matrix(Z, HyperParams(h.gamma, dn, h.u_bar), d)
+        pa = psi_with_partials(Z, HyperParams(h.gamma, up, h.u_bar), d)[0]
+        pb = psi_with_partials(Z, HyperParams(h.gamma, dn, h.u_bar), d)[0]
         dla.append((pa - pb) / (2 * eps))
     return np.array(dla)
 
@@ -138,8 +139,6 @@ def test_psi_partials_match_finite_differences():
     h = HyperParams(gamma=1.1, alpha=np.array([0.6, 1.4]))
     Z = rng.random((3, 2)) * [2.0, 3.0]
     psi, dpsi_dla, dpsi_dzi = psi_with_partials(Z, h, d)
-    assert np.allclose(psi, psi_matrix(Z, h, d), rtol=1e-14)
-
     fd_la = _fd_partials(Z, h, d)
     assert np.allclose(dpsi_dla, fd_la, rtol=1e-6, atol=1e-9)
 
@@ -149,7 +148,7 @@ def test_psi_partials_match_finite_differences():
         for i in range(3):
             Zp = Z.copy(); Zp[i, r] += eps
             Zm = Z.copy(); Zm[i, r] -= eps
-            fd = (psi_matrix(Zp, h, d) - psi_matrix(Zm, h, d)) / (2 * eps)
+            fd = (psi_with_partials(Zp, h, d)[0] - psi_with_partials(Zm, h, d)[0]) / (2 * eps)
             # row i of dpsi_dzi[r] carries d psi[i, j] / d z_{i, r}; the
             # diagonal entry moves through both arguments
             for j in range(3):

@@ -21,9 +21,9 @@ def dawsn_integral_oracle(z: float) -> float:
 
 def test_value_at_zero():
     assert g_tilde_series(0.0) == 0.0
-    v, s = g_tilde_batch(0.0)
-    assert v == 0.0
-    assert s == pytest.approx(2.0, rel=1e-6)
+    v, s = g_tilde_batch(np.array([0.0]))
+    assert v[0] == 0.0
+    assert s[0] == pytest.approx(2.0, rel=1e-6)
 
 
 def test_frozen_reference_values():
@@ -110,9 +110,9 @@ def test_monotone_decreasing():
 
 
 def test_beyond_table_range_uses_asymptotics():
-    v, s = g_tilde_batch(-1e7)
-    assert v == pytest.approx(g_tilde_series(-1e7), rel=1e-10)
-    assert s == pytest.approx(g_tilde_derivative(-1e7), rel=1e-10)
+    v, s = g_tilde_batch(np.array([-1e7]))
+    assert v[0] == pytest.approx(g_tilde_series(-1e7), rel=1e-10)
+    assert s[0] == pytest.approx(g_tilde_derivative(-1e7), rel=1e-10)
 
 
 def test_small_table_build():
