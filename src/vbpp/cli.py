@@ -1,8 +1,10 @@
 """Command-line front-end: simulate | fit | predict | evaluate | baseline.
 
 Every command writes a manifest JSON beside its outputs echoing the fully
-resolved configuration, and is deterministic given that manifest.  evaluate
-sizes its quadrature from the model and records the node count in report.json.
+resolved configuration, and is deterministic given that manifest.  predict is
+the one command that writes the posterior intensity map (intensity.csv);
+evaluate writes the held-out scores (report.json), sizes its quadrature from
+the model and records the node count there.
 The BLAS thread policy applies when the package is imported (see ``vbpp.threads``).
 """
 
@@ -46,15 +48,14 @@ def _write_manifest(args, **resolved) -> None:
                os.path.join(args.out_dir, f"{args.command}_manifest.json"))
 
 
-def _intensity_csv(path, grid, mean, lower, upper) -> None:
-    write_csv(path, np.column_stack([grid, mean, lower, upper]).tolist(),
-              header=[f"x{r}" for r in range(grid.shape[1])] + ["mean", "lower", "upper"])
-
-
 def cmd_simulate(args) -> int:
     d = parse_domain(args.domain)
     alpha = [float(a) for a in args.alpha.split(",")] if args.alpha else \
         [(e / 5.0) ** 2 for e in d.extent]
+    if len(alpha) != d.dims:
+        print(f"error: --alpha has {len(alpha)} values for a {d.dims}-dimensional domain",
+              file=sys.stderr)
+        return 2
     if args.link == "sigmoid" and args.lambda_star is None:
         print("error: --lambda-star is required for the sigmoid link", file=sys.stderr)
         return 2
@@ -97,7 +98,9 @@ def cmd_predict(args) -> int:
     grid, _ = make_grid(model.domain, args.grid_res)
     mean, lower, upper = posterior_intensity(model, grid)
     os.makedirs(args.out_dir, exist_ok=True)
-    _intensity_csv(os.path.join(args.out_dir, "intensity.csv"), grid, mean, lower, upper)
+    write_csv(os.path.join(args.out_dir, "intensity.csv"),
+              np.column_stack([grid, mean, lower, upper]).tolist(),
+              header=[f"x{r}" for r in range(grid.shape[1])] + ["mean", "lower", "upper"])
     _write_manifest(args)
     print(f"wrote intensity over {grid.shape[0]} grid points")
     return 0
@@ -132,9 +135,6 @@ def cmd_evaluate(args) -> int:
 
     os.makedirs(args.out_dir, exist_ok=True)
     write_json(doc, os.path.join(args.out_dir, "report.json"))
-    grid, _ = make_grid(d, 512 if d.dims == 1 else None)
-    mean, lower, upper = posterior_intensity(model, grid)
-    _intensity_csv(os.path.join(args.out_dir, "intensity.csv"), grid, mean, lower, upper)
     _write_manifest(args)
     print(f"l_p={report.l_p:.4f} l_0={report.l_0:.4f} "
           f"m_p={report.m_p_hat:.4f}+-{report.m_p_stderr:.4f} "
@@ -193,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("evaluate", help="held-out predictive bounds and MC estimates")
+    p = sub.add_parser("evaluate", help="held-out predictive bounds and MC estimates "
+                                        "(report.json only; predict draws the map)")
     p.add_argument("--model", required=True)
     p.add_argument("--test", default=None)
     p.add_argument("--data", default=None, help="single file to split into train/test")

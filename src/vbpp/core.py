@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from . import specfun
-from .kernel import HyperParams, gram, sq_dists_per_dim, psi_with_partials
+from .kernel import HyperParams, gram, psi_with_partials
 from .pointdata import Domain, EventSet, as_points, domain_measure, write_json
 
 JITTER_SCALE = 1e-8
@@ -344,26 +344,25 @@ def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
                 + g_gamma_direct * gamma + float(np.sum(GA * A))
 
         if "log_alpha" in wrt:
-            sq_zz = sq_dists_per_dim(Z, Z)
-            sq_xz = sq_dists_per_dim(X, Z)
-            ga = np.empty(R)
-            for r in range(R):
-                ga[r] = float(np.sum(Gk * (K * sq_zz[r] / (2.0 * h.alpha[r])))) \
-                    + float(np.sum(g_psi * dpsi_dlog_alpha[r])) \
-                    + float(np.sum(GA * (A * sq_xz[r] / (2.0 * h.alpha[r]))))
-            grads["log_alpha"] = ga
-
+            grads["log_alpha"] = np.empty(R)
         if "Z" in wrt:
-            gz = np.empty((M, R))
+            grads["Z"] = np.empty((M, R))
             Gk_sym = Gk + Gk.T
             g_psi_sym = g_psi + g_psi.T
-            for r in range(R):
-                delta = Z[:, r][:, None] - Z[:, r][None, :]
-                gz[:, r] = np.sum(Gk_sym * K * (-delta / h.alpha[r]), axis=1)
-                gz[:, r] += np.sum(g_psi_sym * dpsi_dzi[r], axis=1)
-                gz[:, r] += np.sum(GA * A * (X[:, r][:, None] - Z[:, r][None, :])
-                                   / h.alpha[r], axis=0)
-            grads["Z"] = gz
+        # One pass over the dimensions forms the Z-Z and X-Z differences
+        # once for both blocks.
+        for r in range(R if {"log_alpha", "Z"} & set(wrt) else 0):
+            delta_zz = Z[:, r][:, None] - Z[:, r][None, :]
+            delta_xz = X[:, r][:, None] - Z[:, r][None, :]
+            if "log_alpha" in wrt:
+                grads["log_alpha"][r] = \
+                    float(np.sum(Gk * (K * delta_zz**2 / (2.0 * h.alpha[r])))) \
+                    + float(np.sum(g_psi * dpsi_dlog_alpha[r])) \
+                    + float(np.sum(GA * (A * delta_xz**2 / (2.0 * h.alpha[r]))))
+            if "Z" in wrt:
+                grads["Z"][:, r] = np.sum(Gk_sym * K * (-delta_zz / h.alpha[r]), axis=1) \
+                    + np.sum(g_psi_sym * dpsi_dzi[r], axis=1) \
+                    + np.sum(GA * A * delta_xz / h.alpha[r], axis=0)
 
     return BoundTerms(int_mean_sq, int_var, data, kl, grads)
 

@@ -48,11 +48,6 @@ def kernel_eval(x, x2, h: HyperParams) -> float:
     return float(h.gamma * np.exp(-np.sum((a - b) ** 2 / (2.0 * h.alpha))))
 
 
-def sq_dists_per_dim(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Per-dimension squared differences, shape (R, n, m)."""
-    return (A[:, None, :] - B[None, :, :]).transpose(2, 0, 1) ** 2
-
-
 def gram(A, B, h: HyperParams) -> np.ndarray:
     """Gram matrix with entries K(A_i, B_j); symmetric PSD when A is B.
 
@@ -131,8 +126,7 @@ def psi_with_partials(Z, h: HyperParams, d: Domain):
     dpsi_dlog_alpha = np.empty((R, M, M))
     dpsi_dzi = np.empty((R, M, M))
     for r in range(R):
-        others = h.gamma**2 * np.prod(np.delete(facs, r, axis=0), axis=0) if R > 1 \
-            else np.full((M, M), h.gamma**2)
+        others = h.gamma**2 * np.prod(np.delete(facs, r, axis=0), axis=0)
         dpsi_dlog_alpha[r] = others * dfac_da[r] * h.alpha[r]
         dpsi_dzi[r] = others * dfac_dz[r]
     return psi, dpsi_dlog_alpha, dpsi_dzi

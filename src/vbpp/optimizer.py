@@ -29,8 +29,13 @@ from .pointdata import Domain, EventSet, as_points, domain_measure, regular_grid
 from .threads import pool_threads
 
 
+# The negated bound reported for a step whose evaluation fails; L-BFGS-B
+# backtracks from it.  A fit that ends on it never evaluated the bound.
+FAILED_OBJECTIVE = 1e25
+
+
 class FitError(RuntimeError):
-    """Raised when the optimiser cannot make progress."""
+    """Raised when every evaluation of the bound failed."""
 
 
 @dataclass(frozen=True)
@@ -187,7 +192,7 @@ def _objective_factory(events, domain, M, cfg, fixed_z, prior):
             model = unpack(y, domain, M, cfg, fixed_z=fixed_z)
             value, grads = elbo_and_gradient(model, events, wrt=wrt)
         except (np.linalg.LinAlgError, FloatingPointError):
-            return 1e25, np.zeros_like(y)
+            return FAILED_OBJECTIVE, np.zeros_like(y)
         gvec = np.concatenate([
             np.atleast_1d(np.asarray(grads[name], dtype=float)).reshape(-1)
             for name in wrt
@@ -202,7 +207,7 @@ def _objective_factory(events, domain, M, cfg, fixed_z, prior):
             gvec[1:1 + R] += d_la
             gvec[1 + R] += d_ub
         if not np.isfinite(value):
-            return 1e25, np.zeros_like(y)
+            return FAILED_OBJECTIVE, np.zeros_like(y)
         return -value, -gvec
 
     return negative_bound
@@ -253,7 +258,7 @@ def _whitened_coords(objective, C0: np.ndarray, M: int, R: int):
     def wrapped(yw):
         y, W, L = to_canonical(yw)
         f, g = objective(y)
-        if f >= 1e20:
+        if f == FAILED_OBJECTIVE:
             return f, np.zeros_like(yw)
         gw = g.copy()
         gw[head:head + M] = C0.T @ g[head:head + M]
@@ -315,8 +320,8 @@ def fit(events: EventSet, d: Domain, inducing, cfg: FitConfig | None = None) -> 
         options={"maxiter": cfg.max_iters, "gtol": cfg.grad_tol,
                  "ftol": 1e-14, "maxcor": 20, "maxls": 50},
     )
-    if not np.isfinite(result.fun):
-        raise FitError(f"optimiser failed: {result.message}")
+    if result.fun == FAILED_OBJECTIVE:
+        raise FitError(f"no evaluation of the bound succeeded ({result.message})")
 
     metadata = {
         "elbo": float(-result.fun) if cfg.map_prior is None else None,

@@ -29,7 +29,7 @@ sqrt(-z), with D the Dawson function, gives the derivative.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import dawsn, digamma, gammaln
@@ -122,32 +122,26 @@ def g_tilde_derivative(z) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class GTildeTable:
+class GTildeTable(NamedTuple):
     """Lookup table over log-uniform knots, densest near zero.
 
     ``knots`` decrease strictly from 0; ``values`` are the series values at
-    the knots.
+    the knots.  Both arrays are read-only.
     """
 
     knots: np.ndarray
     values: np.ndarray
-
-    def __post_init__(self):
-        for arr in (self.knots, self.values):
-            arr.setflags(write=False)
-        if self.knots[0] != 0.0 or (np.diff(self.knots) >= 0).any():
-            raise ValueError("knots must decrease strictly from 0")
-        if self.values[0] != 0.0:
-            raise ValueError("value at zero must be 0")
 
 
 def build_table() -> GTildeTable:
     """Tabulate the function at -10^(k / KNOTS_PER_DECADE) plus z = 0."""
     exps = np.arange(LO_EXP * KNOTS_PER_DECADE, HI_EXP * KNOTS_PER_DECADE + 1)
     t = 10.0 ** (exps / KNOTS_PER_DECADE)
-    return GTildeTable(knots=np.concatenate([[0.0], -t]),
-                       values=np.concatenate([[0.0], _series(t)]))
+    table = GTildeTable(knots=np.concatenate([[0.0], -t]),
+                        values=np.concatenate([[0.0], _series(t)]))
+    for arr in table:
+        arr.setflags(write=False)
+    return table
 
 
 @functools.cache

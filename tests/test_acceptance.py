@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 from scipy.linalg import cho_factor, cho_solve, cholesky
+from scipy.special import roots_legendre
 
 from vbpp.baseline import (
     fit_bandwidth,
@@ -45,6 +46,7 @@ from vbpp.optimizer import (
 )
 from vbpp.pointdata import Domain, EventSet, coal_style_dataset, split_events
 from vbpp.predictive import (
+    _node_count,
     mc_predictive,
     posterior_intensity,
     predictive_bound_l0,
@@ -231,14 +233,16 @@ def test_bound_data_term_matches_cholesky_marginals_at_coal_start(M):
     assert _evaluate(model, events).data == pytest.approx(float(np.sum(ell)), rel=1e-10)
 
 
-def _mc_log_evidence(model, events, grid_cells, n_samples, seed):
+def _mc_log_evidence(model, events, n_nodes, n_samples, seed):
     """Simple Monte Carlo estimate of the marginal likelihood under the
-    model's own prior: sample f jointly at the events and a midpoint grid,
-    average the exponentiated Poisson log-likelihood."""
+    model's own prior: sample f jointly at the events and ``n_nodes``
+    Gauss-Legendre nodes, average the exponentiated Poisson log-likelihood."""
     d = model.domain
     h = model.hyper
-    width = d.extent[0] / grid_cells
-    grid = (d.lo[0] + (np.arange(grid_cells) + 0.5) * width)[:, None]
+    x, w = roots_legendre(n_nodes)
+    half = 0.5 * d.extent[0]
+    grid = (d.lo[0] + half * (x + 1.0))[:, None]
+    weights = half * w
     pts = np.vstack([events.points, grid]) if events.n else grid
     Z = model.inducing.Z
     Kzz = gram(Z, Z, h)
@@ -260,7 +264,7 @@ def _mc_log_evidence(model, events, grid_cells, n_samples, seed):
         chunk = min(2000, n_samples - done)
         f = mean[:, None] + C @ rng.standard_normal((pts.shape[0], chunk))
         lam_ev = f[:events.n] ** 2
-        integral = (f[events.n:] ** 2).sum(axis=0) * width
+        integral = weights @ f[events.n:] ** 2
         with np.errstate(divide="ignore"):
             lls[done:done + chunk] = np.log(lam_ev).sum(axis=0) - integral
         done += chunk
@@ -281,7 +285,8 @@ def test_training_bound_sits_below_monte_carlo_evidence():
         n = int(rng.integers(2, 6))
         ev = EventSet(np.sort(rng.uniform(0, extent, n))[:, None])
         model = fit(ev, d, 5, FitConfig())
-        log_z, se = _mc_log_evidence(model, ev, 2048, 100_000, seed=1000 + case)
+        log_z, se = _mc_log_evidence(model, ev, _node_count(model), 100_000,
+                                     seed=1000 + case)
         bound = elbo(model, ev)
         assert bound <= log_z + 3 * se, (case, bound, log_z, se)
 
@@ -296,8 +301,9 @@ def test_predictive_bounds_hold_and_collapsed_gap_is_tighter():
         model = fit(train, d, M, FitConfig())
         lp = predictive_bound_lp(model, test)
         l0 = predictive_bound_l0(model, test)
-        mp, mp_se = mc_predictive(model, test, "Mp", 4000, 4096, seed=1)
-        m0, m0_se = mc_predictive(model, test, "M0", 4000, 4096, seed=1)
+        nodes = _node_count(model)
+        mp, mp_se = mc_predictive(model, test, "Mp", 4000, nodes, seed=1)
+        m0, m0_se = mc_predictive(model, test, "M0", 4000, nodes, seed=1)
         assert lp <= mp + 3 * mp_se, M
         assert l0 <= m0 + 3 * m0_se, M
         assert (m0 - l0) < (mp - lp), M

@@ -102,7 +102,7 @@ def test_evaluate_with_split_and_baseline(workspace):
     assert doc["l_p"] <= doc["m_p_hat"] + 4 * doc["m_p_stderr"] + 0.5
     assert np.isfinite(doc["ks_log_predictive"])
     assert doc["n_test"] > 0
-    assert (workspace / "eval" / "intensity.csv").exists()
+    assert not (workspace / "eval" / "intensity.csv").exists()    # predict draws the map
     assert (workspace / "eval" / "evaluate_manifest.json").exists()
 
 
@@ -119,6 +119,9 @@ def test_usage_errors_exit_2(workspace, capsys):
     assert run(workspace, "nonsense") == 2
     assert run(workspace, "simulate", "--domain", "0:1", "--link", "sigmoid",
                "--out-dir", "s2") == 2
+    assert run(workspace, "simulate", "--domain", "0:4,0:4", "--alpha", "4",
+               "--out-dir", "s5") == 2
+    assert "--alpha" in capsys.readouterr().err
     assert run(workspace, "evaluate", "--model", "fit/model.json",
                "--out-dir", "e2") == 2
     # evaluate sizes its quadrature from the model
@@ -166,7 +169,7 @@ def test_rerun_byte_identical(workspace):
         assert files == sorted(p.name for p in b.iterdir())
         for file in files:
             assert (a / file).read_bytes() == (b / file).read_bytes(), (name, file)
-    assert {"report.json", "intensity.csv"} <= set(files)
+    assert "report.json" in files and "intensity.csv" not in files
 
 
 def test_import_skips_scipy_stats():

@@ -7,7 +7,6 @@ from vbpp.kernel import (
     gram,
     kernel_eval,
     psi_with_partials,
-    sq_dists_per_dim,
 )
 from vbpp.pointdata import Domain
 
@@ -46,14 +45,6 @@ def test_gram_symmetric_psd():
     assert np.allclose(K, K.T)
     w = np.linalg.eigvalsh(K)
     assert w.min() > -1e-10 * w.max()
-
-
-def test_sq_dists_shape():
-    A = np.zeros((4, 3))
-    B = np.ones((5, 3))
-    sq = sq_dists_per_dim(A, B)
-    assert sq.shape == (3, 4, 5)
-    assert np.all(sq == 1.0)
 
 
 def test_psi_effectively_infinite_domain():

@@ -3,8 +3,11 @@ import pytest
 
 from vbpp.core import InducingPoints, Model, VariationalState, _evaluate, elbo
 from vbpp.kernel import HyperParams
+from vbpp import cli, optimizer
 from vbpp.optimizer import (
+    FAILED_OBJECTIVE,
     FitConfig,
+    FitError,
     MapPrior,
     default_map_prior,
     _initial_model,
@@ -247,8 +250,23 @@ def test_objective_rejects_steps_that_overflow(index, value):
     y = pack(_initial_model(ev, d, Z), cfg)
     y[index] = value
     f, g = _objective_factory(ev, d, 16, cfg, Z, None)(y)
-    assert f == 1e25
+    assert f == FAILED_OBJECTIVE
     assert not g.any()
+
+
+def test_fit_in_which_every_evaluation_fails_raises(monkeypatch, tmp_path):
+    # a zero gradient at the failure value would otherwise read as converged
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(optimizer, "elbo_and_gradient", fail)
+    ev, d = coal_style_dataset()
+    with pytest.raises(FitError):
+        fit(ev, d, 16)
+    np.savetxt(tmp_path / "events.csv", ev.points, delimiter=",")
+    assert cli.main(["fit", "--data", str(tmp_path / "events.csv"), "--domain", "1851:1962",
+                     "--out-dir", str(tmp_path / "fit")]) == 1
+    assert not (tmp_path / "fit").exists()
 
 
 def test_fit_optimize_z_is_no_worse_than_the_grid_on_coal():
