@@ -2,9 +2,9 @@
 
 The smoothed intensity is lambda(x) = sum_n N_T(x; x_n, Sigma) with a
 diagonal bandwidth matrix chosen by maximising the leave-one-out objective
-sum_i log sum_{j != i} N_T(x_i; x_j, Sigma).  With end correction each
-kernel is renormalised to integrate to one inside the domain, so the
-intensity integrates exactly to N there.
+sum_i log sum_{j != i} N_T(x_i; x_j, Sigma).  Each kernel is renormalised
+to integrate to one inside the domain (end correction), so the intensity
+integrates exactly to N there.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ class KsModel:
 
     train: EventSet
     sigma: np.ndarray
-    end_correction: bool = True
 
     def __post_init__(self):
         sigma = np.atleast_1d(np.asarray(self.sigma, dtype=float))
@@ -45,8 +44,8 @@ class KsModel:
 
 
 def _dim_pdfs(x: np.ndarray, centers: np.ndarray, sigma: np.ndarray,
-              d: Domain, end_correction: bool) -> np.ndarray:
-    """Product over dimensions of (optionally truncated) 1-D normal pdfs.
+              d: Domain) -> np.ndarray:
+    """Product over dimensions of 1-D normal pdfs truncated to the domain.
 
     x: (n, R), centers: (m, R) -> (n, m).
     """
@@ -55,23 +54,22 @@ def _dim_pdfs(x: np.ndarray, centers: np.ndarray, sigma: np.ndarray,
         s = sigma[r]
         z = (x[:, r][:, None] - centers[:, r][None, :]) / s
         pdf = np.exp(-0.5 * z**2) / (s * np.sqrt(2.0 * np.pi))
-        if end_correction:
-            mass = ndtr((d.hi[r] - centers[:, r]) / s) - ndtr((d.lo[r] - centers[:, r]) / s)
-            pdf = pdf / mass[None, :]
+        mass = ndtr((d.hi[r] - centers[:, r]) / s) - ndtr((d.lo[r] - centers[:, r]) / s)
+        pdf = pdf / mass[None, :]
         out *= pdf
     return out
 
 
-def truncnorm_pdf(x, center, sigma, d: Domain, end_correction: bool = True) -> float:
+def truncnorm_pdf(x, center, sigma, d: Domain) -> float:
     """Density of a diagonal normal centred at ``center``, renormalised to
-    unit mass on the domain when ``end_correction`` is set."""
+    unit mass on the domain."""
     x = np.asarray(x, dtype=float).reshape(1, -1)
     center = np.asarray(center, dtype=float).reshape(1, -1)
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-    return float(_dim_pdfs(x, center, sigma, d, end_correction)[0, 0])
+    return float(_dim_pdfs(x, center, sigma, d)[0, 0])
 
 
-def _loo(train: EventSet, d: Domain, end_correction: bool):
+def _loo(train: EventSet, d: Domain):
     """The leave-one-out objective of ``train`` as a function of sigma.
 
     The per-dimension squared differences are built once.  The diagonal is
@@ -96,10 +94,9 @@ def _loo(train: EventSet, d: Domain, end_correction: bool):
         np.subtract(buf, cut, out=buf)
         np.fill_diagonal(buf, 0.0)
         weight = np.full(X.shape[0], (2.0 * np.pi) ** (-d.dims / 2) / np.prod(sigma))
-        if end_correction:
-            for r in range(d.dims):
-                s = sigma[r]
-                weight /= ndtr((d.hi[r] - X[:, r]) / s) - ndtr((d.lo[r] - X[:, r]) / s)
+        for r in range(d.dims):
+            s = sigma[r]
+            weight /= ndtr((d.hi[r] - X[:, r]) / s) - ndtr((d.lo[r] - X[:, r]) / s)
         row = buf @ weight
         if (row <= 0).any():
             return -np.inf
@@ -108,12 +105,12 @@ def _loo(train: EventSet, d: Domain, end_correction: bool):
     return objective
 
 
-def loo_objective(train: EventSet, sigma, d: Domain, end_correction: bool) -> float:
+def loo_objective(train: EventSet, sigma, d: Domain) -> float:
     """sum_i log sum_{j != i} N_T(x_i; x_j, Sigma)."""
-    return _loo(train, d, end_correction)(sigma)
+    return _loo(train, d)(sigma)
 
 
-def fit_bandwidth(train: EventSet, d: Domain, end_correction: bool = True) -> KsModel:
+def fit_bandwidth(train: EventSet, d: Domain) -> KsModel:
     """Select the diagonal bandwidth by maximising the leave-one-out objective.
 
     Coordinate-wise bounded scalar maximisation in log space, from eight
@@ -129,7 +126,7 @@ def fit_bandwidth(train: EventSet, d: Domain, end_correction: bool = True) -> Ks
     lo = np.log(SIGMA_FLOOR_FRAC * d.extent)
     hi = np.log(SIGMA_CEIL_FRAC * d.extent)
 
-    loo = _loo(train, d, end_correction)
+    loo = _loo(train, d)
 
     def objective(log_sigma):
         return loo(np.exp(log_sigma))
@@ -158,13 +155,12 @@ def fit_bandwidth(train: EventSet, d: Domain, end_correction: bool = True) -> Ks
             val = new_val
         if val > best_val:
             best_val, best_ls = val, ls
-    return KsModel(train=train, sigma=np.exp(best_ls), end_correction=end_correction)
+    return KsModel(train=train, sigma=np.exp(best_ls))
 
 
 def ks_intensity(model: KsModel, query, d: Domain) -> np.ndarray:
     """Smoothed intensity lambda(x) = sum_n N_T(x; x_n, Sigma) at each query point."""
-    return _dim_pdfs(as_points(query, d.dims), model.train.points, model.sigma, d,
-                     model.end_correction).sum(axis=1)
+    return _dim_pdfs(as_points(query, d.dims), model.train.points, model.sigma, d).sum(axis=1)
 
 
 def ks_log_predictive(model: KsModel, test: EventSet, d: Domain) -> float:
@@ -172,8 +168,7 @@ def ks_log_predictive(model: KsModel, test: EventSet, d: Domain) -> float:
 
     Combines a Poisson(N) count distribution with the per-point location
     density (1/N) sum_n N_T(.; x_n, Sigma*); the K! permutation factor
-    cancels.  The domain integral of the intensity is taken as N (exact with
-    end correction).
+    cancels.  The domain integral of the intensity is exactly N.
     """
     n = model.train.n
     k = test.n
@@ -195,7 +190,6 @@ def ks_log_predictive_rate_form(model: KsModel, test: EventSet, d: Domain) -> fl
 def save_ks_model(model: KsModel, path, train_ref: str | None = None) -> None:
     doc = {
         "sigma": model.sigma.tolist(),
-        "end_correction": model.end_correction,
         "train_ref": train_ref,
         "n_train": model.train.n,
     }

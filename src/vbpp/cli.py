@@ -53,12 +53,10 @@ def cmd_simulate(args) -> int:
     alpha = [float(a) for a in args.alpha.split(",")] if args.alpha else \
         [(e / 5.0) ** 2 for e in d.extent]
     if len(alpha) != d.dims:
-        print(f"error: --alpha has {len(alpha)} values for a {d.dims}-dimensional domain",
-              file=sys.stderr)
-        return 2
+        raise argparse.ArgumentTypeError(
+            f"--alpha has {len(alpha)} values for a {d.dims}-dimensional domain")
     if args.link == "sigmoid" and args.lambda_star is None:
-        print("error: --lambda-star is required for the sigmoid link", file=sys.stderr)
-        return 2
+        raise argparse.ArgumentTypeError("--lambda-star is required for the sigmoid link")
     h = HyperParams(gamma=args.gamma, alpha=np.asarray(alpha))
     truth = ground_truth(h, d, link=args.link, lambda_star=args.lambda_star,
                          resolution=args.grid_res, seed=args.seed)
@@ -110,14 +108,11 @@ def cmd_evaluate(args) -> int:
     model = load_model(args.model)
     d = model.domain
     train = None
-    if args.test:
+    if args.data is None:
         test = load_events(args.test, d)
-    elif args.data:
+    else:
         events = load_events(args.data, d)
         train, test = split_events(events, args.split, args.split_seed)
-    else:
-        print("error: provide --test or --data with --split", file=sys.stderr)
-        return 2
 
     report = predictive_report(model, test, n_samples=args.samples, seed=args.seed)
     doc = report.to_dict()
@@ -126,10 +121,9 @@ def cmd_evaluate(args) -> int:
     if args.baseline:
         if train is None:
             if not args.train:
-                print("error: --baseline needs --train or --data/--split", file=sys.stderr)
-                return 2
+                raise argparse.ArgumentTypeError("--baseline needs --train or --data/--split")
             train = load_events(args.train, d)
-        ks = fit_bandwidth(train, d, end_correction=not args.no_end_correction)
+        ks = fit_bandwidth(train, d)
         doc["ks_log_predictive"] = ks_log_predictive(ks, test, d)
         doc["ks_sigma"] = ks.sigma.tolist()
 
@@ -145,11 +139,11 @@ def cmd_evaluate(args) -> int:
 def cmd_baseline(args) -> int:
     d = parse_domain(args.domain)
     train = load_events(args.data, d)
-    ks = fit_bandwidth(train, d, end_correction=not args.no_end_correction)
+    ks = fit_bandwidth(train, d)
     os.makedirs(args.out_dir, exist_ok=True)
     save_ks_model(ks, os.path.join(args.out_dir, "ks_model.json"), train_ref=args.data)
     _write_manifest(args)
-    obj = loo_objective(train, ks.sigma, d, ks.end_correction)
+    obj = loo_objective(train, ks.sigma, d)
     print(f"bandwidth sigma={ks.sigma.tolist()} (LOO objective {obj:.4f})")
     return 0
 
@@ -181,8 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--optimize-z", action="store_true",
                    help="also optimise the inducing locations, kept inside the domain "
                         "by box bounds")
-    p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--grad-tol", type=float, default=1e-5)
+    p.add_argument("--max-iters", type=int, default=FitConfig.max_iters)
+    p.add_argument("--grad-tol", type=float, default=FitConfig.grad_tol)
     p.add_argument("--map", action="store_true")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_fit)
@@ -196,22 +190,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="held-out predictive bounds and MC estimates "
                                         "(report.json only; predict draws the map)")
     p.add_argument("--model", required=True)
-    p.add_argument("--test", default=None)
-    p.add_argument("--data", default=None, help="single file to split into train/test")
+    held_out = p.add_mutually_exclusive_group(required=True)
+    held_out.add_argument("--test", default=None)
+    held_out.add_argument("--data", default=None, help="single file to split into train/test")
     p.add_argument("--train", default=None, help="training events for --baseline")
     p.add_argument("--split", type=float, default=0.5)
     p.add_argument("--split-seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--baseline", action="store_true")
-    p.add_argument("--no-end-correction", action="store_true")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("baseline", help="kernel-smoothing bandwidth fit")
     p.add_argument("--data", required=True)
     p.add_argument("--domain", required=True)
-    p.add_argument("--no-end-correction", action="store_true")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_baseline)
     return parser
@@ -225,7 +218,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except argparse.ArgumentTypeError as exc:     # a malformed --domain
+    except argparse.ArgumentTypeError as exc:     # a usage error found after parsing
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, FileNotFoundError, RuntimeError) as exc:

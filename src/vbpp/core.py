@@ -31,10 +31,6 @@ VAR_FLOOR = 1e-12
 GRAD_BLOCKS = ("log_gamma", "log_alpha", "u_bar", "m", "L", "Z")
 
 
-class NumericalError(RuntimeError):
-    """Raised when a required matrix factorisation fails."""
-
-
 @dataclass(frozen=True)
 class VariationalState:
     """Gaussian q(u) = N(m, S) parameterised by m and the Cholesky factor L."""
@@ -98,10 +94,7 @@ def chol_with_jitter(K: np.ndarray, jitter: float, tries: int = 1) -> np.ndarray
 def kzz_factor(Z: np.ndarray, hyper: HyperParams):
     """K_zz with its diagonal jitter, and the lower Cholesky factor of it."""
     K = gram(Z, Z, hyper)
-    try:
-        return K, chol_with_jitter(K, JITTER_SCALE * hyper.gamma)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - jitter normally suffices
-        raise NumericalError(f"Cholesky of K_zz failed: {exc}") from exc
+    return K, chol_with_jitter(K, JITTER_SCALE * hyper.gamma)
 
 
 @dataclass(frozen=True)
@@ -313,10 +306,7 @@ def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
         grads["m"] = -2.0 * (B @ m) + q + Amu
 
     if "L" in wrt:
-        try:
-            Linv = solve_triangular(Lc, eye, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"triangular solve with L failed: {exc}") from exc
+        Linv = solve_triangular(Lc, eye, lower=True)
         Sinv = Linv.T @ Linv
         Gs = -B - 0.5 * Kinv + 0.5 * Sinv + AsA
         gl = (Gs + Gs.T) @ Lc

@@ -38,8 +38,6 @@ def test_truncnorm_end_correction_at_boundary():
     d = Domain([0.0], [100.0])
     got = truncnorm_pdf([0.1], [0.0], [1.0], d)
     assert got == pytest.approx(2.0 * norm.pdf(0.1), rel=1e-9)
-    plain = truncnorm_pdf([0.1], [0.0], [1.0], d, end_correction=False)
-    assert plain == pytest.approx(norm.pdf(0.1), rel=1e-12)
 
 
 def test_corrected_kernel_integrates_to_one():
@@ -66,14 +64,13 @@ def test_loo_objective_permutation_invariant():
     d = Domain([0.0], [1.0])
     pts = rng.random((12, 1))
     sigma = np.array([0.2])
-    a = loo_objective(EventSet(pts), sigma, d, True)
-    b = loo_objective(EventSet(pts[::-1]), sigma, d, True)
+    a = loo_objective(EventSet(pts), sigma, d)
+    b = loo_objective(EventSet(pts[::-1]), sigma, d)
     assert a == pytest.approx(b, rel=1e-13)
 
 
-@pytest.mark.parametrize("end_correction", [True, False])
 @pytest.mark.parametrize("dims", [1, 2])
-def test_loo_objective_matches_the_pairwise_reference(dims, end_correction):
+def test_loo_objective_matches_the_pairwise_reference(dims):
     rng = np.random.default_rng(4)
     d = Domain([0.0] * dims, [1.0 + r for r in range(dims)])
     cluster = rng.uniform(0.2, 0.21, (12, dims))
@@ -83,16 +80,14 @@ def test_loo_objective_matches_the_pairwise_reference(dims, end_correction):
     isolated[0, 0] += 0.01
     train = EventSet(np.vstack([cluster, isolated]))
     for sigma in (SIGMA_FLOOR_FRAC * d.extent, np.full(dims, 0.02), np.full(dims, 0.7)):
-        pdfs = _dim_pdfs(train.points, train.points, sigma, d, end_correction)
+        pdfs = _dim_pdfs(train.points, train.points, sigma, d)
         np.fill_diagonal(pdfs, 0.0)
         reference = float(np.sum(np.log(pdfs.sum(axis=1))))
         assert np.isfinite(reference)
-        assert loo_objective(train, sigma, d, end_correction) == pytest.approx(
-            reference, rel=1e-12)
+        assert loo_objective(train, sigma, d) == pytest.approx(reference, rel=1e-12)
     # 40 floor bandwidths further out, a point has no kernel mass left
     far = np.vstack([train.points, isolated + 40 * SIGMA_FLOOR_FRAC * d.extent])
-    assert loo_objective(EventSet(far), SIGMA_FLOOR_FRAC * d.extent, d,
-                         end_correction) == -np.inf
+    assert loo_objective(EventSet(far), SIGMA_FLOOR_FRAC * d.extent, d) == -np.inf
 
 
 def test_two_point_optimal_bandwidth():
@@ -118,8 +113,7 @@ def test_duplicate_points_hit_the_floor():
     assert model.sigma[0] == pytest.approx(1e-3, rel=1e-2)
 
 
-@pytest.mark.parametrize("end_correction", [True, False])
-def test_fit_bandwidth_in_1d_is_one_bounded_search(monkeypatch, end_correction):
+def test_fit_bandwidth_in_1d_is_one_bounded_search(monkeypatch):
     # in 1-D no coordinate is held fixed, so starts and sweeps cannot change
     # the result; the search must equal one bounded search over the band
     rng = np.random.default_rng(5)
@@ -137,10 +131,10 @@ def test_fit_bandwidth_in_1d_is_one_bounded_search(monkeypatch, end_correction):
         return counted
 
     monkeypatch.setattr(baseline, "_loo", counting_loo)
-    model = fit_bandwidth(train, d, end_correction=end_correction)
+    model = fit_bandwidth(train, d)
     assert len(calls) <= 40
 
-    loo = make_loo(train, d, end_correction)
+    loo = make_loo(train, d)
     lo, hi = np.log(SIGMA_FLOOR_FRAC * d.extent), np.log(SIGMA_CEIL_FRAC * d.extent)
     res = minimize_scalar(lambda t: -loo(np.exp(np.array([t]))), bounds=(lo[0], hi[0]),
                           method="bounded", options={"xatol": 1e-8})

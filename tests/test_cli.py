@@ -124,6 +124,18 @@ def test_usage_errors_exit_2(workspace, capsys):
     assert "--alpha" in capsys.readouterr().err
     assert run(workspace, "evaluate", "--model", "fit/model.json",
                "--out-dir", "e2") == 2
+    # --test and --data are exclusive, and the smoother is always edge-corrected
+    assert run(workspace, "evaluate", "--model", "fit/model.json", "--test",
+               "sim/events.csv", "--data", "sim/events.csv", "--out-dir", "e5") == 2
+    assert run(workspace, "evaluate", "--model", "fit/model.json", "--data",
+               "sim/events.csv", "--baseline", "--no-end-correction", "--out-dir", "e6") == 2
+    assert run(workspace, "baseline", "--data", "sim/events.csv", "--domain", "0:3",
+               "--no-end-correction", "--out-dir", "k2") == 2
+    capsys.readouterr()
+    assert run(workspace, "evaluate", "--model", "fit/model.json", "--test",
+               "sim/events.csv", "--samples", "50", "--baseline", "--out-dir", "e7") == 2
+    assert "error: --baseline needs --train" in capsys.readouterr().err
+    assert not (workspace / "e7").exists()
     # evaluate sizes its quadrature from the model
     assert run(workspace, "evaluate", "--model", "fit/model.json", "--data",
                "sim/events.csv", "--grid-res", "8", "--out-dir", "e3") == 2
