@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import lapack
 
 from . import specfun
 from .kernel import HyperParams, gram, psi_with_partials
@@ -43,12 +42,15 @@ class VariationalState:
         L = np.asarray(self.L, dtype=float)
         if L.shape != (m.size, m.size):
             raise ValueError("L must be M x M with M = len(m)")
-        if not np.allclose(L, np.tril(L)):
+        lower = np.tril(L)
+        # np.allclose(L, lower) at a fraction of its cost: the strict upper
+        # triangle within 1e-8 of zero, and no NaN anywhere.
+        if not ((L == lower) | (np.abs(L) <= 1e-8)).all():
             raise ValueError("L must be lower triangular")
-        if not (np.diag(L) > 0).all():
+        if not (L.diagonal() > 0).all():
             raise ValueError("L must have a strictly positive diagonal")
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "L", np.tril(L))
+        object.__setattr__(self, "L", lower)
         self.m.setflags(write=False)
         self.L.setflags(write=False)
 
@@ -73,6 +75,21 @@ class InducingPoints:
     @property
     def count(self) -> int:
         return self.Z.shape[0]
+
+
+def cholesky(K: np.ndarray, lower: bool = True) -> np.ndarray:
+    """Cholesky factor of ``K`` from LAPACK's dpotrf, the other triangle zeroed.
+
+    The same call and checks as ``scipy.linalg.cholesky`` without its
+    wrapper's cost, so the factor is bit-identical: ValueError when ``K``
+    holds an inf or NaN, LinAlgError when it is not positive definite.
+    """
+    c, info = lapack.dpotrf(np.asarray_chkfinite(K), lower=lower)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    return c
 
 
 def chol_with_jitter(K: np.ndarray, jitter: float, tries: int = 1) -> np.ndarray:
@@ -101,10 +118,11 @@ def kzz_factor(Z: np.ndarray, hyper: HyperParams):
 class Model:
     """Hyperparameters + inducing points + variational state over a domain.
 
-    K_zz + jitter and its Cholesky factor are computed at construction, Psi
-    with its partials (``psi_with_partials``) when first read; every
-    downstream evaluation shares them, and the model is immutable, so they
-    can never go stale.
+    K_zz + jitter and its Cholesky factor are computed at construction and
+    shared by every evaluation; the model is immutable, so they can never go
+    stale.  Psi and its partials depend on what an evaluation differentiates,
+    so each evaluation of the bound computes them itself (see
+    :func:`_evaluate`).
     """
 
     hyper: HyperParams
@@ -134,17 +152,19 @@ class Model:
     def kzz_chol(self) -> np.ndarray:
         return self._kzz[1]
 
-    @cached_property
-    def psi(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(Psi, its partials w.r.t. log alpha, w.r.t. Z), as in psi_with_partials."""
-        return psi_with_partials(self.inducing.Z, self.hyper, self.domain)
-
     def kzz_solve(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve((self._kzz[1], True), rhs)
+        """(K_zz + jitter)^-1 rhs for an M x k ``rhs``, by LAPACK's dpotrs on
+        the model's factor: bit-identical to ``scipy.linalg.cho_solve``
+        without its finite checks.  The factor passed one when it was made,
+        and vbpp's right-hand sides are built from finite points."""
+        x, info = lapack.dpotrs(self._kzz[1], rhs, lower=True)
+        if info:
+            raise ValueError(f"illegal value in argument {-info} of dpotrs")
+        return x
 
     @property
     def kzz_logdet(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.diag(self._kzz[1]))))
+        return 2.0 * float(np.log(self._kzz[1].diagonal()).sum())
 
     @property
     def num_inducing(self) -> int:
@@ -237,18 +257,27 @@ def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
               collapse_s: bool = False) -> BoundTerms:
     """The one evaluation of the bound: every function above is a view of it.
 
-    K_zz and Psi with its partials come from the model.  K^-1 is formed once
-    from the model's Cholesky factor and every product below goes through
-    it; the fit's iterates depend on this arithmetic bit for bit.  The data
-    term goes through :func:`expected_log_f_sq`, and no events (``events``
-    None or empty) run the same code with N = 0.  ``collapse_s`` sets S to
-    zero in the expectations of f, not in the KL; no caller differentiates
-    that variant.  ``wrt`` is as in :func:`elbo_and_gradient`.
+    K_zz and its Cholesky factor come from the model.  Psi comes from
+    :func:`psi_with_partials` with only the partials that ``wrt`` reads: the
+    log-alpha ones for the "log_alpha" block, the Z ones for the "Z" block,
+    none for a value.  No term of the value depends on ``wrt``, so the four
+    terms are bit-identical whichever blocks are requested.  K^-1 is formed
+    once from the model's Cholesky factor and every product below goes
+    through it; the fit's iterates depend on this arithmetic bit for bit.
+    The gradient's N x M products are formed in place in two scratch
+    buffers, in the same order of operations.  The data term goes through
+    :func:`expected_log_f_sq`, and no events (``events`` None or empty) run
+    the same code with N = 0.  ``collapse_s`` sets S to zero in the
+    expectations of f, not in the KL; that variant is a value only, and
+    asking for its gradient raises ValueError.  ``wrt`` is as in
+    :func:`elbo_and_gradient`.
     """
     wrt = tuple(wrt)
     unknown = set(wrt) - set(GRAD_BLOCKS)
     if unknown:
         raise ValueError(f"unknown gradient blocks: {sorted(unknown)}")
+    if collapse_s and wrt:
+        raise ValueError("the bound with S collapsed is not differentiated")
 
     h = model.hyper
     Z = model.inducing.Z
@@ -263,20 +292,20 @@ def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
     eye = np.eye(M)
     Kinv = model.kzz_solve(eye)
     K = model.kzz
-    psi, dpsi_dlog_alpha, dpsi_dzi = model.psi
+    psi, dpsi_dlog_alpha, dpsi_dzi = psi_with_partials(Z, h, model.domain, wrt)
 
     c = Kinv @ m
     kinv_psi = Kinv @ psi
     int_mean_sq = float(c @ psi @ c)
-    int_var = gamma * measure - float(np.trace(kinv_psi))
+    int_var = gamma * measure - float(kinv_psi.trace())
     if not collapse_s:
         W = Kinv @ S @ Kinv
-        int_var += float(np.sum(W * psi))
+        int_var += float((W * psi).sum())
 
     d = h.u_bar - m
     q = Kinv @ d
-    logdet_s = 2.0 * float(np.sum(np.log(np.diag(Lc))))
-    kl = 0.5 * (float(np.sum(Kinv * S)) + model.kzz_logdet - logdet_s - M + float(d @ q))
+    logdet_s = 2.0 * float(np.log(Lc.diagonal()).sum())
+    kl = 0.5 * (float((Kinv * S).sum()) + model.kzz_logdet - logdet_s - M + float(d @ q))
 
     X = events.points if events is not None and events.n else np.empty((0, R))
     A = gram(X, Z, h)                        # N x M
@@ -288,7 +317,7 @@ def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
     clamped = var_raw < VAR_FLOOR
     var = np.maximum(var_raw, VAR_FLOOR)
     ell, gslope = expected_log_f_sq(mu, var)
-    data = float(np.sum(ell))
+    data = float(ell.sum())
 
     grads: dict[str, np.ndarray | float] = {}
     if not wrt:
@@ -299,22 +328,27 @@ def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
     e_s = 1.0 / var - gslope * mu**2 / (2.0 * var**2)
     e_s = np.where(clamped, 0.0, e_s)        # floored variance is locally constant
     Amu = Abar.T @ e_mu                      # sum_n e_mu_n a_n
+    work = np.empty_like(A)                  # N x M scratch
     if "L" in wrt or need_hyper:
-        AsA = Abar.T @ (e_s[:, None] * Abar)
+        AsA = Abar.T @ np.multiply(Abar, e_s[:, None], out=work)
 
     if "m" in wrt:
         grads["m"] = -2.0 * (B @ m) + q + Amu
 
     if "L" in wrt:
-        Linv = solve_triangular(Lc, eye, lower=True)
+        # Lc is C-ordered (np.tril's output), so this is the LAPACK call that
+        # scipy.linalg.solve_triangular(Lc, eye, lower=True) makes.
+        Linv, info = lapack.dtrtrs(Lc.T, eye, lower=False, trans=1)
+        if info:
+            raise np.linalg.LinAlgError(f"L is singular at diagonal {info - 1}")
         Sinv = Linv.T @ Linv
         Gs = -B - 0.5 * Kinv + 0.5 * Sinv + AsA
         gl = (Gs + Gs.T) @ Lc
-        gl[np.diag_indices_from(gl)] *= np.diag(Lc)   # log-diagonal parameterisation
-        grads["L"] = gl[np.tril_indices(M)]
+        np.fill_diagonal(gl, gl.diagonal() * Lc.diagonal())   # log-diagonal parameterisation
+        grads["L"] = gl[np.tri(M, dtype=bool)]                 # vech order
 
     if "u_bar" in wrt:
-        grads["u_bar"] = -float(np.sum(q))
+        grads["u_bar"] = -float(q.sum())
 
     if need_hyper:
         # Raw partials of the bound w.r.t. the kernel structures.
@@ -324,14 +358,21 @@ def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
         Gk = (np.outer(v, c) + np.outer(c, v)) - B + (M1 + M1.T) \
             - 0.5 * (Kinv - W - np.outer(q, q))
         What = A @ W                                # rows w_n^T
-        AsW = Abar.T @ (e_s[:, None] * What)
+        AsW = Abar.T @ np.multiply(What, e_s[:, None], out=work)
         Gk = Gk - np.outer(Amu, c) + AsA - AsW - AsW.T
-        GA = np.outer(e_mu, c) + e_s[:, None] * (-2.0 * Abar + 2.0 * What)
-        g_gamma_direct = -measure + float(np.sum(e_s))
+        # GA = outer(e_mu, c) + e_s * (-2 Abar + 2 What), built in place.
+        GA = np.multiply(Abar, -2.0)
+        What *= 2.0
+        GA += What
+        GA *= e_s[:, None]
+        GA += np.multiply.outer(e_mu, c, out=work)
+        if "log_gamma" in wrt or "Z" in wrt:
+            GA_A = np.multiply(GA, A, out=What)     # What is spent
+        g_gamma_direct = -measure + float(e_s.sum())
 
         if "log_gamma" in wrt:
-            grads["log_gamma"] = float(np.sum(Gk * K)) + 2.0 * float(np.sum(g_psi * psi)) \
-                + g_gamma_direct * gamma + float(np.sum(GA * A))
+            grads["log_gamma"] = float((Gk * K).sum()) + 2.0 * float((g_psi * psi).sum()) \
+                + g_gamma_direct * gamma + float(GA_A.sum())
 
         if "log_alpha" in wrt:
             grads["log_alpha"] = np.empty(R)
@@ -339,20 +380,26 @@ def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
             grads["Z"] = np.empty((M, R))
             Gk_sym = Gk + Gk.T
             g_psi_sym = g_psi + g_psi.T
-        # One pass over the dimensions forms the Z-Z and X-Z differences
-        # once for both blocks.
-        for r in range(R if {"log_alpha", "Z"} & set(wrt) else 0):
-            delta_zz = Z[:, r][:, None] - Z[:, r][None, :]
-            delta_xz = X[:, r][:, None] - Z[:, r][None, :]
-            if "log_alpha" in wrt:
-                grads["log_alpha"][r] = \
-                    float(np.sum(Gk * (K * delta_zz**2 / (2.0 * h.alpha[r])))) \
-                    + float(np.sum(g_psi * dpsi_dlog_alpha[r])) \
-                    + float(np.sum(GA * (A * delta_xz**2 / (2.0 * h.alpha[r]))))
-            if "Z" in wrt:
-                grads["Z"][:, r] = np.sum(Gk_sym * K * (-delta_zz / h.alpha[r]), axis=1) \
-                    + np.sum(g_psi_sym * dpsi_dzi[r], axis=1) \
-                    + np.sum(GA * A * delta_xz / h.alpha[r], axis=0)
+        if "log_alpha" in wrt or "Z" in wrt:
+            # One pass over the dimensions forms the Z-Z and X-Z differences
+            # once for both blocks.
+            delta_xz = np.empty_like(A)
+            for r in range(R):
+                delta_zz = Z[:, r][:, None] - Z[:, r][None, :]
+                np.subtract.outer(X[:, r], Z[:, r], out=delta_xz)
+                if "log_alpha" in wrt:
+                    np.square(delta_xz, out=work)        # GA * (A delta^2 / (2 alpha_r))
+                    work *= A
+                    work /= 2.0 * h.alpha[r]
+                    work *= GA
+                    grads["log_alpha"][r] = \
+                        float((Gk * (K * delta_zz**2 / (2.0 * h.alpha[r]))).sum()) \
+                        + float((g_psi * dpsi_dlog_alpha[r]).sum()) + float(work.sum())
+                if "Z" in wrt:
+                    np.multiply(GA_A, delta_xz, out=work)    # GA A delta / alpha_r
+                    work /= h.alpha[r]
+                    grads["Z"][:, r] = (Gk_sym * K * (-delta_zz / h.alpha[r])).sum(axis=1) \
+                        + (g_psi_sym * dpsi_dzi[r]).sum(axis=1) + work.sum(axis=0)
 
     return BoundTerms(int_mean_sq, int_var, data, kl, grads)
 

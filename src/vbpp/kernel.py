@@ -70,12 +70,13 @@ def gram(A, B, h: HyperParams) -> np.ndarray:
     return out
 
 
-def _psi_dim_factors(Z: np.ndarray, h: HyperParams, d: Domain, r: int):
-    """Per-dimension Psi factor and its partials.
+def _psi_dim_factors(Z: np.ndarray, h: HyperParams, d: Domain, r: int, wrt):
+    """Psi's factor for dimension ``r`` and the partials of it that ``wrt`` names.
 
-    Returns (fac, dfac_dalpha, dfac_dzi) for dimension ``r``, each (M, M).
-    ``dfac_dzi[i, j]`` is the partial of fac[i, j] w.r.t. z_{i,r} (the partial
-    w.r.t. z_{j,r} is its transpose).
+    Returns (fac, dfac_dalpha, dfac_dzi), each (M, M); a partial is None
+    unless ``wrt`` holds "log_alpha", respectively "Z".  ``dfac_dzi[i, j]``
+    is the partial of fac[i, j] w.r.t. z_{i,r} (the partial w.r.t. z_{j,r}
+    is its transpose).
     """
     a = h.alpha[r]
     s = np.sqrt(a)
@@ -84,49 +85,62 @@ def _psi_dim_factors(Z: np.ndarray, h: HyperParams, d: Domain, r: int):
     zbar = 0.5 * (z[:, None] + z[None, :])
     u_lo = (zbar - d.lo[r]) / s
     u_hi = (zbar - d.hi[r]) / s
-    e_lo = np.exp(-u_lo**2)
-    e_hi = np.exp(-u_hi**2)
     E = erf(u_lo) - erf(u_hi)
     base = (np.sqrt(np.pi) * s / 2.0) * np.exp(-(delta**2) / (4.0 * a))
     fac = base * E
-
-    dE_da = (u_hi * e_hi - u_lo * e_lo) / (np.sqrt(np.pi) * a)
-    dfac_dalpha = fac * (1.0 / (2.0 * a) + delta**2 / (4.0 * a**2)) + base * dE_da
-
-    dE_dzbar = (2.0 / (np.sqrt(np.pi) * s)) * (e_lo - e_hi)
-    dfac_dzi = fac * (-delta / (2.0 * a)) + base * (0.5 * dE_dzbar)
+    dfac_dalpha = dfac_dzi = None
+    if "log_alpha" in wrt or "Z" in wrt:
+        e_lo = np.exp(-u_lo**2)
+        e_hi = np.exp(-u_hi**2)
+    if "log_alpha" in wrt:
+        dE_da = (u_hi * e_hi - u_lo * e_lo) / (np.sqrt(np.pi) * a)
+        dfac_dalpha = fac * (1.0 / (2.0 * a) + delta**2 / (4.0 * a**2)) + base * dE_da
+    if "Z" in wrt:
+        dfac_dzi = _dfac_dzi(fac, base, delta, a, s, e_lo, e_hi)
     return fac, dfac_dalpha, dfac_dzi
 
 
-def psi_with_partials(Z, h: HyperParams, d: Domain):
+def _dfac_dzi(fac, base, delta, a, s, e_lo, e_hi):
+    """Partial of one dimension's Psi factor [i, j] w.r.t. z_{i,r}."""
+    dE_dzbar = (2.0 / (np.sqrt(np.pi) * s)) * (e_lo - e_hi)
+    return fac * (-delta / (2.0 * a)) + base * (0.5 * dE_dzbar)
+
+
+def psi_with_partials(Z, h: HyperParams, d: Domain, wrt=("log_alpha", "Z")):
     """Psi, the M x M matrix of integrals int_T K(z_i, x) K(x, z_j) dx, with
-    the partials the bound's gradient needs.
+    the partials of it that ``wrt`` names.
 
     For the ARD exponentiated-quadratic kernel the product of kernels is a
     single exponentiated quadratic in x, so the integral factorises over
-    dimensions into Gaussian-error-function terms.
+    dimensions into Gaussian-error-function terms.  Psi itself is computed
+    the same way whatever ``wrt`` holds; the partials w.r.t. log alpha only
+    when it holds "log_alpha", those w.r.t. Z only when it holds "Z" (other
+    names are ignored, so the bound passes its gradient blocks through).
 
     Returns
     -------
     psi : (M, M)
-    dpsi_dlog_alpha : (R, M, M)
+    dpsi_dlog_alpha : (R, M, M) or None
         Partial w.r.t. log alpha_r.
-    dpsi_dzi : (R, M, M)
+    dpsi_dzi : (R, M, M) or None
         dpsi_dzi[r, i, j] is the partial of Psi[i, j] w.r.t. z_{i, r}.
     """
     Z = as_points(Z, h.dims)
     R, M = h.dims, Z.shape[0]
     facs = np.empty((R, M, M))
-    dfac_da = np.empty((R, M, M))
-    dfac_dz = np.empty((R, M, M))
+    dfacs = []
     for r in range(R):
-        facs[r], dfac_da[r], dfac_dz[r] = _psi_dim_factors(Z, h, d, r)
+        facs[r], *partials = _psi_dim_factors(Z, h, d, r, wrt)
+        dfacs.append(partials)
 
-    psi = h.gamma**2 * np.prod(facs, axis=0)
-    dpsi_dlog_alpha = np.empty((R, M, M))
-    dpsi_dzi = np.empty((R, M, M))
-    for r in range(R):
-        others = h.gamma**2 * np.prod(np.delete(facs, r, axis=0), axis=0)
-        dpsi_dlog_alpha[r] = others * dfac_da[r] * h.alpha[r]
-        dpsi_dzi[r] = others * dfac_dz[r]
+    psi = h.gamma**2 * facs.prod(axis=0)
+    dpsi_dlog_alpha = np.empty((R, M, M)) if "log_alpha" in wrt else None
+    dpsi_dzi = np.empty((R, M, M)) if "Z" in wrt else None
+    for r in range(R if "log_alpha" in wrt or "Z" in wrt else 0):
+        others = h.gamma**2 * np.delete(facs, r, axis=0).prod(axis=0)
+        dfac_da, dfac_dz = dfacs[r]
+        if dpsi_dlog_alpha is not None:
+            dpsi_dlog_alpha[r] = others * dfac_da * h.alpha[r]
+        if dpsi_dzi is not None:
+            dpsi_dzi[r] = others * dfac_dz
     return psi, dpsi_dlog_alpha, dpsi_dzi

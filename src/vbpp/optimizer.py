@@ -119,13 +119,13 @@ def unpack(y: np.ndarray, domain: Domain, M: int, cfg: FitConfig,
     m = y[i:i + M]; i += M
     n_tril = M * (M + 1) // 2
     L = np.zeros((M, M))
-    L[np.tril_indices(M)] = y[i:i + n_tril]; i += n_tril
+    L[np.tri(M, dtype=bool)] = y[i:i + n_tril]; i += n_tril     # vech order
     with np.errstate(over="ignore"):
-        gamma, alpha, diag_L = np.exp(log_gamma), np.exp(log_alpha), np.exp(np.diag(L))
+        gamma, alpha, diag_L = np.exp(log_gamma), np.exp(log_alpha), np.exp(L.diagonal())
     positive = np.concatenate(([gamma], alpha, diag_L))
     if not (positive.min() > 0 and positive.max() < np.inf):    # NaN fails both
         raise FloatingPointError("gamma, an alpha or a diagonal entry of L is 0, inf or NaN")
-    L[np.diag_indices_from(L)] = diag_L
+    np.fill_diagonal(L, diag_L)
     if cfg.optimize_z:
         Z = y[i:i + M * R].reshape(M, R); i += M * R
     elif fixed_z is None:
@@ -206,7 +206,9 @@ def _objective_factory(events, domain, M, cfg, fixed_z, prior):
             gvec[0] += d_lg
             gvec[1:1 + R] += d_la
             gvec[1 + R] += d_ub
-        if not np.isfinite(value):
+        # A non-finite gradient would poison L-BFGS-B's curvature pairs as
+        # surely as a non-finite value would poison its line search.
+        if not (np.isfinite(value) and np.isfinite(gvec).all()):
             return FAILED_OBJECTIVE, np.zeros_like(y)
         return -value, -gvec
 

@@ -105,7 +105,7 @@ class EventSet:
 
 def domain_measure(d: Domain) -> float:
     """Lebesgue measure |T| of the hyper-rectangle: the product of extents."""
-    return float(np.prod(d.extent))
+    return float(d.extent.prod())
 
 
 def regular_grid(d: Domain, per_dim: int | list[int]) -> np.ndarray:

@@ -125,20 +125,31 @@ def g_tilde_derivative(z) -> np.ndarray | float:
 class GTildeTable(NamedTuple):
     """Lookup table over log-uniform knots, densest near zero.
 
-    ``knots`` decrease strictly from 0; ``values`` are the series values at
-    the knots.  Both arrays are read-only.
+    The knots are z = -t_knots, with ``t_knots`` ascending strictly from 0
+    (the array a lookup searches); ``values`` are the series values at the
+    knots, and ``slopes[k]`` is the slope (values[k+1] - values[k]) /
+    (z_{k+1} - z_k) of the interval from knot k to knot k+1.  All three
+    are computed when the table is built and are read-only.
     """
 
-    knots: np.ndarray
+    t_knots: np.ndarray
     values: np.ndarray
+    slopes: np.ndarray
+
+    @property
+    def knots(self) -> np.ndarray:
+        """The knots z, decreasing strictly from 0."""
+        return -self.t_knots
 
 
 def build_table() -> GTildeTable:
     """Tabulate the function at -10^(k / KNOTS_PER_DECADE) plus z = 0."""
     exps = np.arange(LO_EXP * KNOTS_PER_DECADE, HI_EXP * KNOTS_PER_DECADE + 1)
     t = 10.0 ** (exps / KNOTS_PER_DECADE)
-    table = GTildeTable(knots=np.concatenate([[0.0], -t]),
-                        values=np.concatenate([[0.0], _series(t)]))
+    knots = np.concatenate([[0.0], -t])
+    values = np.concatenate([[0.0], _series(t)])
+    table = GTildeTable(t_knots=-knots, values=values,
+                        slopes=np.diff(values) / np.diff(knots))
     for arr in table:
         arr.setflags(write=False)
     return table
@@ -150,6 +161,17 @@ def default_table() -> GTildeTable:
     return build_table()
 
 
+def _interpolate(table: GTildeTable, z: np.ndarray, t: np.ndarray):
+    """(values, slopes) at arguments z = -t inside the table range.
+
+    Each t lies in [0, t_knots[-1]], so the search lands on a knot index in
+    [0, size - 1] and only t = 0 needs moving into the first interval.
+    """
+    lo = np.maximum(np.searchsorted(table.t_knots, t, side="left"), 1) - 1
+    slope = table.slopes[lo]
+    return table.values[lo] + slope * (z + table.t_knots[lo]), slope   # z - z_lo
+
+
 def g_tilde_batch(z):
     """Interpolated (values, derivatives) at an array of nonpositive arguments.
 
@@ -157,29 +179,23 @@ def g_tilde_batch(z):
     Within the table range the value is linear interpolation between knots
     and the derivative is the slope of the active interval, so the pair is
     exactly consistent under finite differencing.  Below the table range the
-    asymptotic expansion takes over.
+    asymptotic expansion takes over.  When every argument lies in the table
+    range, as in a typical evaluation of the bound, the lookup runs on the
+    whole array without masks; the arithmetic is the same either way.
     """
     table = default_table()
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if (z > 0).any():
         raise GTildeDomainError("argument must be <= 0")
 
-    pos = -table.knots           # ascending: 0, 1e-8, ..., 10^HI_EXP
     t = -z
+    inside = t <= table.t_knots[-1]
+    if inside.all():
+        return _interpolate(table, z, t)
     values = np.empty_like(t)
     slopes = np.empty_like(t)
-
-    inside = t <= pos[-1]
     if inside.any():
-        ti = t[inside]
-        hi_idx = np.searchsorted(pos, ti, side="left")
-        hi_idx = np.clip(hi_idx, 1, pos.size - 1)
-        lo_idx = hi_idx - 1
-        z_hi, z_lo = table.knots[hi_idx], table.knots[lo_idx]
-        v_hi, v_lo = table.values[hi_idx], table.values[lo_idx]
-        slope = (v_hi - v_lo) / (z_hi - z_lo)
-        values[inside] = v_lo + slope * (-ti - z_lo)
-        slopes[inside] = slope
+        values[inside], slopes[inside] = _interpolate(table, z[inside], t[inside])
     beyond = ~inside
     if beyond.any():
         tb = t[beyond]

@@ -2,22 +2,28 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from vbpp.core import (
+    GRAD_BLOCKS,
     InducingPoints,
     Model,
     VariationalState,
     _evaluate,
+    cholesky,
     elbo,
     elbo_and_gradient,
     expected_log_f_sq,
     load_model,
     model_to_dict,
+    predictive_bound_l0,
+    predictive_bound_lp,
     qf_marginals,
     save_model,
 )
 from vbpp.kernel import HyperParams, gram
-from vbpp.pointdata import Domain, EventSet, domain_measure
+from vbpp.optimizer import _initial_model
+from vbpp.pointdata import Domain, EventSet, coal_style_dataset, domain_measure, regular_grid
 from vbpp.specfun import EULER_MASCHERONI
 
 
@@ -40,6 +46,21 @@ def test_variational_state_validation():
         VariationalState(np.zeros(2), np.array([[1.0, 0.0], [0.2, -1.0]]))
     with pytest.raises(ValueError):
         VariationalState(np.zeros(3), np.eye(2))
+
+
+@pytest.mark.parametrize("i, j, value", [
+    (0, 1, 1e-9), (0, 1, -1e-8), (0, 1, 2e-8), (0, 1, np.nan), (0, 1, np.inf),
+    (1, 0, np.nan), (1, 0, np.inf), (1, 0, -np.inf), (1, 0, 5.0), (0, 0, np.nan),
+])
+def test_variational_state_triangle_check_is_allclose(i, j, value):
+    # the check accepts exactly the matrices np.allclose(L, tril(L)) accepts
+    L = np.array([[1.0, 0.0], [0.3, 2.0]])
+    L[i, j] = value
+    if np.allclose(L, np.tril(L)) and L.diagonal().min() > 0:
+        VariationalState(np.zeros(2), L)
+    else:
+        with pytest.raises(ValueError):
+            VariationalState(np.zeros(2), L)
 
 
 def test_qf_marginal_at_inducing_point_with_tiny_s():
@@ -186,6 +207,60 @@ def test_gradient_value_agrees_with_elbo():
     ev = EventSet(np.array([[1.0], [2.0]]))
     value, _ = elbo_and_gradient(model, ev, wrt=("m",))
     assert value == pytest.approx(elbo(model, ev), rel=1e-13)
+
+
+def _coal_start():
+    ev, d = coal_style_dataset()
+    return _initial_model(ev, d, regular_grid(d, 16)), ev
+
+
+def _two_d_model():
+    d = Domain([0.0, 0.0], [4.0, 3.0])
+    h = HyperParams(gamma=1.7, alpha=np.array([0.8, 1.3]), u_bar=0.4)
+    Z = np.array([[0.5, 0.5], [2.0, 1.0], [3.5, 2.5], [1.0, 2.5], [2.5, 2.0]])
+    rng = np.random.default_rng(4)
+    L = np.tril(0.1 * rng.standard_normal((5, 5))) + 0.5 * np.eye(5)
+    model = Model(h, InducingPoints(Z), VariationalState(rng.standard_normal(5), L), d)
+    return model, EventSet(rng.uniform([0.0, 0.0], [4.0, 3.0], (40, 2)))
+
+
+@pytest.mark.parametrize("build", [_coal_start, _two_d_model], ids=["coal-start", "2d"])
+def test_bound_is_bit_identical_whatever_blocks_are_requested(build):
+    # Psi's partials are computed only for the blocks requested, so a value,
+    # one block or all six must round identically
+    model, ev = build()
+    full = _evaluate(model, ev, GRAD_BLOCKS)
+    for wrt in [()] + [(b,) for b in GRAD_BLOCKS]:
+        part = _evaluate(model, ev, wrt)
+        assert part[:4] == full[:4], wrt
+        for b in wrt:
+            assert np.array_equal(part.grads[b], full.grads[b]), b
+    assert elbo(model, ev) == full.elbo
+    assert predictive_bound_lp(model, ev) == full.expected_log_lik
+    # collapsing S leaves the squared-mean integral and the KL as they are
+    collapsed = _evaluate(model, ev, collapse_s=True)
+    assert (collapsed.int_mean_sq, collapsed.kl) == (full.int_mean_sq, full.kl)
+    assert predictive_bound_l0(model, ev) == collapsed.expected_log_lik
+    with pytest.raises(ValueError):
+        _evaluate(model, ev, ("m",), collapse_s=True)
+
+
+def test_cholesky_matches_scipy_bit_for_bit():
+    model, _ = _coal_start()
+    K = model.kzz.copy()
+    assert np.array_equal(cholesky(K, lower=True), scipy.linalg.cholesky(K, lower=True))
+    with pytest.raises(np.linalg.LinAlgError):
+        cholesky(K - 2.0 * np.eye(K.shape[0]), lower=True)
+    K[3, 2] = np.nan
+    with pytest.raises(ValueError):
+        cholesky(K, lower=True)
+
+
+def test_kzz_solve_matches_cho_solve_bit_for_bit():
+    model, ev = _coal_start()
+    ref = (model.kzz_chol, True)
+    for rhs in (np.eye(model.num_inducing), gram(ev.points, model.inducing.Z, model.hyper).T):
+        assert np.array_equal(model.kzz_solve(rhs), scipy.linalg.cho_solve(ref, rhs))
 
 
 def test_gradient_rejects_unknown_block():

@@ -254,6 +254,51 @@ def test_objective_rejects_steps_that_overflow(index, value):
     assert not g.any()
 
 
+def test_objective_rejects_a_non_finite_gradient(monkeypatch):
+    # a finite value with a NaN block would poison L-BFGS-B's curvature pairs
+    real = optimizer.elbo_and_gradient
+
+    def nan_block(*args, **kwargs):
+        value, grads = real(*args, **kwargs)
+        grads["m"] = np.full_like(grads["m"], np.nan)
+        return value, grads
+
+    monkeypatch.setattr(optimizer, "elbo_and_gradient", nan_block)
+    ev, d = coal_style_dataset()
+    Z = regular_grid(d, 16)
+    cfg = FitConfig()
+    y = pack(_initial_model(ev, d, Z), cfg)
+    f, g = _objective_factory(ev, d, 16, cfg, Z, None)(y)
+    assert f == FAILED_OBJECTIVE
+    assert not g.any()
+
+
+def test_objective_avoids_scipy_linalg_wrappers_and_z_partials(monkeypatch):
+    # the bound calls LAPACK directly, and a fixed-grid fit never needs
+    # Psi's partials w.r.t. Z
+    import scipy.linalg
+    import vbpp
+    from vbpp import kernel
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("reached a code path the objective must not take")
+
+    modules = [scipy.linalg] + [getattr(vbpp, m) for m in dir(vbpp)
+                                if type(getattr(vbpp, m)) is type(vbpp)]
+    for name in ("cholesky", "cho_solve", "solve_triangular"):
+        wrapper = getattr(scipy.linalg, name)
+        for module in modules:     # wherever a module binds the scipy function
+            if getattr(module, name, None) is wrapper:
+                monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(kernel, "_dfac_dzi", forbidden)
+    ev, d = coal_style_dataset()
+    Z = regular_grid(d, 16)
+    cfg = FitConfig()
+    y = pack(_initial_model(ev, d, Z), cfg)
+    f, g = _objective_factory(ev, d, 16, cfg, Z, None)(y)
+    assert f != FAILED_OBJECTIVE and np.isfinite(g).all()
+
+
 def test_fit_in_which_every_evaluation_fails_raises(monkeypatch, tmp_path):
     # a zero gradient at the failure value would otherwise read as converged
     def fail(*args, **kwargs):

@@ -115,6 +115,25 @@ def test_beyond_table_range_uses_asymptotics():
     assert s[0] == pytest.approx(g_tilde_derivative(-1e7), rel=1e-10)
 
 
+def test_in_range_fast_path_matches_the_general_path():
+    # one argument beyond the table sends the whole batch down the masked
+    # path; the in-range arguments must come out with the same bits
+    rng = np.random.default_rng(3)
+    z = np.concatenate([[0.0, -0.0], -10.0 ** rng.uniform(-9, 5, 500)])
+    fast = g_tilde_batch(z)
+    general = g_tilde_batch(np.append(z, -1e7))
+    for a, b in zip(fast, general):
+        assert np.array_equal(a, b[:-1])
+
+
+def test_table_slopes_are_the_interval_slopes():
+    table = specfun.default_table()
+    k = np.array([0, 1, 4096, 9000, table.knots.size - 2])
+    knots = table.knots
+    expected = (table.values[k + 1] - table.values[k]) / (knots[k + 1] - knots[k])
+    assert np.array_equal(table.slopes[k], expected)
+
+
 def test_small_table_build():
     table = build_table()
     assert table.knots.size == 13_314
