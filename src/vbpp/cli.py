@@ -1,10 +1,12 @@
 """Command-line front-end: simulate | fit | predict | evaluate | baseline.
 
-Every command writes a manifest JSON beside its outputs echoing the fully
-resolved configuration, and is deterministic given that manifest.  predict is
-the one command that writes the posterior intensity map (intensity.csv);
-evaluate writes the held-out scores (report.json), sizes its quadrature from
-the model and records the node count there.
+simulate draws a square-link ground truth (lambda = f^2) and thins events
+from it; fit maximises the variational bound of the same model.  Every
+command writes a manifest JSON beside its outputs echoing the fully resolved
+configuration, and is deterministic given that manifest.  predict is the one
+command that writes the posterior intensity map (intensity.csv); evaluate
+writes the held-out scores (report.json), sizes its quadrature from the model
+and records the node count there.
 The BLAS thread policy applies when the package is imported (see ``vbpp.threads``).
 """
 
@@ -19,7 +21,7 @@ import numpy as np
 from .baseline import fit_bandwidth, ks_log_predictive, loo_objective, save_ks_model
 from .core import load_model, save_model
 from .kernel import HyperParams
-from .optimizer import FitConfig, default_map_prior, fit
+from .optimizer import FitConfig, fit
 from .pointdata import Domain, load_events, save_events, split_events, write_csv, write_json
 from .predictive import posterior_intensity, predictive_report
 from .simulate import ground_truth, make_grid, save_ground_truth, thin_sample
@@ -55,11 +57,8 @@ def cmd_simulate(args) -> int:
     if len(alpha) != d.dims:
         raise argparse.ArgumentTypeError(
             f"--alpha has {len(alpha)} values for a {d.dims}-dimensional domain")
-    if args.link == "sigmoid" and args.lambda_star is None:
-        raise argparse.ArgumentTypeError("--lambda-star is required for the sigmoid link")
     h = HyperParams(gamma=args.gamma, alpha=np.asarray(alpha))
-    truth = ground_truth(h, d, link=args.link, lambda_star=args.lambda_star,
-                         resolution=args.grid_res, seed=args.seed)
+    truth = ground_truth(h, d, resolution=args.grid_res, seed=args.seed)
     events = thin_sample(truth, d, seed=args.seed)
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -75,8 +74,7 @@ def cmd_fit(args) -> int:
     d = parse_domain(args.domain)
     events = load_events(args.data, d)
     cfg = FitConfig(max_iters=args.max_iters, grad_tol=args.grad_tol,
-                    optimize_z=args.optimize_z,
-                    map_prior=default_map_prior(events, d) if args.map else None)
+                    optimize_z=args.optimize_z)
     model = fit(events, d, args.inducing, cfg)
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -87,7 +85,7 @@ def cmd_fit(args) -> int:
               header=["iteration", "objective"])
     _write_manifest(args)
     print(f"fit: N={events.n}, M={model.num_inducing}, "
-          f"objective={meta['objective']:.4f}, iterations={meta['iterations']}")
+          f"elbo={meta['elbo']:.4f}, iterations={meta['iterations']}")
     return 0
 
 
@@ -105,6 +103,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.data is not None and args.train is not None:
+        raise argparse.ArgumentTypeError("--train conflicts with --data: the split "
+                                         "supplies the training events")
     model = load_model(args.model)
     d = model.domain
     train = None
@@ -157,9 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="draw a ground-truth intensity and events")
     p.add_argument("--domain", required=True)
-    p.add_argument("--link", choices=["square", "sigmoid"], default="square")
-    p.add_argument("--lambda-star", type=float, default=None,
-                   help="intensity scale, required for the sigmoid link")
     p.add_argument("--gamma", type=float, default=100.0)
     p.add_argument("--alpha", default=None, help="comma-separated per-dimension scales")
     p.add_argument("--grid-res", type=int, default=None)
@@ -177,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "by box bounds")
     p.add_argument("--max-iters", type=int, default=FitConfig.max_iters)
     p.add_argument("--grad-tol", type=float, default=FitConfig.grad_tol)
-    p.add_argument("--map", action="store_true")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_fit)
 
@@ -221,7 +218,7 @@ def main(argv=None) -> int:
     except argparse.ArgumentTypeError as exc:     # a usage error found after parsing
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, FileNotFoundError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

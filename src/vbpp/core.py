@@ -448,4 +448,8 @@ def save_model(model: Model, path) -> None:
 
 def load_model(path) -> Model:
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        doc = json.load(fh)
+    try:
+        return model_from_dict(doc)
+    except (KeyError, TypeError) as exc:     # valid JSON, but not a saved model
+        raise ValueError(f"{path}: not a vbpp model ({exc!r})") from exc

@@ -4,8 +4,9 @@ All parameters are optimised jointly through an augmented vector
 [log gamma, log alpha_1..R, u_bar, m, vech(L), (Z)], with positivity of
 gamma, alpha and the diagonal of L maintained by log transforms.  When the
 inducing points are optimised, L-BFGS-B's box bounds keep each coordinate of
-Z inside the domain.  Optimisation is limited-memory quasi-Newton (L-BFGS-B
-on the negated bound).
+Z inside the domain.  The objective is the variational bound alone, with no
+prior on the hyperparameters; optimisation is limited-memory quasi-Newton
+(L-BFGS-B on the negated bound).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .core import (
     InducingPoints,
     Model,
     VariationalState,
-    elbo,
     elbo_and_gradient,
     kzz_factor,
 )
@@ -39,41 +39,12 @@ class FitError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class MapPrior:
-    """Independent prior on Theta only: log-normal on gamma and each alpha_r,
-    normal on u_bar.  The variational parameters m, L never receive a prior."""
-
-    log_gamma_mean: float
-    log_alpha_mean: np.ndarray
-    u_bar_mean: float
-    u_bar_sd: float
-    log_sd: float = 1.0
-
-    def log_density_and_grad(self, log_gamma, log_alpha, u_bar):
-        """log p(Theta) and its gradient w.r.t. (log gamma, log alpha, u_bar).
-
-        Densities are over Theta; the -log theta Jacobian of the log-normal
-        appears as a constant -1 in the log-space gradient.
-        """
-        la = np.asarray(log_alpha)
-        rg = (log_gamma - self.log_gamma_mean) / self.log_sd
-        ra = (la - self.log_alpha_mean) / self.log_sd
-        ru = (u_bar - self.u_bar_mean) / self.u_bar_sd
-        logp = -0.5 * (rg**2 + float(ra @ ra) + ru**2) - log_gamma - float(la.sum())
-        d_lg = -rg / self.log_sd - 1.0
-        d_la = -ra / self.log_sd - 1.0
-        d_ub = -ru / self.u_bar_sd
-        return logp, d_lg, d_la, d_ub
-
-
-@dataclass(frozen=True)
 class FitConfig:
     """Configuration of a single fit run."""
 
     max_iters: int = 500
     grad_tol: float = 1e-5
     optimize_z: bool = False
-    map_prior: MapPrior | None = None
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -147,15 +118,11 @@ def unpack(y: np.ndarray, domain: Domain, M: int, cfg: FitConfig,
 # Initialization
 # ----------------------------------------------------------------------
 
-def _initial_hyper(events: EventSet, d: Domain) -> HyperParams:
+def _initial_model(events: EventSet, d: Domain, Z: np.ndarray) -> Model:
     measure = domain_measure(d)
     n_eff = max(events.n, 1)              # keeps gamma positive for empty data
-    return HyperParams(gamma=n_eff / measure, alpha=(d.extent / 5.0) ** 2,
-                       u_bar=float(np.sqrt(events.n / measure)))
-
-
-def _initial_model(events: EventSet, d: Domain, Z: np.ndarray) -> Model:
-    hyper = _initial_hyper(events, d)
+    hyper = HyperParams(gamma=n_eff / measure, alpha=(d.extent / 5.0) ** 2,
+                        u_bar=float(np.sqrt(events.n / measure)))
     L0 = 0.1 * kzz_factor(Z, hyper)[1]
     m0 = np.full(Z.shape[0], hyper.u_bar)
     return Model(
@@ -166,23 +133,11 @@ def _initial_model(events: EventSet, d: Domain, Z: np.ndarray) -> Model:
     )
 
 
-def default_map_prior(events: EventSet, d: Domain) -> MapPrior:
-    """Prior centred on the fit's initial hyperparameters: log-normal(log
-    init, 1) on gamma and alpha, Normal(init, (|init| + 1)^2) on u_bar."""
-    h = _initial_hyper(events, d)
-    return MapPrior(
-        log_gamma_mean=np.log(h.gamma),
-        log_alpha_mean=np.log(h.alpha),
-        u_bar_mean=h.u_bar,
-        u_bar_sd=abs(h.u_bar) + 1.0,
-    )
-
-
 # ----------------------------------------------------------------------
 # Fit driver
 # ----------------------------------------------------------------------
 
-def _objective_factory(events, domain, M, cfg, fixed_z, prior):
+def _objective_factory(events, domain, M, cfg, fixed_z):
     wrt = ("log_gamma", "log_alpha", "u_bar", "m", "L")
     if cfg.optimize_z:
         wrt = wrt + ("Z",)
@@ -197,15 +152,6 @@ def _objective_factory(events, domain, M, cfg, fixed_z, prior):
             np.atleast_1d(np.asarray(grads[name], dtype=float)).reshape(-1)
             for name in wrt
         ])
-        if prior is not None:
-            R = domain.dims
-            logp, d_lg, d_la, d_ub = prior.log_density_and_grad(
-                y[0], y[1:1 + R], y[1 + R])
-            value += logp
-            gvec = gvec.copy()
-            gvec[0] += d_lg
-            gvec[1:1 + R] += d_la
-            gvec[1 + R] += d_ub
         # A non-finite gradient would poison L-BFGS-B's curvature pairs as
         # surely as a non-finite value would poison its line search.
         if not (np.isfinite(value) and np.isfinite(gvec).all()):
@@ -276,7 +222,7 @@ def _whitened_coords(objective, C0: np.ndarray, M: int, R: int):
 
 
 def fit(events: EventSet, d: Domain, inducing, cfg: FitConfig | None = None) -> Model:
-    """Maximise the bound (plus optional log-prior) over the augmented vector.
+    """Maximise the bound over the augmented vector.
 
     Parameters
     ----------
@@ -299,7 +245,7 @@ def fit(events: EventSet, d: Domain, inducing, cfg: FitConfig | None = None) -> 
     init = _initial_model(events, d, Z)
     M = Z.shape[0]
     fixed_z = None if cfg.optimize_z else Z
-    objective = _objective_factory(events, d, M, cfg, fixed_z, cfg.map_prior)
+    objective = _objective_factory(events, d, M, cfg, fixed_z)
 
     wobj, to_canonical, from_canonical = _whitened_coords(
         objective, init.kzz_chol, M, d.dims)
@@ -326,8 +272,7 @@ def fit(events: EventSet, d: Domain, inducing, cfg: FitConfig | None = None) -> 
         raise FitError(f"no evaluation of the bound succeeded ({result.message})")
 
     metadata = {
-        "elbo": float(-result.fun) if cfg.map_prior is None else None,
-        "objective": float(-result.fun),
+        "elbo": float(-result.fun),
         "iterations": int(result.nit),
         "converged": bool(result.success),
         "message": str(result.message),
@@ -336,12 +281,8 @@ def fit(events: EventSet, d: Domain, inducing, cfg: FitConfig | None = None) -> 
             "max_iters": cfg.max_iters,
             "grad_tol": cfg.grad_tol,
             "optimize_z": cfg.optimize_z,
-            "map": cfg.map_prior is not None,
         },
         "blas_threads": pool_threads(),
     }
-    model = unpack(to_canonical(result.x)[0], d, M, cfg,
-                   fixed_z=fixed_z, fit_metadata=metadata)
-    if metadata["elbo"] is None:
-        metadata["elbo"] = float(elbo(model, events))
-    return model
+    return unpack(to_canonical(result.x)[0], d, M, cfg,
+                  fixed_z=fixed_z, fit_metadata=metadata)

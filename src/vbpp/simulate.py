@@ -1,4 +1,4 @@
-"""Ground-truth Cox-process generation: GP draw on a grid, link transform,
+"""Ground-truth Cox-process generation: GP draw on a grid, square link,
 thinning-based event sampling.
 
 The latent function is sampled exactly on a midpoint grid; between grid
@@ -19,24 +19,18 @@ from .pointdata import Domain, EventSet, as_points, domain_measure, regular_grid
 DEFAULT_GRID_1D = 2048
 DEFAULT_GRID_2D = 128
 
-LINKS = ("square", "sigmoid")
-
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """A realised intensity on a grid: lambda = f^2 or lambda* sigmoid(f)."""
+    """A realised intensity on a grid: lambda = f^2."""
 
     domain: Domain
     resolution: np.ndarray           # per-dimension cell counts
     grid: np.ndarray                 # cell midpoints, (P, R)
     f_values: np.ndarray
-    link: str
     lambda_values: np.ndarray
-    lambda_star: float | None = None
 
     def __post_init__(self):
-        if self.link not in LINKS:
-            raise ValueError(f"link must be one of {LINKS}")
         if (self.lambda_values < 0).any():
             raise ValueError("intensity values must be nonnegative")
         for name in ("resolution", "grid", "f_values", "lambda_values"):
@@ -90,22 +84,11 @@ def sample_gp_grid(h: HyperParams, grid_points: np.ndarray, seed: int) -> np.nda
     return h.u_bar + chol @ rng.standard_normal(grid_points.shape[0])
 
 
-def ground_truth(h: HyperParams, d: Domain, link: str = "square",
-                 lambda_star: float | None = None, resolution=None,
-                 seed: int = 0) -> GroundTruth:
-    """Draw f on a grid and push it through the link to an intensity."""
+def ground_truth(h: HyperParams, d: Domain, resolution=None, seed: int = 0) -> GroundTruth:
+    """Draw f on a grid and square it into an intensity."""
     grid, res = make_grid(d, resolution)
     f = sample_gp_grid(h, grid, seed)
-    if link == "square":
-        lam = f**2
-    elif link == "sigmoid":
-        if lambda_star is None or lambda_star <= 0:
-            raise ValueError("the sigmoid link requires a positive lambda_star")
-        lam = lambda_star / (1.0 + np.exp(-f))
-    else:
-        raise ValueError(f"link must be one of {LINKS}")
-    return GroundTruth(domain=d, resolution=res, grid=grid, f_values=f,
-                       link=link, lambda_values=lam, lambda_star=lambda_star)
+    return GroundTruth(domain=d, resolution=res, grid=grid, f_values=f, lambda_values=f**2)
 
 
 def thin_sample(truth: GroundTruth, d: Domain, seed: int) -> EventSet:

@@ -158,7 +158,7 @@ def test_analytic_gradient_matches_finite_differences():
         pts = model.domain.lo + rng.random((N, dims)) * model.domain.extent
         ev = EventSet(pts)
         y0 = pack(model, cfg)
-        g = -_objective_factory(ev, model.domain, M, cfg, None, None)(y0)[1]
+        g = -_objective_factory(ev, model.domain, M, cfg, None)(y0)[1]
 
         def value(y):
             return elbo(unpack(y, model.domain, M, cfg, fixed_z=None), ev)
@@ -346,7 +346,7 @@ def test_recovers_synthetic_intensities_better_than_smoothing_baseline():
     ll_wins = 0
     rmse_wins = 0
     for seed in range(10):
-        truth = ground_truth(h, d, link="square", resolution=512, seed=seed)
+        truth = ground_truth(h, d, resolution=512, seed=seed)
         train = thin_sample(truth, d, seed=seed * 100)
         tests = [thin_sample(truth, d, seed=seed * 100 + k + 1) for k in range(5)]
         model = fit(train, d, 16, FitConfig())

@@ -1,12 +1,14 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vbpp.cli import main, parse_domain
+from vbpp.cli import build_parser, main, parse_domain
 from vbpp.pointdata import load_events
 
 
@@ -117,8 +119,14 @@ def test_baseline_command(workspace):
 def test_usage_errors_exit_2(workspace, capsys):
     assert run(workspace, "fit", "--data", "sim/events.csv") == 2  # no --domain
     assert run(workspace, "nonsense") == 2
+    # the one model is the square link, fitted by the bound alone
     assert run(workspace, "simulate", "--domain", "0:1", "--link", "sigmoid",
                "--out-dir", "s2") == 2
+    assert run(workspace, "simulate", "--domain", "0:1", "--lambda-star", "2",
+               "--out-dir", "s2") == 2
+    assert run(workspace, "fit", "--data", "sim/events.csv", "--domain", "0:3",
+               "--map", "--out-dir", "f5") == 2
+    assert not (workspace / "s2").exists() and not (workspace / "f5").exists()
     assert run(workspace, "simulate", "--domain", "0:4,0:4", "--alpha", "4",
                "--out-dir", "s5") == 2
     assert "--alpha" in capsys.readouterr().err
@@ -136,6 +144,12 @@ def test_usage_errors_exit_2(workspace, capsys):
                "sim/events.csv", "--samples", "50", "--baseline", "--out-dir", "e7") == 2
     assert "error: --baseline needs --train" in capsys.readouterr().err
     assert not (workspace / "e7").exists()
+    # with --data the split supplies the training events, so --train is refused
+    assert run(workspace, "evaluate", "--model", "fit/model.json", "--data",
+               "sim/events.csv", "--train", "no_such_file.csv", "--baseline",
+               "--out-dir", "e8") == 2
+    assert "error: --train conflicts with --data" in capsys.readouterr().err
+    assert not (workspace / "e8").exists()
     # evaluate sizes its quadrature from the model
     assert run(workspace, "evaluate", "--model", "fit/model.json", "--data",
                "sim/events.csv", "--grid-res", "8", "--out-dir", "e3") == 2
@@ -146,9 +160,24 @@ def test_usage_errors_exit_2(workspace, capsys):
     assert "error: " in capsys.readouterr().err
 
 
-def test_runtime_errors_exit_1(workspace):
+def test_runtime_errors_exit_1(workspace, capsys):
     assert run(workspace, "fit", "--data", "no_such_file.csv",
                "--domain", "0:1", "--out-dir", "f2") == 1
+    # any OSError, not only a missing file: a directory as data, a file as out-dir
+    assert run(workspace, "fit", "--data", "sim", "--domain", "0:3",
+               "--out-dir", "f6") == 1
+    for command in (("fit", "--data", "sim/events.csv", "--domain", "0:3",
+                     "--inducing", "3", "--max-iters", "3"),
+                    ("simulate", "--domain", "0:3", "--grid-res", "16")):
+        assert run(workspace, *command, "--out-dir", "sim/events.csv") == 1
+    # a JSON file that is not a saved model
+    for name, text in (("empty_object.json", "{}"), ("empty_list.json", "[]")):
+        (workspace / name).write_text(text)
+        capsys.readouterr()
+        assert run(workspace, "evaluate", "--model", name, "--data",
+                   "sim/events.csv", "--out-dir", "e9") == 1
+        assert f"{name}: not a vbpp model" in capsys.readouterr().err
+    assert not (workspace / "e9").exists()
     assert run(workspace, "evaluate", "--model", "fit/model.json", "--data",
                "sim/events.csv", "--split", "1.5", "--out-dir", "e4") == 1
     # grids need at least one point per dimension
@@ -168,8 +197,11 @@ def test_help_exits_zero(workspace):
 
 def test_rerun_byte_identical(workspace):
     commands = {
+        "simulate": ("simulate", "--domain", "0:3", "--gamma", "9", "--alpha", "0.5",
+                     "--grid-res", "64", "--seed", "4"),
         "fit": ("fit", "--data", "sim/events.csv", "--domain", "0:3",
                 "--inducing", "4", "--max-iters", "40"),
+        "predict": ("predict", "--model", "fit/model.json", "--grid-res", "16"),
         "evaluate": ("evaluate", "--model", "fit/model.json", "--data", "sim/events.csv",
                      "--samples", "600", "--seed", "7", "--baseline"),
     }
@@ -182,6 +214,23 @@ def test_rerun_byte_identical(workspace):
         for file in files:
             assert (a / file).read_bytes() == (b / file).read_bytes(), (name, file)
     assert "report.json" in files and "intensity.csv" not in files
+
+
+def test_readme_commands_parse():
+    # every command in README's "Command line" block parses, so a deleted
+    # flag cannot live on in the docs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("vbpp ")]
+    assert [c.split()[1] for c in commands] == [
+        "simulate", "fit", "predict", "evaluate", "baseline"]
+    parser = build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
 
 
 def test_import_skips_scipy_stats():

@@ -175,7 +175,7 @@ def fit_gradient_and_fd(model, ev, optimize_z, step=1e-6):
     y0 = pack(model, cfg)
     M = model.num_inducing
     fixed_z = None if optimize_z else model.inducing.Z
-    g = -_objective_factory(ev, model.domain, M, cfg, fixed_z, None)(y0)[1]
+    g = -_objective_factory(ev, model.domain, M, cfg, fixed_z)(y0)[1]
 
     def value(y):
         return elbo(unpack(y, model.domain, M, cfg, fixed_z=fixed_z), ev)

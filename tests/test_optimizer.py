@@ -8,8 +8,6 @@ from vbpp.optimizer import (
     FAILED_OBJECTIVE,
     FitConfig,
     FitError,
-    MapPrior,
-    default_map_prior,
     _initial_model,
     _objective_factory,
     fit,
@@ -70,30 +68,6 @@ def test_unpack_length_check():
     with pytest.raises(ValueError):
         unpack(np.zeros(9), Domain([0.0], [1.0]), 2, FitConfig(),
                fixed_z=np.array([[0.2], [0.8]]))
-
-
-def test_map_prior_gradient_fd():
-    prior = MapPrior(log_gamma_mean=0.3, log_alpha_mean=np.array([-0.5, 0.2]),
-                     u_bar_mean=1.0, u_bar_sd=2.0)
-    point = (0.7, np.array([0.1, -0.4]), 0.2)
-    _, d_lg, d_la, d_ub = prior.log_density_and_grad(*point)
-    eps = 1e-6
-
-    def val(lg, la, ub):
-        return prior.log_density_and_grad(lg, la, ub)[0]
-
-    assert d_lg == pytest.approx(
-        (val(point[0] + eps, point[1], point[2]) - val(point[0] - eps, point[1], point[2]))
-        / (2 * eps), rel=1e-6)
-    for r in range(2):
-        la_p = point[1].copy(); la_p[r] += eps
-        la_m = point[1].copy(); la_m[r] -= eps
-        assert d_la[r] == pytest.approx(
-            (val(point[0], la_p, point[2]) - val(point[0], la_m, point[2])) / (2 * eps),
-            rel=1e-6)
-    assert d_ub == pytest.approx(
-        (val(point[0], point[1], point[2] + eps) - val(point[0], point[1], point[2] - eps))
-        / (2 * eps), rel=1e-6)
 
 
 def test_fit_empty_data_drives_rate_to_zero():
@@ -171,29 +145,14 @@ def test_fit_deterministic():
     assert a.hyper.gamma == b.hyper.gamma
 
 
-def test_fit_with_map_prior_shrinks_towards_init():
-    rng = np.random.default_rng(8)
-    ev = EventSet(rng.uniform(0, 1, 12)[:, None])
-    d = Domain([0.0], [1.0])
-    free = fit(ev, d, 5, FitConfig(max_iters=150))
-    tight = MapPrior(log_gamma_mean=np.log(12.0), log_alpha_mean=np.log([0.04]),
-                     u_bar_mean=np.sqrt(12.0), u_bar_sd=0.01, log_sd=0.01)
-    pinned = fit(ev, d, 5, FitConfig(max_iters=150, map_prior=tight))
-    assert abs(np.log(pinned.hyper.gamma) - np.log(12.0)) < \
-        abs(np.log(free.hyper.gamma) - np.log(12.0)) + 1e-9
-    assert abs(np.log(pinned.hyper.gamma) - np.log(12.0)) < 0.2
-
-
-def test_default_map_prior_centred_on_init():
+def test_initial_hyper_centred_on_data():
     rng = np.random.default_rng(9)
     ev = EventSet(rng.uniform(0, 2, 20)[:, None])
     d = Domain([0.0], [2.0])
-    prior = default_map_prior(ev, d)
-    assert prior.log_sd == 1.0
-    assert prior.u_bar_sd > 1.0
-    assert prior.log_gamma_mean == pytest.approx(np.log(10.0))
-    assert np.allclose(prior.log_alpha_mean, np.log([0.16]))
-    assert prior.u_bar_mean == pytest.approx(np.sqrt(10.0))
+    h = _initial_model(ev, d, regular_grid(d, 4)).hyper
+    assert h.gamma == pytest.approx(10.0)                 # N / |T|
+    assert np.allclose(h.alpha, [0.16])                   # (extent / 5)^2
+    assert h.u_bar == pytest.approx(np.sqrt(10.0))
 
 
 def test_fit_dimension_mismatch():
@@ -249,7 +208,7 @@ def test_objective_rejects_steps_that_overflow(index, value):
     cfg = FitConfig()
     y = pack(_initial_model(ev, d, Z), cfg)
     y[index] = value
-    f, g = _objective_factory(ev, d, 16, cfg, Z, None)(y)
+    f, g = _objective_factory(ev, d, 16, cfg, Z)(y)
     assert f == FAILED_OBJECTIVE
     assert not g.any()
 
@@ -268,7 +227,7 @@ def test_objective_rejects_a_non_finite_gradient(monkeypatch):
     Z = regular_grid(d, 16)
     cfg = FitConfig()
     y = pack(_initial_model(ev, d, Z), cfg)
-    f, g = _objective_factory(ev, d, 16, cfg, Z, None)(y)
+    f, g = _objective_factory(ev, d, 16, cfg, Z)(y)
     assert f == FAILED_OBJECTIVE
     assert not g.any()
 
@@ -295,7 +254,7 @@ def test_objective_avoids_scipy_linalg_wrappers_and_z_partials(monkeypatch):
     Z = regular_grid(d, 16)
     cfg = FitConfig()
     y = pack(_initial_model(ev, d, Z), cfg)
-    f, g = _objective_factory(ev, d, 16, cfg, Z, None)(y)
+    f, g = _objective_factory(ev, d, 16, cfg, Z)(y)
     assert f != FAILED_OBJECTIVE and np.isfinite(g).all()
 
 

@@ -80,32 +80,15 @@ def test_grid_jitter_escalates_to_1e4_gamma(monkeypatch):
 def test_square_link_is_exact():
     d = Domain([0.0], [2.0])
     h = HyperParams(gamma=1.0, alpha=np.array([1.0]))
-    truth = ground_truth(h, d, link="square", resolution=32, seed=0)
+    truth = ground_truth(h, d, resolution=32, seed=0)
     assert np.array_equal(truth.lambda_values, truth.f_values**2)
-
-
-def test_sigmoid_link_bounded_by_lambda_star():
-    d = Domain([0.0], [2.0])
-    h = HyperParams(gamma=1.0, alpha=np.array([1.0]))
-    truth = ground_truth(h, d, link="sigmoid", lambda_star=7.0, resolution=32, seed=0)
-    assert (truth.lambda_values > 0).all()
-    assert (truth.lambda_values < 7.0).all()
-    with pytest.raises(ValueError):
-        ground_truth(h, d, link="sigmoid", resolution=32, seed=0)
-
-
-def test_ground_truth_rejects_unknown_link():
-    d = Domain([0.0], [1.0])
-    h = HyperParams(gamma=1.0, alpha=np.array([1.0]))
-    with pytest.raises(ValueError):
-        ground_truth(h, d, link="exp", resolution=16, seed=0)
 
 
 def test_lambda_at_nearest_cell():
     d = Domain([0.0], [1.0])
     grid = np.array([[0.25], [0.75]])
     truth = GroundTruth(domain=d, resolution=np.array([2]), grid=grid,
-                        f_values=np.array([1.0, 2.0]), link="square",
+                        f_values=np.array([1.0, 2.0]),
                         lambda_values=np.array([1.0, 4.0]))
     got = truth.lambda_at(np.array([[0.1], [0.49], [0.51], [1.0]]))
     assert got.tolist() == [1.0, 1.0, 4.0, 4.0]
@@ -116,7 +99,7 @@ def test_integrated_rate_quadrature():
     d = Domain([0.0], [2.0])
     grid = np.array([[0.5], [1.5]])
     truth = GroundTruth(domain=d, resolution=np.array([2]), grid=grid,
-                        f_values=np.array([1.0, 3.0]), link="square",
+                        f_values=np.array([1.0, 3.0]),
                         lambda_values=np.array([1.0, 9.0]))
     assert truth.integrated_rate() == pytest.approx(10.0)
 
@@ -125,7 +108,7 @@ def test_thinning_zero_intensity_gives_no_events():
     d = Domain([0.0], [1.0])
     truth = GroundTruth(domain=d, resolution=np.array([4]),
                         grid=np.linspace(0.125, 0.875, 4)[:, None],
-                        f_values=np.zeros(4), link="square",
+                        f_values=np.zeros(4),
                         lambda_values=np.zeros(4))
     ev = thin_sample(truth, d, seed=0)
     assert ev.n == 0
@@ -134,7 +117,7 @@ def test_thinning_zero_intensity_gives_no_events():
 def test_thinning_count_matches_rate():
     d = Domain([0.0], [2.0])
     h = HyperParams(gamma=9.0, alpha=np.array([1.0]), u_bar=4.0)
-    truth = ground_truth(h, d, link="square", resolution=256, seed=1)
+    truth = ground_truth(h, d, resolution=256, seed=1)
     counts = [thin_sample(truth, d, seed=s).n for s in range(60)]
     expected = truth.integrated_rate()
     se = np.sqrt(expected / 60)
@@ -144,7 +127,7 @@ def test_thinning_count_matches_rate():
 def test_thinning_deterministic_and_in_domain():
     d = Domain([0.0, 0.0], [1.0, 1.0])
     h = HyperParams(gamma=50.0, alpha=np.array([0.2, 0.2]))
-    truth = ground_truth(h, d, link="square", resolution=32, seed=2)
+    truth = ground_truth(h, d, resolution=32, seed=2)
     a = thin_sample(truth, d, seed=9)
     b = thin_sample(truth, d, seed=9)
     assert np.array_equal(a.points, b.points)
@@ -154,7 +137,7 @@ def test_thinning_deterministic_and_in_domain():
 def test_save_ground_truth_format(tmp_path):
     d = Domain([0.0], [1.0])
     h = HyperParams(gamma=1.0, alpha=np.array([1.0]))
-    truth = ground_truth(h, d, link="square", resolution=8, seed=0)
+    truth = ground_truth(h, d, resolution=8, seed=0)
     path = tmp_path / "truth.csv"
     save_ground_truth(truth, path)
     rows = path.read_text().strip().split("\n")
