@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import ndtr
 
-from .pointdata import Domain, EventSet, as_points, poisson_log_likelihood, write_json
+from .pointdata import Domain, EventSet, as_points, write_json
 
 SIGMA_FLOOR_FRAC = 1e-3   # of the domain extent; guards the duplicate-point collapse
 SIGMA_CEIL_FRAC = 10.0
@@ -178,13 +178,6 @@ def ks_log_predictive(model: KsModel, test: EventSet, d: Domain) -> float:
     with np.errstate(divide="ignore"):
         # a zero density far from any training point legitimately gives -inf
         return float(k * np.log(n) - n + np.sum(np.log(loc)))
-
-
-def ks_log_predictive_rate_form(model: KsModel, test: EventSet, d: Domain) -> float:
-    """Same quantity via the generic Poisson likelihood with the smoothed
-    rate; agrees with :func:`ks_log_predictive` to round-off."""
-    rates = ks_intensity(model, test.points, d) if test.n else np.empty(0)
-    return poisson_log_likelihood(np.log(rates) if test.n else [], float(model.train.n))
 
 
 def save_ks_model(model: KsModel, path, train_ref: str | None = None) -> None:

@@ -77,14 +77,17 @@ class InducingPoints:
         return self.Z.shape[0]
 
 
-def cholesky(K: np.ndarray, lower: bool = True) -> np.ndarray:
-    """Cholesky factor of ``K`` from LAPACK's dpotrf, the other triangle zeroed.
+def cholesky(K: np.ndarray, lower: bool = True, clean: bool = True) -> np.ndarray:
+    """Cholesky factor of ``K`` from LAPACK's dpotrf, in K's own buffer when
+    K is F-contiguous (in a copy otherwise).
 
     The same call and checks as ``scipy.linalg.cholesky`` without its
     wrapper's cost, so the factor is bit-identical: ValueError when ``K``
-    holds an inf or NaN, LinAlgError when it is not positive definite.
+    holds an inf or NaN, LinAlgError when it is not positive definite.  With
+    ``clean`` the other triangle is zeroed, also when the factorisation
+    fails; without it that triangle is left as it was.
     """
-    c, info = lapack.dpotrf(np.asarray_chkfinite(K), lower=lower)
+    c, info = lapack.dpotrf(np.asarray_chkfinite(K), lower=lower, clean=clean, overwrite_a=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}-th leading minor is not positive definite")
     if info < 0:
@@ -93,25 +96,42 @@ def cholesky(K: np.ndarray, lower: bool = True) -> np.ndarray:
 
 
 def chol_with_jitter(K: np.ndarray, jitter: float, tries: int = 1) -> np.ndarray:
-    """Lower Cholesky factor of ``K`` plus the smallest jitter that works.
+    """Lower Cholesky factor of ``K`` plus the smallest jitter that works,
+    made in K's own buffer: K is overwritten by its factor.
 
-    The jitter goes onto ``K``'s diagonal in place and grows 100-fold after
+    ``K`` must be C- or F-contiguous and symmetric.  The factor is taken in
+    whichever of K and K.T is F-contiguous; for a symmetric K both hold the
+    same values.  The jitter goes onto the diagonal and grows 100-fold after
     each failure, for at most ``tries`` values; then LinAlgError is raised.
+    A failed try leaves the other triangle as it was, and the next try
+    restores the factored triangle from it, so a K that is symmetric only up
+    to rounding has the other triangle's values from its second try on.
     """
-    diag = K.diagonal().copy()
-    for _ in range(tries):
-        np.fill_diagonal(K, diag + jitter)
+    c = K if K.flags.f_contiguous else K.T
+    n = c.shape[0]
+    diag = c.diagonal().copy()
+    for attempt in range(tries):
+        if attempt:                       # restore the lower triangle
+            for j in range(n - 1):
+                c[j + 1:, j] = c[j, j + 1:]
+        np.fill_diagonal(c, diag + jitter)
         try:
-            return cholesky(K, lower=True)
+            chol = cholesky(c, lower=True, clean=False)
         except np.linalg.LinAlgError:
             jitter *= 100.0
+            continue
+        for j in range(1, n):
+            chol[:j, j] = 0.0
+        return chol
     raise np.linalg.LinAlgError(f"not positive definite even with jitter {jitter / 100.0:g}")
 
 
 def kzz_factor(Z: np.ndarray, hyper: HyperParams):
-    """K_zz with its diagonal jitter, and the lower Cholesky factor of it."""
+    """K_zz with its diagonal jitter, and the lower Cholesky factor of it,
+    made in a copy so that K_zz stays for the gradient."""
     K = gram(Z, Z, hyper)
-    return K, chol_with_jitter(K, JITTER_SCALE * hyper.gamma)
+    np.fill_diagonal(K, K.diagonal() + JITTER_SCALE * hyper.gamma)
+    return K, cholesky(K.copy(order="F"))
 
 
 @dataclass(frozen=True)

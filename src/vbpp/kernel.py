@@ -14,6 +14,8 @@ from scipy.special import erf
 
 from .pointdata import Domain, as_points
 
+GRAM_BLOCK = 2**17                  # entries in gram's per-dimension scratch block
+
 
 @dataclass(frozen=True)
 class HyperParams:
@@ -49,22 +51,31 @@ def kernel_eval(x, x2, h: HyperParams) -> float:
 
 
 def gram(A, B, h: HyperParams) -> np.ndarray:
-    """Gram matrix with entries K(A_i, B_j); symmetric PSD when A is B.
+    """Gram matrix with entries K(A_i, B_j).
 
-    Built in one output buffer, plus one scratch buffer when R > 1: the
-    simulator's grids make n x m arrays of tens of megabytes.
+    ``gram(A, A)`` is exactly symmetric, so its transpose is an F-contiguous
+    view holding the same values, which :func:`vbpp.core.chol_with_jitter`
+    factors in place.  Built in one output buffer, in blocks of whole rows
+    and at most GRAM_BLOCK entries; when R > 1 each dimension's terms go
+    through one scratch block, so the simulator's grids, whose n x m arrays
+    reach gigabytes, need no second n x m array.  Every entry is the same
+    elementwise arithmetic whatever the blocking.
     """
     A = as_points(A, h.dims)
     B = as_points(B, h.dims)
-    out = np.empty((A.shape[0], B.shape[0]))
-    scratch = np.empty_like(out) if h.dims > 1 else None
-    for r in range(h.dims):
-        term = out if r == 0 else scratch
-        np.subtract.outer(A[:, r], B[:, r], out=term)
-        np.square(term, out=term)
-        term *= -1.0 / (2.0 * h.alpha[r])
-        if r:
-            out += term
+    n, m = A.shape[0], B.shape[0]
+    out = np.empty((n, m))
+    rows = max(1, GRAM_BLOCK // max(m, 1))
+    scratch = np.empty((min(rows, n), m)) if h.dims > 1 else None
+    for i in range(0, n, rows):
+        block = out[i:i + rows]
+        for r in range(h.dims):
+            term = block if r == 0 else scratch[:block.shape[0]]
+            np.subtract.outer(A[i:i + rows, r], B[:, r], out=term)
+            np.square(term, out=term)
+            term *= -1.0 / (2.0 * h.alpha[r])
+            if r:
+                block += term
     np.exp(out, out=out)
     out *= h.gamma
     return out

@@ -44,11 +44,15 @@ def _joint_qf(model: Model, points: np.ndarray):
     """q(f) jointly at ``points``: the mean A-bar m, the covariance
     K_pp - A-bar A^T of q(f | u = m), and A-bar L.
 
-    The covariance of q*(f) is that one plus (A-bar L)(A-bar L)^T.
+    The covariance is F-contiguous, so :func:`chol_with_jitter` overwrites
+    it with its factor.  It is symmetric only up to rounding: the factor
+    reads its lower triangle, and a retry with more jitter restores that
+    triangle from the upper one.  The covariance of q*(f) is that one plus
+    (A-bar L)(A-bar L)^T.
     """
     A = gram(points, model.inducing.Z, model.hyper)
     Abar = model.kzz_solve(A.T).T
-    cov = gram(points, points, model.hyper)
+    cov = gram(points, points, model.hyper).T
     cov -= Abar @ A.T
     return Abar @ model.var_state.m, cov, Abar @ model.var_state.L
 
@@ -133,7 +137,6 @@ def _mc_log_liks(model: Model, test: EventSet, n_samples: int, grid_res,
 
     mean, cov, AbarL = _joint_qf(model, points)
     chol = chol_with_jitter(cov, 1e-10 * model.hyper.gamma, tries=6)
-    del cov
     for done in range(0, n_samples, 512):
         batch = min(512, n_samples - done)
         f = mean[:, None] + chol @ rng.standard_normal((points.shape[0], batch))

@@ -76,9 +76,12 @@ def sample_gp_grid(h: HyperParams, grid_points: np.ndarray, seed: int) -> np.nda
     """Exact GP draw on the grid with constant mean h.u_bar; deterministic in
     ``seed``.
 
-    Jitter starts at 1e-8 gamma and escalates to 1e-4 gamma before giving up.
+    The grid covariance K is built and factored in one P x P float64 array:
+    K is exactly symmetric, and :func:`chol_with_jitter` overwrites it with
+    its factor.  Jitter starts at 1e-8 gamma and escalates to 1e-4 gamma
+    before giving up.
     """
-    K = gram(grid_points, grid_points, h)     # jittered in place: the grid size squared
+    K = gram(grid_points, grid_points, h)
     chol = chol_with_jitter(K, 1e-8 * h.gamma, tries=3)
     rng = _rng(seed, 0x4750)
     return h.u_bar + chol @ rng.standard_normal(grid_points.shape[0])

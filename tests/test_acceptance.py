@@ -21,7 +21,6 @@ from vbpp.baseline import (
     fit_bandwidth,
     ks_intensity,
     ks_log_predictive,
-    ks_log_predictive_rate_form,
     truncnorm_pdf,
 )
 from vbpp.core import (
@@ -55,6 +54,8 @@ from vbpp.predictive import (
 from vbpp.simulate import ground_truth, thin_sample
 from vbpp.specfun import g_tilde_batch, g_tilde_series
 from vbpp.threads import pool_threads
+
+from test_baseline import ks_log_predictive_rate_form
 
 
 def test_psi_integrals_match_numerical_quadrature():

@@ -13,12 +13,18 @@ from vbpp.baseline import (
     fit_bandwidth,
     ks_intensity,
     ks_log_predictive,
-    ks_log_predictive_rate_form,
     loo_objective,
     _dim_pdfs,
     truncnorm_pdf,
 )
-from vbpp.pointdata import Domain, EventSet
+from vbpp.pointdata import Domain, EventSet, poisson_log_likelihood
+
+
+def ks_log_predictive_rate_form(model: KsModel, test: EventSet, d: Domain) -> float:
+    """ks_log_predictive's oracle: the generic Poisson likelihood of the test
+    events under the smoothed rate, whose domain integral is N."""
+    rates = ks_intensity(model, test.points, d) if test.n else np.empty(0)
+    return poisson_log_likelihood(np.log(rates) if test.n else [], float(model.train.n))
 
 
 def test_ksmodel_rejects_nonpositive_bandwidth():

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from vbpp.kernel import (
+    GRAM_BLOCK,
     HyperParams,
     gram,
     kernel_eval,
@@ -35,6 +36,22 @@ def test_gram_matches_pairwise_eval():
     for i in range(4):
         for j in range(3):
             assert G[i, j] == pytest.approx(kernel_eval(A[i], B[j], h), rel=1e-14)
+
+
+def test_gram_blocks_are_elementwise_exact():
+    # 1000 columns give row blocks of GRAM_BLOCK // 1000 rows; 400 rows span
+    # several blocks and end in a partial one
+    rng = np.random.default_rng(3)
+    h = HyperParams(gamma=1.7, alpha=np.array([0.2, 0.9]))
+    A = rng.random((400, 2)) * 3.0
+    B = rng.random((1000, 2)) * 3.0
+    rows = GRAM_BLOCK // B.shape[0]
+    assert 2 * rows < A.shape[0] and A.shape[0] % rows
+    G = gram(A, B, h)
+    assert np.array_equal(G, np.vstack([gram(A[i:i + 1], B, h) for i in range(A.shape[0])]))
+    for i in (0, rows - 1, rows, 2 * rows, A.shape[0] - 1):
+        want = [kernel_eval(A[i], B[j], h) for j in range(B.shape[0])]
+        assert G[i] == pytest.approx(want, rel=1e-14)
 
 
 def test_gram_symmetric_psd():

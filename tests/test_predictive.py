@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from vbpp.core import (
     VAR_FLOOR,
@@ -17,6 +18,7 @@ from vbpp.pointdata import Domain, EventSet
 from vbpp.predictive import (
     _gauss_legendre,
     _joint_qf,
+    _mc_log_liks,
     _node_count,
     mc_predictive,
     posterior_intensity,
@@ -65,7 +67,7 @@ def test_mc_jitter_sequence(fitted, monkeypatch):
     model, ev, _ = fitted
     diags = []
 
-    def cholesky(K, lower):
+    def cholesky(K, lower, clean):
         diags.append(K.diagonal().copy())
         raise np.linalg.LinAlgError("not positive definite")
 
@@ -78,13 +80,22 @@ def test_mc_jitter_sequence(fitted, monkeypatch):
     assert np.allclose(added, expected, rtol=1e-6, atol=0)
 
 
-def test_joint_qf_factors_the_qstar_covariance(fitted):
+def test_joint_qf_factors_the_qstar_covariance(fitted, monkeypatch):
+    import vbpp.core
     model, ev, d = fitted
     points = np.vstack([ev.points, np.linspace(d.lo[0], d.hi[0], 33)[:, None]])
     mean, cov, AbarL = _joint_qf(model, points)
     cov_diag = cov.diagonal().copy()
+    tried = []                  # the diagonal each try factors, jitter included
+    factor = vbpp.core.cholesky
+
+    def cholesky(K, lower, clean):
+        tried.append(K.diagonal().copy())
+        return factor(K, lower, clean)
+
+    monkeypatch.setattr(vbpp.core, "cholesky", cholesky)
     chol = chol_with_jitter(cov, 1e-10 * model.hyper.gamma, tries=6)
-    jitter = float(np.max(cov.diagonal() - cov_diag))
+    jitter = float(np.max(tried[-1] - cov_diag))
     cov_m0 = chol @ chol.T
     cov_mp = cov_m0 + AbarL @ AbarL.T
 
@@ -101,6 +112,32 @@ def test_joint_qf_factors_the_qstar_covariance(fitted):
     assert np.allclose(mean, mu, rtol=1e-12, atol=1e-12)
     # qf_marginals floors the variances at VAR_FLOOR
     assert np.abs(cov_mp.diagonal() - var).max() <= tol + VAR_FLOOR
+
+
+def test_mc_factors_in_place_as_the_copying_cholesky(fitted, monkeypatch):
+    # The joint covariance factored in its own buffer gives the factor, and
+    # so the draws, of the covariance built in C order and factored by scipy
+    # in a copy.
+    from vbpp import predictive
+    model, ev, d = fitted
+    points = np.vstack([ev.points, _gauss_legendre(d, [8])[0]])
+    A = gram(points, model.inducing.Z, model.hyper)
+    Abar = model.kzz_solve(A.T).T
+    cov = gram(points, points, model.hyper)
+    cov -= Abar @ A.T
+    _, cov_f, _ = _joint_qf(model, points)
+    assert cov_f.flags.f_contiguous and np.array_equal(cov_f, cov)
+    np.fill_diagonal(cov, cov.diagonal() + 1e-10 * model.hyper.gamma)
+    ref = scipy.linalg.cholesky(cov, lower=True)
+
+    chol = chol_with_jitter(cov_f, 1e-10 * model.hyper.gamma, tries=6)
+    assert np.shares_memory(chol, cov_f) and np.array_equal(chol, ref)
+
+    got = _mc_log_liks(model, ev, 700, 8, seed=2)
+    monkeypatch.setattr(predictive, "chol_with_jitter", lambda K, jitter, tries: ref)
+    want = _mc_log_liks(model, ev, 700, 8, seed=2)
+    for mode in ("Mp", "M0"):
+        assert np.array_equal(got[mode], want[mode]), mode
 
 
 def test_mc_predictive_input_validation(fitted):

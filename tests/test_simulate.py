@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from vbpp.kernel import HyperParams
+from vbpp.kernel import HyperParams, gram
 from vbpp.pointdata import Domain
 from vbpp.simulate import (
     GroundTruth,
+    _rng,
     ground_truth,
     make_grid,
     sample_gp_grid,
@@ -59,22 +63,54 @@ def test_sample_gp_correlation_at_lengthscale():
 def test_grid_jitter_escalates_to_1e4_gamma(monkeypatch):
     # A Cholesky that fails below 1e-4 gamma of jitter: the grid draw must
     # still try 1e-8, 1e-6 and 1e-4 gamma, also where gamma * 100^k rounds up.
-    import scipy.linalg
     import vbpp.core
 
     h = HyperParams(gamma=7.0, alpha=np.array([0.5]))
     jitters = []
+    factor = vbpp.core.cholesky
 
-    def cholesky(K, lower):
+    def cholesky(K, lower, clean):
         jitters.append(K[0, 0] - h.gamma)
         if jitters[-1] < 1e-4 * h.gamma * (1 - 1e-6):
             raise np.linalg.LinAlgError("not positive definite")
-        return scipy.linalg.cholesky(K, lower=lower)
+        return factor(K, lower, clean)
 
     monkeypatch.setattr(vbpp.core, "cholesky", cholesky)
     grid, _ = make_grid(Domain([0.0], [4.0]), 16)
     assert np.isfinite(sample_gp_grid(h, grid, seed=0)).all()
     assert np.allclose(jitters, [7e-8, 7e-6, 7e-4], rtol=1e-6, atol=0)
+
+
+@pytest.mark.parametrize("d, res, alpha", [
+    (Domain([0.0], [10.0]), 512, [1.0]),
+    (Domain([0.0, 0.0], [10.0, 10.0]), 24, [4.0, 4.0]),
+])
+def test_grid_draw_matches_copying_cholesky_bit_for_bit(d, res, alpha):
+    # the factor made in K's own buffer is the one scipy makes in a copy
+    h = HyperParams(gamma=4.0, alpha=np.array(alpha), u_bar=0.5)
+    grid, _ = make_grid(d, res)
+    K = gram(grid, grid, h)
+    np.fill_diagonal(K, K.diagonal() + 1e-8 * h.gamma)
+    z = _rng(5, 0x4750).standard_normal(grid.shape[0])
+    want = h.u_bar + scipy.linalg.cholesky(K, lower=True) @ z
+    assert np.array_equal(sample_gp_grid(h, grid, seed=5), want)
+
+
+@pytest.mark.parametrize("d, res", [(Domain([0.0], [10.0]), 1024),
+                                    (Domain([0.0, 0.0], [4.0, 3.0]), 32)])
+def test_grid_draw_allocates_one_covariance(d, res):
+    # P = 1024 grid points: K takes 8 P^2 bytes, and the factor shares its
+    # buffer; the finite check's boolean array and gram's scratch block fit
+    # in the remaining quarter
+    h = HyperParams(gamma=200.0, alpha=np.ones(d.dims))
+    grid, _ = make_grid(d, res)
+    tracemalloc.start()
+    try:
+        sample_gp_grid(h, grid, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * grid.shape[0] ** 2
 
 
 def test_square_link_is_exact():
