@@ -4,7 +4,10 @@ The smoothed intensity is lambda(x) = sum_n N_T(x; x_n, Sigma) with a
 diagonal bandwidth matrix chosen by maximising the leave-one-out objective
 sum_i log sum_{j != i} N_T(x_i; x_j, Sigma).  Each kernel is renormalised
 to integrate to one inside the domain (end correction), so the intensity
-integrates exactly to N there.
+integrates exactly to N there.  The objective is summed in log space, row
+by row, so it stays finite where every kernel term of a point underflows,
+and it has an analytic gradient in log sigma, on which the search in two or
+more dimensions runs.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize, minimize_scalar
 from scipy.special import ndtr
 
 from .pointdata import Domain, EventSet, as_points, write_json
@@ -20,7 +23,8 @@ from .pointdata import Domain, EventSet, as_points, write_json
 SIGMA_FLOOR_FRAC = 1e-3   # of the domain extent; guards the duplicate-point collapse
 SIGMA_CEIL_FRAC = 10.0
 # numpy's exp is 10-100x slower per element where the result falls below
-# about e^-708, so leave-one-out kernel terms below e^-700 are cut to zero.
+# about e^-708, so leave-one-out exponents are clipped at -700 below their
+# row's largest.
 LOG_KERNEL_CUT = -700.0
 
 
@@ -72,35 +76,53 @@ def truncnorm_pdf(x, center, sigma, d: Domain) -> float:
 def _loo(train: EventSet, d: Domain):
     """The leave-one-out objective of ``train`` as a function of sigma.
 
-    The per-dimension squared differences are built once.  The diagonal is
-    zeroed, never subtracted from the row sums: at the floor bandwidth an
-    isolated point's row sum is far below the diagonal term and would cancel
-    to zero.  Exponents are clipped at LOG_KERNEL_CUT and e^LOG_KERNEL_CUT
-    is taken off every term, so clipped terms are exactly zero and terms
-    above 1e-288 are unchanged.
+    With kernel exponents s_ij and per-centre weights w_j (the normalisers,
+    end correction included), each row is scaled by its largest
+    off-diagonal exponent peak_i:
+
+        value = sum_i (peak_i + log sum_{j != i} exp(s_ij - peak_i) w_j),
+
+    so the value is finite for every sigma, even where all of a point's
+    kernel terms underflow.  The per-dimension squared differences are built
+    once.  Shifted exponents are clipped at LOG_KERNEL_CUT and the diagonal
+    is zeroed after the exp, never subtracted from the row sums.
+
+    ``objective(sigma, grad=True)`` returns (value, gradient in log sigma).
+    With p_ij = exp(s_ij) w_j / sum_k exp(s_ik) w_k, the gradient along r is
+    sum_ij p_ij ((x_ir - x_jr)^2 / sigma_r^2 - 1 - d log mass_jr / d log
+    sigma_r), where mass_jr is centre j's kernel mass inside the domain.
     """
     X = train.points
     half_sq = [-0.5 * (X[:, r][:, None] - X[:, r][None, :]) ** 2 for r in range(d.dims)]
     buf = np.empty_like(half_sq[0])
-    cut = np.exp(LOG_KERNEL_CUT)
 
-    def objective(sigma) -> float:
+    def objective(sigma, grad=False):
         sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
         np.multiply(half_sq[0], sigma[0] ** -2, out=buf)
         for r in range(1, d.dims):
             np.add(buf, half_sq[r] * sigma[r] ** -2, out=buf)
+        np.fill_diagonal(buf, -np.inf)
+        peak = buf.max(axis=1)
+        np.subtract(buf, peak[:, None], out=buf)
         np.maximum(buf, LOG_KERNEL_CUT, out=buf)
         np.exp(buf, out=buf)
-        np.subtract(buf, cut, out=buf)
         np.fill_diagonal(buf, 0.0)
-        weight = np.full(X.shape[0], (2.0 * np.pi) ** (-d.dims / 2) / np.prod(sigma))
-        for r in range(d.dims):
-            s = sigma[r]
-            weight /= ndtr((d.hi[r] - X[:, r]) / s) - ndtr((d.lo[r] - X[:, r]) / s)
+        a = (d.hi - X) / sigma                   # (N, R) standardised edges
+        b = (d.lo - X) / sigma
+        mass = ndtr(a) - ndtr(b)
+        weight = (2.0 * np.pi) ** (-d.dims / 2) / np.prod(sigma) / mass.prod(axis=1)
         row = buf @ weight
-        if (row <= 0).any():
-            return -np.inf
-        return float(np.sum(np.log(row)))
+        value = float(np.sum(peak) + np.sum(np.log(row)))
+        if not grad:
+            return value
+        # responsibilities p_ij = k_ij w_j / row_i; each row sums to one
+        np.multiply(buf, weight, out=buf)
+        np.divide(buf, row[:, None], out=buf)
+        # d log mass / d log sigma = (b phi(b) - a phi(a)) / mass
+        dlog_mass = (b * np.exp(-0.5 * b**2) - a * np.exp(-0.5 * a**2)) \
+            / (np.sqrt(2.0 * np.pi) * mass)
+        g = [-2.0 * sigma[r] ** -2 * np.vdot(buf, half_sq[r]) for r in range(d.dims)]
+        return value, np.array(g) - X.shape[0] - buf.sum(axis=0) @ dlog_mass
 
     return objective
 
@@ -113,49 +135,32 @@ def loo_objective(train: EventSet, sigma, d: Domain) -> float:
 def fit_bandwidth(train: EventSet, d: Domain) -> KsModel:
     """Select the diagonal bandwidth by maximising the leave-one-out objective.
 
-    Coordinate-wise bounded scalar maximisation in log space, from eight
-    fixed starts (log-uniform in the allowed band) in two or more dimensions.
-    A start only sets the coordinates that a search holds fixed, so in 1-D
-    the result is one bounded search over the whole band.  Bandwidths are
-    confined to [1e-3, 10] times the per-dimension extent; the lower floor is
-    load-bearing for duplicate points, where the raw objective is unbounded.
+    The search runs in log sigma, inside [1e-3, 10] times the per-dimension
+    extent; the lower floor is load-bearing for duplicate points, where the
+    raw objective is unbounded.  In 1-D it is one bounded scalar search over
+    the band.  In two or more dimensions the objective has several basins,
+    so L-BFGS-B on the analytic gradient runs from eight fixed starts
+    (log-uniform in the band) and the best end point is kept.
     """
     if train.n < 2:
         raise InsufficientDataError("leave-one-out bandwidth selection needs N >= 2")
-    R = d.dims
     lo = np.log(SIGMA_FLOOR_FRAC * d.extent)
     hi = np.log(SIGMA_CEIL_FRAC * d.extent)
-
     loo = _loo(train, d)
+    if d.dims == 1:
+        res = minimize_scalar(lambda t: -loo(np.exp(t)), bounds=(lo[0], hi[0]),
+                              method="bounded", options={"xatol": 1e-8})
+        return KsModel(train=train, sigma=np.exp([res.x]))
 
-    def objective(log_sigma):
-        return loo(np.exp(log_sigma))
+    def negated(log_sigma):
+        value, g = loo(np.exp(log_sigma), grad=True)
+        return -value, -g
 
-    n_starts, n_sweeps = (1, 1) if R == 1 else (8, 4)
     rng = np.random.Generator(np.random.Philox(key=[0, 0x4B53]))
-    starts = [lo + rng.random(R) * (hi - lo) for _ in range(n_starts)]
-
-    best_ls, best_val = None, -np.inf
-    for start in starts:
-        ls = start.copy()
-        val = objective(ls)
-        for _ in range(n_sweeps):                # coordinate sweeps
-            for r in range(R):
-                def along(t, r=r, ls=ls):
-                    trial = ls.copy()
-                    trial[r] = t
-                    return -objective(trial)
-                res = minimize_scalar(along, bounds=(lo[r], hi[r]), method="bounded",
-                                      options={"xatol": 1e-8})
-                ls[r] = res.x
-            new_val = objective(ls)
-            if new_val - val < 1e-10:
-                val = new_val
-                break
-            val = new_val
-        if val > best_val:
-            best_val, best_ls = val, ls
-    return KsModel(train=train, sigma=np.exp(best_ls))
+    starts = [lo + rng.random(d.dims) * (hi - lo) for _ in range(8)]
+    ends = [minimize(negated, start, jac=True, method="L-BFGS-B", bounds=list(zip(lo, hi)))
+            for start in starts]
+    return KsModel(train=train, sigma=np.exp(min(ends, key=lambda res: res.fun).x))
 
 
 def ks_intensity(model: KsModel, query, d: Domain) -> np.ndarray:

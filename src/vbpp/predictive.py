@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 
 import numpy as np
+from scipy.linalg import blas
 from scipy.special import ndtri, roots_legendre
 
 from .core import Model, chol_with_jitter, predictive_bound_l0, predictive_bound_lp, qf_marginals
@@ -44,16 +45,17 @@ def _joint_qf(model: Model, points: np.ndarray):
     """q(f) jointly at ``points``: the mean A-bar m, the covariance
     K_pp - A-bar A^T of q(f | u = m), and A-bar L.
 
-    The covariance is F-contiguous, so :func:`chol_with_jitter` overwrites
-    it with its factor.  It is symmetric only up to rounding: the factor
-    reads its lower triangle, and a retry with more jitter restores that
-    triangle from the upper one.  The covariance of q*(f) is that one plus
-    (A-bar L)(A-bar L)^T.
+    The covariance is F-contiguous: A-bar A^T is taken off K_pp in its own
+    buffer (``dgemm`` with beta = 1), and :func:`chol_with_jitter`
+    overwrites it with its factor.  It is symmetric only up to rounding: the
+    factor reads its lower triangle, and a retry with more jitter restores
+    that triangle from the upper one.  The covariance of q*(f) is that one
+    plus (A-bar L)(A-bar L)^T.
     """
     A = gram(points, model.inducing.Z, model.hyper)
     Abar = model.kzz_solve(A.T).T
-    cov = gram(points, points, model.hyper).T
-    cov -= Abar @ A.T
+    cov = blas.dgemm(-1.0, Abar.T, A.T, beta=1.0, c=gram(points, points, model.hyper).T,
+                     trans_a=1, overwrite_c=1)
     return Abar @ model.var_state.m, cov, Abar @ model.var_state.L
 
 
@@ -139,7 +141,10 @@ def _mc_log_liks(model: Model, test: EventSet, n_samples: int, grid_res,
     chol = chol_with_jitter(cov, 1e-10 * model.hyper.gamma, tries=6)
     for done in range(0, n_samples, 512):
         batch = min(512, n_samples - done)
-        f = mean[:, None] + chol @ rng.standard_normal((points.shape[0], batch))
+        # f = chol e, made in the buffer of e^T (F-contiguous) as e^T chol^T
+        f = blas.dtrmm(1.0, chol, rng.standard_normal((points.shape[0], batch)).T,
+                       side=1, lower=1, trans_a=1, overwrite_b=1).T
+        f += mean[:, None]
         eta = rng.standard_normal((AbarL.shape[1], batch))
         log_liks["M0"][done:done + batch] = score(f)
         f += AbarL @ eta

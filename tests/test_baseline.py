@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize, minimize_scalar
+from scipy.special import logsumexp
 from scipy.stats import norm
 
 from vbpp import baseline
@@ -17,7 +18,9 @@ from vbpp.baseline import (
     _dim_pdfs,
     truncnorm_pdf,
 )
-from vbpp.pointdata import Domain, EventSet, poisson_log_likelihood
+from vbpp.kernel import HyperParams
+from vbpp.pointdata import Domain, EventSet, poisson_log_likelihood, split_events
+from vbpp.simulate import ground_truth, thin_sample
 
 
 def ks_log_predictive_rate_form(model: KsModel, test: EventSet, d: Domain) -> float:
@@ -75,25 +78,70 @@ def test_loo_objective_permutation_invariant():
     assert a == pytest.approx(b, rel=1e-13)
 
 
-@pytest.mark.parametrize("dims", [1, 2])
-def test_loo_objective_matches_the_pairwise_reference(dims):
+def _cluster_and_isolated_point(dims):
+    """Twelve points in a tight cluster and one point that, at the floor
+    bandwidth, sits 20 sigma or more from the cluster, so its row sum is
+    below e^-200 of the diagonal term."""
     rng = np.random.default_rng(4)
     d = Domain([0.0] * dims, [1.0 + r for r in range(dims)])
     cluster = rng.uniform(0.2, 0.21, (12, dims))
-    # at the floor bandwidth the isolated point sits 20 sigma or more from
-    # the cluster, so its row sum is below e^-200 of the diagonal term
     isolated = np.full((1, dims), 0.2) + 20 * SIGMA_FLOOR_FRAC * d.extent
     isolated[0, 0] += 0.01
-    train = EventSet(np.vstack([cluster, isolated]))
+    return d, EventSet(np.vstack([cluster, isolated]))
+
+
+def _with_a_far_point(train, d):
+    """``train`` plus a point 40 floor bandwidths beyond its last one: at the
+    floor bandwidth every kernel term of that point underflows."""
+    return EventSet(np.vstack([train.points, train.points[-1] + 40 * SIGMA_FLOOR_FRAC * d.extent]))
+
+
+def _pairwise_loo(train, sigma, d):
+    """The leave-one-out objective as a logsumexp of the pairwise log pdfs."""
+    X = train.points
+    log_pdfs = np.zeros((train.n, train.n))
+    for r in range(d.dims):
+        s = sigma[r]
+        mass = norm.cdf((d.hi[r] - X[:, r]) / s) - norm.cdf((d.lo[r] - X[:, r]) / s)
+        log_pdfs += norm.logpdf(X[:, r][:, None], X[:, r][None, :], s) - np.log(mass)[None, :]
+    np.fill_diagonal(log_pdfs, -np.inf)
+    return float(np.sum(logsumexp(log_pdfs, axis=1)))
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_loo_objective_matches_the_pairwise_reference(dims):
+    d, train = _cluster_and_isolated_point(dims)
     for sigma in (SIGMA_FLOOR_FRAC * d.extent, np.full(dims, 0.02), np.full(dims, 0.7)):
         pdfs = _dim_pdfs(train.points, train.points, sigma, d)
         np.fill_diagonal(pdfs, 0.0)
         reference = float(np.sum(np.log(pdfs.sum(axis=1))))
         assert np.isfinite(reference)
         assert loo_objective(train, sigma, d) == pytest.approx(reference, rel=1e-12)
-    # 40 floor bandwidths further out, a point has no kernel mass left
-    far = np.vstack([train.points, isolated + 40 * SIGMA_FLOOR_FRAC * d.extent])
-    assert loo_objective(EventSet(far), SIGMA_FLOOR_FRAC * d.extent, d) == -np.inf
+    # the log-space rows keep the objective finite where a point's every
+    # kernel term underflows
+    far = _with_a_far_point(train, d)
+    floor = SIGMA_FLOOR_FRAC * d.extent
+    assert loo_objective(far, floor, d) == pytest.approx(_pairwise_loo(far, floor, d), rel=1e-12)
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_loo_gradient_matches_finite_differences(dims):
+    d, train = _cluster_and_isolated_point(dims)
+    far = _with_a_far_point(train, d)
+    floor = SIGMA_FLOOR_FRAC * d.extent
+    cases = [(train, floor), (far, floor), (train, np.full(dims, 0.02)),
+             (train, np.array([0.7, 0.05][:dims])), (far, np.full(dims, 0.3))]
+    h = 1e-5
+    for events, sigma in cases:
+        loo = baseline._loo(events, d)
+        value, grad = loo(sigma, grad=True)
+        assert value == loo(sigma)
+        fd = np.empty(dims)
+        for r in range(dims):
+            step = np.zeros(dims)
+            step[r] = h
+            fd[r] = (loo(sigma * np.exp(step)) - loo(sigma * np.exp(-step))) / (2 * h)
+        np.testing.assert_allclose(grad, fd, rtol=1e-8, atol=1e-8 * np.abs(fd).max())
 
 
 def test_two_point_optimal_bandwidth():
@@ -120,30 +168,19 @@ def test_duplicate_points_hit_the_floor():
 
 
 def test_fit_bandwidth_in_1d_is_one_bounded_search(monkeypatch):
-    # in 1-D no coordinate is held fixed, so starts and sweeps cannot change
-    # the result; the search must equal one bounded search over the band
+    # in 1-D the search is one bounded scalar search over the band, on the
+    # value alone
     rng = np.random.default_rng(5)
     d = Domain([0.0], [10.0])
     train = EventSet(10.0 * rng.beta(2, 5, 80)[:, None])   # optimum inside the band
-    calls = []
-    make_loo = baseline._loo
-
-    def counting_loo(*args):
-        objective = make_loo(*args)
-
-        def counted(sigma):
-            calls.append(1)
-            return objective(sigma)
-        return counted
-
-    monkeypatch.setattr(baseline, "_loo", counting_loo)
-    model = fit_bandwidth(train, d)
-    assert len(calls) <= 40
-
-    loo = make_loo(train, d)
+    loo = baseline._loo(train, d)
     lo, hi = np.log(SIGMA_FLOOR_FRAC * d.extent), np.log(SIGMA_CEIL_FRAC * d.extent)
     res = minimize_scalar(lambda t: -loo(np.exp(np.array([t]))), bounds=(lo[0], hi[0]),
                           method="bounded", options={"xatol": 1e-8})
+
+    evaluated = _counting_loo(monkeypatch)
+    model = fit_bandwidth(train, d)
+    assert len(evaluated) == res.nfev <= 40
     assert model.sigma[0] == np.exp(res.x)
 
 
@@ -154,6 +191,79 @@ def test_fit_bandwidth_2d_shapes():
     model = fit_bandwidth(train, d)
     assert model.sigma.shape == (2,)
     assert (model.sigma > 0).all()
+
+
+def _counting_loo(monkeypatch):
+    """Route fit_bandwidth's objective through a wrapper that records the
+    bandwidth of every evaluation."""
+    evaluated = []
+    make_loo = baseline._loo
+
+    def counting_loo(*args):
+        objective = make_loo(*args)
+
+        def counted(sigma, **kwargs):
+            evaluated.append(np.atleast_1d(sigma).copy())
+            return objective(sigma, **kwargs)
+        return counted
+
+    monkeypatch.setattr(baseline, "_loo", counting_loo)
+    return evaluated
+
+
+def _nelder_mead_oracle(train, d):
+    """fit_bandwidth's 2-D oracle: the best end point of Nelder-Mead on the
+    value alone, from the same eight starts inside the same box."""
+    loo = baseline._loo(train, d)
+    lo, hi = np.log(SIGMA_FLOOR_FRAC * d.extent), np.log(SIGMA_CEIL_FRAC * d.extent)
+    rng = np.random.Generator(np.random.Philox(key=[0, 0x4B53]))
+    best = -np.inf
+    for _ in range(8):
+        start = lo + rng.random(d.dims) * (hi - lo)
+        res = minimize(lambda t: -loo(np.exp(t)), start, method="Nelder-Mead",
+                       bounds=list(zip(lo, hi)),
+                       options={"xatol": 1e-10, "fatol": 1e-13, "maxfev": 10_000})
+        best = max(best, -res.fun)
+    return best
+
+
+def _sim_2d_train(seed):
+    """The training half of a 2-D simulation drawn as ``vbpp simulate
+    --domain 0:10,0:10 --gamma 4 --alpha 4,4 --grid-res 48`` does."""
+    d = Domain([0.0, 0.0], [10.0, 10.0])
+    truth = ground_truth(HyperParams(4.0, np.array([4.0, 4.0])), d, resolution=48, seed=seed)
+    train, _ = split_events(thin_sample(truth, d, seed=seed), 0.5, 0)
+    return d, train
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_fit_bandwidth_2d_reaches_the_nelder_mead_oracle(seed):
+    d, train = _sim_2d_train(seed)
+    found = loo_objective(train, fit_bandwidth(train, d).sigma, d)
+    oracle = _nelder_mead_oracle(train, d)
+    assert found >= oracle - 1e-9 * abs(oracle)
+
+
+def test_fit_bandwidth_2d_from_starts_where_every_kernel_term_underflows(monkeypatch):
+    # at several starts the isolated corner point is so far from the cluster,
+    # in bandwidths, that all its kernel exponents lie below LOG_KERNEL_CUT
+    d = Domain([0.0, 0.0], [1.0, 1.0])
+    rng = np.random.default_rng(7)
+    train = EventSet(np.vstack([rng.normal([0.6, 0.75], 0.02, (40, 2)), [[0.01, 0.01]]]))
+    evaluated = _counting_loo(monkeypatch)
+    found = loo_objective(train, fit_bandwidth(train, d).sigma, d)
+    sq = (train.points[:-1] - train.points[-1]) ** 2
+    exponents = -0.5 * (sq[None, :, :] / np.array(evaluated)[:, None, :] ** 2).sum(axis=2)
+    assert (exponents.max(axis=1) < baseline.LOG_KERNEL_CUT).any()
+    oracle = _nelder_mead_oracle(train, d)
+    assert found >= oracle - 1e-9 * abs(oracle)
+
+
+def test_fit_bandwidth_2d_evaluation_count(monkeypatch):
+    d, train = _sim_2d_train(1)
+    evaluated = _counting_loo(monkeypatch)
+    fit_bandwidth(train, d)
+    assert len(evaluated) <= 300
 
 
 def test_log_predictive_two_routes_agree():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -112,6 +114,20 @@ def test_joint_qf_factors_the_qstar_covariance(fitted, monkeypatch):
     assert np.allclose(mean, mu, rtol=1e-12, atol=1e-12)
     # qf_marginals floors the variances at VAR_FLOOR
     assert np.abs(cov_mp.diagonal() - var).max() <= tol + VAR_FLOOR
+
+
+def test_joint_qf_allocates_one_covariance(fitted):
+    # P = 1500 points: the covariance takes 8 P^2 bytes, and A-bar A^T is
+    # taken off it in its own buffer
+    model, _, d = fitted
+    points = np.linspace(d.lo[0], d.hi[0], 1500)[:, None]
+    tracemalloc.start()
+    try:
+        _joint_qf(model, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * points.shape[0] ** 2
 
 
 def test_mc_factors_in_place_as_the_copying_cholesky(fitted, monkeypatch):
