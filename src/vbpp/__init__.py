@@ -11,9 +11,8 @@ thread unless the user chose a count (see ``vbpp.threads``).
 """
 
 from . import threads  # noqa: F401  (applies the thread policy on import)
-from .pointdata import (Domain, EventSet, domain_measure, load_events, poisson_log_likelihood,
-                        regular_grid)
-from .kernel import HyperParams, kernel_eval, gram
+from .pointdata import Domain, EventSet, domain_measure, load_events, regular_grid
+from .kernel import HyperParams, gram
 from .core import VariationalState, InducingPoints, Model, expected_log_f_sq, elbo
 from .optimizer import FitConfig, fit, pack, unpack
 from .predictive import (
@@ -23,17 +22,17 @@ from .predictive import (
     mc_predictive,
     posterior_intensity,
 )
-from .baseline import KsModel, truncnorm_pdf, fit_bandwidth, ks_log_predictive, ks_intensity
+from .baseline import KsModel, fit_bandwidth, ks_log_predictive, ks_intensity
 from .simulate import GroundTruth, ground_truth, sample_gp_grid, thin_sample, make_grid
 
 __all__ = [
-    "Domain", "EventSet", "domain_measure", "load_events", "poisson_log_likelihood",
-    "HyperParams", "kernel_eval", "gram",
+    "Domain", "EventSet", "domain_measure", "load_events",
+    "HyperParams", "gram",
     "VariationalState", "InducingPoints", "Model", "expected_log_f_sq", "elbo",
     "FitConfig", "fit", "pack", "unpack", "regular_grid",
     "PredictiveReport", "predictive_bound_lp", "predictive_bound_l0",
     "mc_predictive", "posterior_intensity",
-    "KsModel", "truncnorm_pdf", "fit_bandwidth", "ks_log_predictive", "ks_intensity",
+    "KsModel", "fit_bandwidth", "ks_log_predictive", "ks_intensity",
     "GroundTruth", "ground_truth", "sample_gp_grid", "thin_sample", "make_grid",
 ]
 

@@ -64,15 +64,6 @@ def _dim_pdfs(x: np.ndarray, centers: np.ndarray, sigma: np.ndarray,
     return out
 
 
-def truncnorm_pdf(x, center, sigma, d: Domain) -> float:
-    """Density of a diagonal normal centred at ``center``, renormalised to
-    unit mass on the domain."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    center = np.asarray(center, dtype=float).reshape(1, -1)
-    sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-    return float(_dim_pdfs(x, center, sigma, d)[0, 0])
-
-
 def _loo(train: EventSet, d: Domain):
     """The leave-one-out objective of ``train`` as a function of sigma.
 

@@ -13,6 +13,7 @@ per-event expectations go through the tabulated special function in
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -21,7 +22,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from . import specfun
-from .kernel import HyperParams, gram, psi_with_partials
+from .kernel import HyperParams, gram, kernel_from_sq, psi_with_partials, sq_diffs
 from .pointdata import Domain, EventSet, as_points, domain_measure, write_json
 
 JITTER_SCALE = 1e-8
@@ -75,6 +76,15 @@ class InducingPoints:
     @property
     def count(self) -> int:
         return self.Z.shape[0]
+
+
+@functools.cache
+def eye_and_vech_mask(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """The M x M identity and the lower-triangle (vech) mask, read-only."""
+    consts = np.eye(M), np.tri(M, dtype=bool)
+    for arr in consts:
+        arr.setflags(write=False)
+    return consts
 
 
 def cholesky(K: np.ndarray, lower: bool = True, clean: bool = True) -> np.ndarray:
@@ -258,23 +268,33 @@ def predictive_bound_l0(model: Model, test: EventSet) -> float:
     return _evaluate(model, test, collapse_s=True).expected_log_lik
 
 
-def elbo_and_gradient(model: Model, events: EventSet, wrt=GRAD_BLOCKS):
+def elbo_and_gradient(model: Model, events: EventSet, wrt=GRAD_BLOCKS, _xz_sq=None):
     """Bound value and its analytic gradient for the selected blocks.
 
     ``wrt`` selects any subset of ("log_gamma", "log_alpha", "u_bar", "m",
     "L", "Z").  Positive parameters are differentiated in log space; the
     diagonal of L likewise.  The "L" block is returned as vech order (rows of
     the lower triangle), the "Z" block as an M x R array, the gradient with
-    respect to the inducing locations themselves.
+    respect to the inducing locations themselves.  A fit with fixed Z passes
+    ``_xz_sq``, the events' :func:`xz_sq_diffs`, once made for all its calls.
 
     Returns (value, dict of gradient blocks).
     """
-    terms = _evaluate(model, events, wrt)
+    terms = _evaluate(model, events, wrt, xz_sq=_xz_sq)
     return terms.elbo, terms.grads
 
 
+def _event_points(events: EventSet | None, R: int) -> np.ndarray:
+    return events.points if events is not None and events.n else np.empty((0, R))
+
+
+def xz_sq_diffs(events: EventSet | None, Z: np.ndarray) -> np.ndarray:
+    """The events' squared differences to Z per dimension, R x N x M."""
+    return sq_diffs(_event_points(events, Z.shape[1]), Z)
+
+
 def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
-              collapse_s: bool = False) -> BoundTerms:
+              collapse_s: bool = False, xz_sq: np.ndarray | None = None) -> BoundTerms:
     """The one evaluation of the bound: every function above is a view of it.
 
     K_zz and its Cholesky factor come from the model.  Psi comes from
@@ -287,10 +307,11 @@ def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
     The gradient's N x M products are formed in place in two scratch
     buffers, in the same order of operations.  The data term goes through
     :func:`expected_log_f_sq`, and no events (``events`` None or empty) run
-    the same code with N = 0.  ``collapse_s`` sets S to zero in the
-    expectations of f, not in the KL; that variant is a value only, and
-    asking for its gradient raises ValueError.  ``wrt`` is as in
-    :func:`elbo_and_gradient`.
+    the same code with N = 0.  K(X, Z) and the log-alpha block read
+    ``xz_sq``, the events' :func:`xz_sq_diffs`, made here unless given.
+    ``collapse_s`` sets S to zero in the expectations of f, not in the KL;
+    that variant is a value only, and asking for its gradient raises
+    ValueError.  ``wrt`` is as in :func:`elbo_and_gradient`.
     """
     wrt = tuple(wrt)
     unknown = set(wrt) - set(GRAD_BLOCKS)
@@ -309,7 +330,7 @@ def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
     measure = domain_measure(model.domain)
     need_hyper = bool({"log_gamma", "log_alpha", "Z"} & set(wrt))
 
-    eye = np.eye(M)
+    eye, vech_mask = eye_and_vech_mask(M)
     Kinv = model.kzz_solve(eye)
     K = model.kzz
     psi, dpsi_dlog_alpha, dpsi_dzi = psi_with_partials(Z, h, model.domain, wrt)
@@ -327,8 +348,9 @@ def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
     logdet_s = 2.0 * float(np.log(Lc.diagonal()).sum())
     kl = 0.5 * (float((Kinv * S).sum()) + model.kzz_logdet - logdet_s - M + float(d @ q))
 
-    X = events.points if events is not None and events.n else np.empty((0, R))
-    A = gram(X, Z, h)                        # N x M
+    X = _event_points(events, R)
+    xz_sq = xz_sq_diffs(events, Z) if xz_sq is None else xz_sq
+    A = kernel_from_sq(xz_sq, h)             # N x M, as gram(X, Z, h)
     Abar = A @ Kinv
     mu = Abar @ m
     var_raw = gamma - np.einsum("nm,nm->n", Abar, A)
@@ -365,7 +387,7 @@ def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
         Gs = -B - 0.5 * Kinv + 0.5 * Sinv + AsA
         gl = (Gs + Gs.T) @ Lc
         np.fill_diagonal(gl, gl.diagonal() * Lc.diagonal())   # log-diagonal parameterisation
-        grads["L"] = gl[np.tri(M, dtype=bool)]                 # vech order
+        grads["L"] = gl[vech_mask]
 
     if "u_bar" in wrt:
         grads["u_bar"] = -float(q.sum())
@@ -373,13 +395,13 @@ def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
     if need_hyper:
         # Raw partials of the bound w.r.t. the kernel structures.
         v = kinv_psi @ c
-        g_psi = -np.outer(c, c) + Kinv - W
+        g_psi = -np.multiply.outer(c, c) + Kinv - W
         M1 = W @ psi @ Kinv
-        Gk = (np.outer(v, c) + np.outer(c, v)) - B + (M1 + M1.T) \
-            - 0.5 * (Kinv - W - np.outer(q, q))
+        Gk = (np.multiply.outer(v, c) + np.multiply.outer(c, v)) - B + (M1 + M1.T) \
+            - 0.5 * (Kinv - W - np.multiply.outer(q, q))
         What = A @ W                                # rows w_n^T
         AsW = Abar.T @ np.multiply(What, e_s[:, None], out=work)
-        Gk = Gk - np.outer(Amu, c) + AsA - AsW - AsW.T
+        Gk = Gk - np.multiply.outer(Amu, c) + AsA - AsW - AsW.T
         # GA = outer(e_mu, c) + e_s * (-2 Abar + 2 What), built in place.
         GA = np.multiply(Abar, -2.0)
         What *= 2.0
@@ -401,21 +423,20 @@ def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
             Gk_sym = Gk + Gk.T
             g_psi_sym = g_psi + g_psi.T
         if "log_alpha" in wrt or "Z" in wrt:
-            # One pass over the dimensions forms the Z-Z and X-Z differences
-            # once for both blocks.
-            delta_xz = np.empty_like(A)
+            # One pass over the dimensions forms the Z-Z differences once for
+            # both blocks; the X-Z ones only for the Z block.
+            delta_xz = np.empty_like(A) if "Z" in wrt else None
             for r in range(R):
                 delta_zz = Z[:, r][:, None] - Z[:, r][None, :]
-                np.subtract.outer(X[:, r], Z[:, r], out=delta_xz)
                 if "log_alpha" in wrt:
-                    np.square(delta_xz, out=work)        # GA * (A delta^2 / (2 alpha_r))
-                    work *= A
+                    np.multiply(xz_sq[r], A, out=work)   # GA * (A delta^2 / (2 alpha_r))
                     work /= 2.0 * h.alpha[r]
                     work *= GA
                     grads["log_alpha"][r] = \
                         float((Gk * (K * delta_zz**2 / (2.0 * h.alpha[r]))).sum()) \
                         + float((g_psi * dpsi_dlog_alpha[r]).sum()) + float(work.sum())
                 if "Z" in wrt:
+                    np.subtract.outer(X[:, r], Z[:, r], out=delta_xz)
                     np.multiply(GA_A, delta_xz, out=work)    # GA A delta / alpha_r
                     work /= h.alpha[r]
                     grads["Z"][:, r] = (Gk_sym * K * (-delta_zz / h.alpha[r])).sum(axis=1) \

@@ -41,13 +41,26 @@ class HyperParams:
         return self.alpha.shape[0]
 
 
-def kernel_eval(x, x2, h: HyperParams) -> float:
-    """Kernel value at a single pair of points."""
-    a = np.asarray(x, dtype=float).reshape(-1)
-    b = np.asarray(x2, dtype=float).reshape(-1)
-    if a.shape[0] != h.dims or b.shape[0] != h.dims:
-        raise ValueError("point dimensionality does not match hyperparameters")
-    return float(h.gamma * np.exp(-np.sum((a - b) ** 2 / (2.0 * h.alpha))))
+def sq_diffs(A: np.ndarray, B: np.ndarray, out=None):
+    """(A[i, r] - B[j, r])^2 per dimension: R n x m arrays, in ``out`` if given."""
+    if out is None:
+        out = np.empty((A.shape[1], A.shape[0], B.shape[0]))
+    for r, term in enumerate(out):
+        np.subtract.outer(A[:, r], B[:, r], out=term)
+        np.square(term, out=term)
+    return out
+
+
+def kernel_from_sq(sq, h: HyperParams, out=None, overwrite_sq: bool = False) -> np.ndarray:
+    """gamma * exp(sum_r -sq[r] / (2 alpha_r)), in ``out`` when given: the
+    kernel's arithmetic, shared by :func:`gram` and the bound.  The terms
+    r >= 1 are scaled in sq[1] when ``overwrite_sq``, else in a temporary."""
+    out = np.multiply(sq[0], -1.0 / (2.0 * h.alpha[0]), out=out)
+    for r in range(1, h.dims):
+        out += np.multiply(sq[r], -1.0 / (2.0 * h.alpha[r]), out=sq[1] if overwrite_sq else None)
+    np.exp(out, out=out)
+    out *= h.gamma
+    return out
 
 
 def gram(A, B, h: HyperParams) -> np.ndarray:
@@ -56,8 +69,8 @@ def gram(A, B, h: HyperParams) -> np.ndarray:
     ``gram(A, A)`` is exactly symmetric, so its transpose is an F-contiguous
     view holding the same values, which :func:`vbpp.core.chol_with_jitter`
     factors in place.  Built in one output buffer, in blocks of whole rows
-    and at most GRAM_BLOCK entries; when R > 1 each dimension's terms go
-    through one scratch block, so the simulator's grids, whose n x m arrays
+    and at most GRAM_BLOCK entries; each dimension after the first goes
+    through a scratch block, so the simulator's grids, whose n x m arrays
     reach gigabytes, need no second n x m array.  Every entry is the same
     elementwise arithmetic whatever the blocking.
     """
@@ -66,18 +79,11 @@ def gram(A, B, h: HyperParams) -> np.ndarray:
     n, m = A.shape[0], B.shape[0]
     out = np.empty((n, m))
     rows = max(1, GRAM_BLOCK // max(m, 1))
-    scratch = np.empty((min(rows, n), m)) if h.dims > 1 else None
+    scratch = np.empty((h.dims - 1, min(rows, n), m))
     for i in range(0, n, rows):
         block = out[i:i + rows]
-        for r in range(h.dims):
-            term = block if r == 0 else scratch[:block.shape[0]]
-            np.subtract.outer(A[i:i + rows, r], B[:, r], out=term)
-            np.square(term, out=term)
-            term *= -1.0 / (2.0 * h.alpha[r])
-            if r:
-                block += term
-    np.exp(out, out=out)
-    out *= h.gamma
+        sq = sq_diffs(A[i:i + rows], B, out=[block, *scratch[:, :block.shape[0]]])
+        kernel_from_sq(sq, h, out=block, overwrite_sq=True)
     return out
 
 
@@ -87,11 +93,14 @@ def _psi_dim_factors(Z: np.ndarray, h: HyperParams, d: Domain, r: int, wrt):
     Returns (fac, dfac_dalpha, dfac_dzi), each (M, M); a partial is None
     unless ``wrt`` holds "log_alpha", respectively "Z".  ``dfac_dzi[i, j]``
     is the partial of fac[i, j] w.r.t. z_{i,r} (the partial w.r.t. z_{j,r}
-    is its transpose).
+    is its transpose).  For R > 1, where a grid repeats coordinates, all
+    three are computed on the distinct coordinates and then expanded.
     """
     a = h.alpha[r]
     s = np.sqrt(a)
     z = Z[:, r]
+    if h.dims > 1:
+        z, inv = np.unique(z, return_inverse=True)
     delta = z[:, None] - z[None, :]
     zbar = 0.5 * (z[:, None] + z[None, :])
     u_lo = (zbar - d.lo[r]) / s
@@ -108,7 +117,8 @@ def _psi_dim_factors(Z: np.ndarray, h: HyperParams, d: Domain, r: int, wrt):
         dfac_dalpha = fac * (1.0 / (2.0 * a) + delta**2 / (4.0 * a**2)) + base * dE_da
     if "Z" in wrt:
         dfac_dzi = _dfac_dzi(fac, base, delta, a, s, e_lo, e_hi)
-    return fac, dfac_dalpha, dfac_dzi
+    out = fac, dfac_dalpha, dfac_dzi
+    return tuple(f if f is None or h.dims == 1 else f[np.ix_(inv, inv)] for f in out)
 
 
 def _dfac_dzi(fac, base, delta, a, s, e_lo, e_hi):
@@ -148,7 +158,7 @@ def psi_with_partials(Z, h: HyperParams, d: Domain, wrt=("log_alpha", "Z")):
     dpsi_dlog_alpha = np.empty((R, M, M)) if "log_alpha" in wrt else None
     dpsi_dzi = np.empty((R, M, M)) if "Z" in wrt else None
     for r in range(R if "log_alpha" in wrt or "Z" in wrt else 0):
-        others = h.gamma**2 * np.delete(facs, r, axis=0).prod(axis=0)
+        others = h.gamma**2 * facs[np.arange(R) != r].prod(axis=0)
         dfac_da, dfac_dz = dfacs[r]
         if dpsi_dlog_alpha is not None:
             dpsi_dlog_alpha[r] = others * dfac_da * h.alpha[r]

@@ -22,7 +22,9 @@ from .core import (
     Model,
     VariationalState,
     elbo_and_gradient,
+    eye_and_vech_mask,
     kzz_factor,
+    xz_sq_diffs,
 )
 from .kernel import HyperParams
 from .pointdata import Domain, EventSet, as_points, domain_measure, regular_grid
@@ -90,7 +92,7 @@ def unpack(y: np.ndarray, domain: Domain, M: int, cfg: FitConfig,
     m = y[i:i + M]; i += M
     n_tril = M * (M + 1) // 2
     L = np.zeros((M, M))
-    L[np.tri(M, dtype=bool)] = y[i:i + n_tril]; i += n_tril     # vech order
+    L[eye_and_vech_mask(M)[1]] = y[i:i + n_tril]; i += n_tril  # vech order
     with np.errstate(over="ignore"):
         gamma, alpha, diag_L = np.exp(log_gamma), np.exp(log_alpha), np.exp(L.diagonal())
     positive = np.concatenate(([gamma], alpha, diag_L))
@@ -141,11 +143,13 @@ def _objective_factory(events, domain, M, cfg, fixed_z):
     wrt = ("log_gamma", "log_alpha", "u_bar", "m", "L")
     if cfg.optimize_z:
         wrt = wrt + ("Z",)
+    # With Z fixed, the events' squared differences to it never change.
+    xz_sq = None if cfg.optimize_z else xz_sq_diffs(events, fixed_z)
 
     def negative_bound(y):
         try:
             model = unpack(y, domain, M, cfg, fixed_z=fixed_z)
-            value, grads = elbo_and_gradient(model, events, wrt=wrt)
+            value, grads = elbo_and_gradient(model, events, wrt=wrt, _xz_sq=xz_sq)
         except (np.linalg.LinAlgError, FloatingPointError):
             return FAILED_OBJECTIVE, np.zeros_like(y)
         gvec = np.concatenate([

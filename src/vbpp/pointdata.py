@@ -1,5 +1,4 @@
-"""Observation domains, event sets, point arrays and grids, event files and
-the inhomogeneous-Poisson log-likelihood.
+"""Observation domains, event sets, point arrays and grids, and event files.
 
 Points are N x R rows.  :func:`as_points` is the one rule for shaping a point
 set given R: a flat array is one point when its length is R and otherwise N
@@ -70,11 +69,6 @@ class Domain:
     @property
     def extent(self) -> np.ndarray:
         return self.hi - self.lo
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Boolean mask of points lying inside the closed hyper-rectangle."""
-        pts = as_points(points, self.dims)
-        return np.logical_and(pts >= self.lo, pts <= self.hi).all(axis=1)
 
 
 @dataclass(frozen=True)
@@ -185,21 +179,6 @@ def write_json(doc: dict, path) -> None:
 def save_events(events: EventSet, path) -> None:
     """Write an event set as bare CSV (no header), round-trippable by load_events."""
     write_csv(path, events.points.tolist())
-
-
-def poisson_log_likelihood(log_rates_at_events, integrated_rate: float) -> float:
-    """Inhomogeneous-Poisson log-density of the observed events.
-
-    log p(D | lambda) = -integral(lambda) + sum_n log lambda(x_n), where the
-    caller supplies the integral of the rate over the domain and the log-rates
-    at the events.
-    """
-    log_rates = np.asarray(log_rates_at_events, dtype=float)
-    if not np.isfinite(integrated_rate) or integrated_rate < 0:
-        raise PointDataError(f"integrated rate must be finite and >= 0, got {integrated_rate}")
-    if log_rates.size and not np.isfinite(log_rates).all():
-        raise PointDataError("log rates at events must be finite")
-    return float(-integrated_rate + log_rates.sum())
 
 
 def coal_style_dataset() -> tuple[EventSet, Domain]:

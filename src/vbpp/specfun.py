@@ -164,10 +164,15 @@ def default_table() -> GTildeTable:
 def _interpolate(table: GTildeTable, z: np.ndarray, t: np.ndarray):
     """(values, slopes) at arguments z = -t inside the table range.
 
-    Each t lies in [0, t_knots[-1]], so the search lands on a knot index in
-    [0, size - 1] and only t = 0 needs moving into the first interval.
+    Each t lies in [0, t_knots[-1]].  The interval index lo is
+    ``max(searchsorted(t_knots, t, side="left"), 1) - 1``, found in O(1): the
+    knots are log-uniform, so (log10 t - LO_EXP) * KNOTS_PER_DECADE, lowered
+    by 1e-6 against rounding and rounded up, is lo or lo - 1, and one
+    comparison against the next knot settles which.
     """
-    lo = np.maximum(np.searchsorted(table.t_knots, t, side="left"), 1) - 1
+    pos = (np.log10(np.maximum(t, table.t_knots[1])) - LO_EXP) * KNOTS_PER_DECADE - 1e-6
+    lo = np.ceil(pos, out=pos).astype(np.intp)
+    lo += table.t_knots[lo + 1] < t
     slope = table.slopes[lo]
     return table.values[lo] + slope * (z + table.t_knots[lo]), slope   # z - z_lo
 

@@ -5,9 +5,9 @@ sized to the machine.  The bound works on small matrices (N x M, M in the
 tens), where waking a second thread costs far more than the product itself
 (10-200x on a two-core machine) and the fixed cost hides the bound's linear
 scaling in N.  The joint covariance of Monte Carlo prediction holds the test
-events plus the quadrature nodes, a few hundred points on typical models, too
-few to repay a second thread either.  So importing vbpp sets both pools to one
-thread, and results do not depend on the machine's core count.
+events plus the quadrature nodes (106 to 774 points on the benchmark's
+models), too few to repay a second thread either.  So importing vbpp sets
+both pools to one thread, and results do not depend on the core count.
 
 A user who sets OMP_NUM_THREADS, OPENBLAS_NUM_THREADS or MKL_NUM_THREADS
 keeps the count OpenBLAS took from it everywhere.  Where neither bundled

@@ -21,7 +21,6 @@ from vbpp.baseline import (
     fit_bandwidth,
     ks_intensity,
     ks_log_predictive,
-    truncnorm_pdf,
 )
 from vbpp.core import (
     InducingPoints,
@@ -33,7 +32,7 @@ from vbpp.core import (
     expected_log_f_sq,
     qf_marginals,
 )
-from vbpp.kernel import HyperParams, gram, kernel_eval, psi_with_partials
+from vbpp.kernel import HyperParams, gram, psi_with_partials
 from vbpp.optimizer import (
     FitConfig,
     _initial_model,
@@ -55,7 +54,8 @@ from vbpp.simulate import ground_truth, thin_sample
 from vbpp.specfun import g_tilde_batch, g_tilde_series
 from vbpp.threads import pool_threads
 
-from test_baseline import ks_log_predictive_rate_form
+from test_baseline import ks_log_predictive_rate_form, truncnorm_pdf
+from test_kernel import kernel_eval
 
 
 def test_psi_integrals_match_numerical_quadrature():

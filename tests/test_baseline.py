@@ -16,11 +16,21 @@ from vbpp.baseline import (
     ks_log_predictive,
     loo_objective,
     _dim_pdfs,
-    truncnorm_pdf,
 )
 from vbpp.kernel import HyperParams
-from vbpp.pointdata import Domain, EventSet, poisson_log_likelihood, split_events
+from vbpp.pointdata import Domain, EventSet, split_events
 from vbpp.simulate import ground_truth, thin_sample
+
+from test_pointdata import poisson_log_likelihood
+
+
+def truncnorm_pdf(x, center, sigma, d: Domain) -> float:
+    """Density of a diagonal normal centred at ``center``, renormalised to
+    unit mass on the domain."""
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    center = np.asarray(center, dtype=float).reshape(1, -1)
+    sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
+    return float(_dim_pdfs(x, center, sigma, d)[0, 0])
 
 
 def ks_log_predictive_rate_form(model: KsModel, test: EventSet, d: Domain) -> float:

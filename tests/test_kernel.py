@@ -1,15 +1,26 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erf
 
 from vbpp.kernel import (
     GRAM_BLOCK,
     HyperParams,
+    _dfac_dzi,
+    _psi_dim_factors,
     gram,
-    kernel_eval,
     psi_with_partials,
 )
-from vbpp.pointdata import Domain
+from vbpp.pointdata import Domain, regular_grid
+
+
+def kernel_eval(x, x2, h: HyperParams) -> float:
+    """Kernel value at a single pair of points."""
+    a = np.asarray(x, dtype=float).reshape(-1)
+    b = np.asarray(x2, dtype=float).reshape(-1)
+    if a.shape[0] != h.dims or b.shape[0] != h.dims:
+        raise ValueError("point dimensionality does not match hyperparameters")
+    return float(h.gamma * np.exp(-np.sum((a - b) ** 2 / (2.0 * h.alpha))))
 
 
 def test_hyperparams_validation():
@@ -164,3 +175,65 @@ def test_psi_partials_match_finite_differences():
                     continue
                 assert dpsi_dzi[r][i, j] == pytest.approx(fd[i, j], rel=2e-5, abs=1e-10)
             assert 2.0 * dpsi_dzi[r][i, i] == pytest.approx(fd[i, i], rel=2e-5, abs=1e-10)
+
+
+def psi_dim_factors_all_pairs(Z, h, d, r, wrt):
+    """Psi's factor for dimension r and its partials, computed on every pair
+    of points: the oracle for the computation on distinct coordinates."""
+    a = h.alpha[r]
+    s = np.sqrt(a)
+    z = Z[:, r]
+    delta = z[:, None] - z[None, :]
+    zbar = 0.5 * (z[:, None] + z[None, :])
+    u_lo = (zbar - d.lo[r]) / s
+    u_hi = (zbar - d.hi[r]) / s
+    E = erf(u_lo) - erf(u_hi)
+    base = (np.sqrt(np.pi) * s / 2.0) * np.exp(-(delta**2) / (4.0 * a))
+    fac = base * E
+    dfac_dalpha = dfac_dzi = None
+    if "log_alpha" in wrt or "Z" in wrt:
+        e_lo = np.exp(-u_lo**2)
+        e_hi = np.exp(-u_hi**2)
+    if "log_alpha" in wrt:
+        dE_da = (u_hi * e_hi - u_lo * e_lo) / (np.sqrt(np.pi) * a)
+        dfac_dalpha = fac * (1.0 / (2.0 * a) + delta**2 / (4.0 * a**2)) + base * dE_da
+    if "Z" in wrt:
+        dfac_dzi = _dfac_dzi(fac, base, delta, a, s, e_lo, e_hi)
+    return fac, dfac_dalpha, dfac_dzi
+
+
+def _psi_inputs(case):
+    if case == "2d-grid":
+        d = Domain([0.0, 0.0], [10.0, 10.0])
+        return regular_grid(d, 6), HyperParams(4.0, [3.7, 5.2]), d
+    if case == "2d-partly-shared":      # some coordinates repeat, others do not
+        d = Domain([0.0, -1.0], [4.0, 3.0])
+        Z = np.array([[0.5, 0.5], [0.5, 2.0], [2.0, 0.5], [2.0, 2.7], [3.1, -0.4],
+                      [1.3, 2.0], [0.5, 1.1]])
+        return Z, HyperParams(1.7, [0.8, 1.3]), d
+    d = Domain([1851.0], [1962.0])
+    return regular_grid(d, 16), HyperParams(12.0, [493.0]), d
+
+
+@pytest.mark.parametrize("case", ["2d-grid", "2d-partly-shared", "1d-grid"])
+@pytest.mark.parametrize("wrt", [(), ("log_alpha",), ("Z",), ("log_alpha", "Z")])
+def test_psi_on_distinct_coordinates_is_bit_identical_to_all_pairs(case, wrt):
+    Z, h, d = _psi_inputs(case)
+    for r in range(h.dims):
+        got = _psi_dim_factors(Z, h, d, r, wrt)
+        want = psi_dim_factors_all_pairs(Z, h, d, r, wrt)
+        for g, w in zip(got, want):
+            assert (g is None) == (w is None)
+            if w is not None:
+                assert g.shape == w.shape and np.array_equal(g, w)
+    # and the product over dimensions, with each partial's other factors
+    psi, dpsi_dla, dpsi_dzi = psi_with_partials(Z, h, d, wrt)
+    facs = np.array([psi_dim_factors_all_pairs(Z, h, d, r, wrt)[0] for r in range(h.dims)])
+    assert np.array_equal(psi, h.gamma**2 * facs.prod(axis=0))
+    for r in range(h.dims):
+        others = h.gamma**2 * np.delete(facs, r, axis=0).prod(axis=0)
+        _, dfac_da, dfac_dz = psi_dim_factors_all_pairs(Z, h, d, r, wrt)
+        if "log_alpha" in wrt:
+            assert np.array_equal(dpsi_dla[r], others * dfac_da * h.alpha[r])
+        if "Z" in wrt:
+            assert np.array_equal(dpsi_dzi[r], others * dfac_dz)

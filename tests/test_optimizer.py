@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from vbpp.core import InducingPoints, Model, VariationalState, _evaluate, elbo
+from vbpp.core import (
+    GRAD_BLOCKS,
+    InducingPoints,
+    Model,
+    VariationalState,
+    _evaluate,
+    elbo,
+    elbo_and_gradient,
+    xz_sq_diffs,
+)
 from vbpp.kernel import HyperParams
 from vbpp import cli, optimizer
 from vbpp.optimizer import (
@@ -16,6 +25,8 @@ from vbpp.optimizer import (
     unpack,
 )
 from vbpp.pointdata import Domain, EventSet, coal_style_dataset
+
+from test_pointdata import contains
 
 
 def test_fit_config_validation():
@@ -32,7 +43,7 @@ def test_regular_grid_midpoints():
     d2 = Domain([0.0, 0.0], [2.0, 2.0])
     g2 = regular_grid(d2, [2, 3])
     assert g2.shape == (6, 2)
-    assert d2.contains(g2).all()
+    assert contains(d2, g2).all()
 
 
 def test_pack_lengths():
@@ -123,7 +134,7 @@ def test_fit_optimize_z_moves_points_inside_domain():
     ev = EventSet(rng.uniform(0, 1, 30)[:, None])
     d = Domain([0.0], [1.0])
     model = fit(ev, d, 4, FitConfig(optimize_z=True, max_iters=60))
-    assert d.contains(model.inducing.Z).all()
+    assert contains(d, model.inducing.Z).all()
     assert not np.allclose(model.inducing.Z, regular_grid(d, 4))
 
 
@@ -280,4 +291,70 @@ def test_fit_optimize_z_is_no_worse_than_the_grid_on_coal():
     grid = fit(ev, d, 32, FitConfig(max_iters=5000)).fit_metadata["elbo"]
     moved = fit(ev, d, 32, FitConfig(max_iters=5000, optimize_z=True))
     assert moved.fit_metadata["elbo"] >= grid - 0.1
-    assert d.contains(moved.inducing.Z).all()
+    assert contains(d, moved.inducing.Z).all()
+
+
+FIXED_Z_BLOCKS = ("log_gamma", "log_alpha", "u_bar", "m", "L")
+
+
+def _flat_negated(value, grads, wrt):
+    """negative_bound's (value, gradient vector) from a bound evaluation."""
+    return -value, -np.concatenate([np.atleast_1d(grads[b]).reshape(-1) for b in wrt])
+
+
+@pytest.fixture(scope="module")
+def grid_2d_fit():
+    """A 6 x 6 inducing grid fitted to a simulated 2-D data set."""
+    from vbpp.simulate import ground_truth, thin_sample
+    d = Domain([0.0, 0.0], [10.0, 10.0])
+    ev = thin_sample(ground_truth(HyperParams(4.0, [4.0, 4.0]), d, resolution=24, seed=1),
+                     d, seed=1)
+    return fit(ev, d, 6, FitConfig(max_iters=100)), ev, d
+
+
+@pytest.mark.parametrize("case", ["coal-start", "coal-fitted", "2d-start", "2d-fitted"])
+def test_objective_with_cached_squares_is_bit_identical_to_the_bound(case, request):
+    # a fixed-grid fit forms the events' squared differences to Z once; every
+    # evaluation must round as if the bound had formed them itself
+    if case.startswith("coal"):
+        ev, d = coal_style_dataset()
+        fitted = request.getfixturevalue("coal_fit")[0]
+    else:
+        fitted, ev, d = request.getfixturevalue("grid_2d_fit")
+    Z = fitted.inducing.Z
+    M = Z.shape[0]
+    model = fitted if case.endswith("fitted") else _initial_model(ev, d, Z)
+    cfg = FitConfig()
+    y = pack(model, cfg)
+    at_y = unpack(y, d, M, cfg, fixed_z=Z)
+    f, g = _objective_factory(ev, d, M, cfg, Z)(y)
+    want_f, want_g = _flat_negated(*elbo_and_gradient(at_y, ev, wrt=FIXED_Z_BLOCKS),
+                                   FIXED_Z_BLOCKS)
+    assert f == want_f
+    assert np.array_equal(g, want_g)
+    value, grads = elbo_and_gradient(at_y, ev, GRAD_BLOCKS)
+    cached_value, cached_grads = elbo_and_gradient(at_y, ev, GRAD_BLOCKS,
+                                                   _xz_sq=xz_sq_diffs(ev, Z))
+    assert cached_value == value
+    for b in GRAD_BLOCKS:
+        assert np.array_equal(cached_grads[b], grads[b]), b
+
+
+def test_optimize_z_objective_never_reuses_squares_of_another_z():
+    ev, d = coal_style_dataset()
+    M = 16
+    cfg = FitConfig(optimize_z=True)
+    wrt = FIXED_Z_BLOCKS + ("Z",)
+    objective = _objective_factory(ev, d, M, cfg, None)
+    y1 = pack(_initial_model(ev, d, regular_grid(d, M)), cfg)
+    y2 = y1.copy()
+    y2[-M:] += np.linspace(-2.0, 2.0, M)        # every inducing point moves
+    seen = []
+    for y in (y1, y2, y1):
+        f, g = objective(y)
+        want_f, want_g = _flat_negated(*elbo_and_gradient(unpack(y, d, M, cfg), ev, wrt=wrt),
+                                       wrt)
+        assert f == want_f
+        assert np.array_equal(g, want_g)
+        seen.append(f)
+    assert seen[0] != seen[1] and seen[0] == seen[2]

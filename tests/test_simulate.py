@@ -16,12 +16,14 @@ from vbpp.simulate import (
     thin_sample,
 )
 
+from test_pointdata import contains
+
 
 def test_make_grid_defaults_and_bounds():
     d = Domain([0.0], [1.0])
     grid, res = make_grid(d)
     assert res.tolist() == [2048]
-    assert d.contains(grid).all()
+    assert contains(d, grid).all()
     d2 = Domain([0.0, -1.0], [1.0, 1.0])
     grid2, res2 = make_grid(d2, 16)
     assert grid2.shape == (256, 2)
@@ -167,7 +169,7 @@ def test_thinning_deterministic_and_in_domain():
     a = thin_sample(truth, d, seed=9)
     b = thin_sample(truth, d, seed=9)
     assert np.array_equal(a.points, b.points)
-    assert d.contains(a.points).all()
+    assert contains(d, a.points).all()
 
 
 def test_save_ground_truth_format(tmp_path):

@@ -142,3 +142,28 @@ def test_small_table_build():
     for i in (1, 4097, 9000, 10000, 12000, table.knots.size - 1):
         assert table.values[i] == pytest.approx(dawsn_integral_oracle(table.knots[i]),
                                                 rel=1e-10)
+
+
+def _interpolate_by_search(table, t):
+    """Table interpolation at -t with the interval found by binary search."""
+    lo = np.maximum(np.searchsorted(table.t_knots, t, side="left"), 1) - 1
+    slope = table.slopes[lo]
+    return table.values[lo] + slope * (-t + table.t_knots[lo]), slope
+
+
+def test_constant_time_interval_index_matches_binary_search():
+    table = specfun.default_table()
+    tk = table.t_knots
+    rng = np.random.default_rng(7)
+    t = np.concatenate([
+        tk, np.nextafter(tk, np.inf), np.nextafter(tk, -np.inf),   # knots and neighbours
+        [0.0, 1e-300, 0.5 * tk[1], np.nextafter(tk[1], 0.0), tk[-1]],
+        10.0 ** rng.uniform(-12.0, 5.0, 1_000_000),
+    ])
+    t = t[(t >= 0.0) & (t <= tk[-1])]         # the table's range; beyond it is asymptotic
+    want = _interpolate_by_search(table, t)
+    got = specfun._interpolate(table, -t, t)
+    batch = g_tilde_batch(-t)
+    for g, b, w in zip(got, batch, want):
+        assert np.array_equal(g, w)
+        assert np.array_equal(b, w)
