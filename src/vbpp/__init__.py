@@ -7,7 +7,8 @@ predictive bounds, a truncated-normal kernel-smoothing benchmark and a
 thinning-based simulator for ground-truth experiments.
 
 Importing the package sets numpy's and scipy's OpenBLAS thread pools to one
-thread unless the user chose a count (see ``vbpp.threads``).
+thread unless the user chose a count (see ``vbpp.threads``).  It does not
+load scipy.optimize: ``fit`` and ``fit_bandwidth`` import it when they run.
 """
 
 from . import threads  # noqa: F401  (applies the thread policy on import)

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 from scipy.special import ndtr
 
 from .pointdata import Domain, EventSet, as_points, write_json
@@ -133,6 +132,7 @@ def fit_bandwidth(train: EventSet, d: Domain) -> KsModel:
     so L-BFGS-B on the analytic gradient runs from eight fixed starts
     (log-uniform in the band) and the best end point is kept.
     """
+    from scipy.optimize import minimize, minimize_scalar   # here, so `import vbpp` skips it
     if train.n < 2:
         raise InsufficientDataError("leave-one-out bandwidth selection needs N >= 2")
     lo = np.log(SIGMA_FLOOR_FRAC * d.extent)

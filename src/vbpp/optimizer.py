@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.optimize import Bounds, minimize
 
 from .core import (
     InducingPoints,
@@ -241,6 +240,7 @@ def fit(events: EventSet, d: Domain, inducing, cfg: FitConfig | None = None) -> 
     (non-decreasing across accepted iterations), iteration count, config and
     the BLAS thread count of each bundled OpenBLAS pool during the fit.
     """
+    from scipy.optimize import Bounds, minimize   # here, so `import vbpp` skips it
     cfg = cfg or FitConfig()
     Z = regular_grid(d, int(inducing)) if np.isscalar(inducing) else as_points(inducing, d.dims)
     if events.n and events.points.shape[1] != d.dims:

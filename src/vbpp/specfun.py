@@ -54,17 +54,20 @@ class GTildeDomainError(ValueError):
 
 def _series_poisson(t: np.ndarray) -> np.ndarray:
     # gt(-t) = -(E_{K~Poisson(t)}[digamma(K + 1/2)] - digamma(1/2)); the
-    # expectation is taken over a +-12 sigma window of the Poisson weights.
+    # expectation is taken over a +-12 sigma window of the Poisson weights,
+    # which each t slices out of per-k lookups shared by all t.
     t = np.atleast_1d(t)
     out = np.empty_like(t)
     psi_half = digamma(0.5)
+    ks = np.arange(int(t.max() + 12.0 * np.sqrt(t.max()) + 30.0) + 2)
+    log_fact, psi = gammaln(ks + 1.0), digamma(ks + 0.5)
     for i, ti in enumerate(t):
         half = 12.0 * np.sqrt(ti) + 30.0
-        k = np.arange(max(0, int(ti - half)), int(ti + half) + 1)
-        logw = k * np.log(ti) - gammaln(k + 1.0) - ti
+        a, b = max(0, int(ti - half)), int(ti + half) + 1
+        logw = ks[a:b] * np.log(ti) - log_fact[a:b] - ti
         w = np.exp(logw - logw.max())
         w /= w.sum()
-        out[i] = -(w @ digamma(k + 0.5) - psi_half)
+        out[i] = -(w @ psi[a:b] - psi_half)
     return out
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import dawsn
+from scipy.special import dawsn, digamma, gammaln
 
 from vbpp import specfun
 from vbpp.specfun import (
@@ -142,6 +142,38 @@ def test_small_table_build():
     for i in (1, 4097, 9000, 10000, 12000, table.knots.size - 1):
         assert table.values[i] == pytest.approx(dawsn_integral_oracle(table.knots[i]),
                                                 rel=1e-10)
+
+
+def _series_poisson_per_knot(t):
+    """The Poisson regime as each knot once computed it, on its own window of k."""
+    t = np.atleast_1d(t)
+    out = np.empty_like(t)
+    psi_half = digamma(0.5)
+    for i, ti in enumerate(t):
+        half = 12.0 * np.sqrt(ti) + 30.0
+        k = np.arange(max(0, int(ti - half)), int(ti + half) + 1)
+        logw = k * np.log(ti) - gammaln(k + 1.0) - ti
+        w = np.exp(logw - logw.max())
+        w /= w.sum()
+        out[i] = -(w @ digamma(k + 0.5) - psi_half)
+    return out
+
+
+def test_poisson_regime_from_shared_lookups_is_bit_identical(monkeypatch):
+    table = specfun.default_table()
+    tk = table.t_knots
+    knots = tk[(tk > 14.0) & (tk <= 300.0)]
+    assert knots.size == 1363
+    edges = np.array([np.nextafter(14.0, 0.0), np.nextafter(14.0, np.inf),
+                      np.nextafter(300.0, 0.0), np.nextafter(300.0, np.inf)])
+    for t in (knots, edges):
+        want = _series_poisson_per_knot(t)
+        assert np.array_equal(specfun._series_poisson(t), want)
+        # one element at a time, as g_tilde_series calls it
+        assert np.array_equal([specfun._series_poisson(np.array([ti]))[0] for ti in t], want)
+    monkeypatch.setattr(specfun, "_series_poisson", _series_poisson_per_knot)
+    for new, old in zip(table, build_table()):
+        assert np.array_equal(new, old)
 
 
 def _interpolate_by_search(table, t):

@@ -51,6 +51,7 @@ def pools():
 seen = {"before": pools()}
 from vbpp import cli, predictive
 seen["imported"] = pools()
+seen["optimize_loaded"] = ["scipy.optimize" in sys.modules]
 seen["inside"] = []
 chol = predictive.chol_with_jitter
 
@@ -67,6 +68,7 @@ for argv in (["simulate", "--domain", "0:3", "--gamma", "16", "--alpha", "0.5",
              ["evaluate", "--model", "fit/model.json", "--data", "sim/events.csv",
               "--samples", "200", "--out-dir", "eval"]):
     assert cli.main(argv) == 0, argv
+    seen["optimize_loaded"].append("scipy.optimize" in sys.modules)
 seen["after"] = pools()
 print(json.dumps(seen))
 """
@@ -99,6 +101,9 @@ def test_import_sets_one_thread_and_prediction_keeps_it(tmp_path):
     assert seen["imported"] == one
     assert seen["inside"] == [one]
     assert seen["after"] == one
+    # import and simulate leave scipy.optimize unloaded; the fit's search
+    # loads it, and the one-thread policy above survives that
+    assert seen["optimize_loaded"] == [False, False, True, True]
     # the report does not depend on the machine's core count
     assert seen["report"] == observe(tmp_path / "user", OPENBLAS_NUM_THREADS="1")["report"]
 
