@@ -73,8 +73,7 @@ def cmd_simulate(args) -> int:
 def cmd_fit(args) -> int:
     d = parse_domain(args.domain)
     events = load_events(args.data, d)
-    cfg = FitConfig(max_iters=args.max_iters, grad_tol=args.grad_tol,
-                    optimize_z=args.optimize_z)
+    cfg = FitConfig(max_iters=args.max_iters, optimize_z=args.optimize_z)
     model = fit(events, d, args.inducing, cfg)
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -174,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also optimise the inducing locations, kept inside the domain "
                         "by box bounds")
     p.add_argument("--max-iters", type=int, default=FitConfig.max_iters)
-    p.add_argument("--grad-tol", type=float, default=FitConfig.grad_tol)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_fit)
 

@@ -73,10 +73,6 @@ class InducingPoints:
         object.__setattr__(self, "Z", Z)
         self.Z.setflags(write=False)
 
-    @property
-    def count(self) -> int:
-        return self.Z.shape[0]
-
 
 @functools.cache
 def eye_and_vech_mask(M: int) -> tuple[np.ndarray, np.ndarray]:
@@ -198,7 +194,7 @@ class Model:
 
     @property
     def num_inducing(self) -> int:
-        return self.inducing.count
+        return self.inducing.Z.shape[0]
 
 
 # ----------------------------------------------------------------------

@@ -44,14 +44,11 @@ class FitConfig:
     """Configuration of a single fit run."""
 
     max_iters: int = 500
-    grad_tol: float = 1e-5
     optimize_z: bool = False
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not (self.grad_tol > 0):
-            raise ValueError("grad_tol must be positive")
 
 
 # ----------------------------------------------------------------------
@@ -269,7 +266,7 @@ def fit(events: EventSet, d: Domain, inducing, cfg: FitConfig | None = None) -> 
 
     result = minimize(
         wobj, y0, jac=True, method="L-BFGS-B", bounds=bounds, callback=record,
-        options={"maxiter": cfg.max_iters, "gtol": cfg.grad_tol,
+        options={"maxiter": cfg.max_iters, "gtol": 1e-5,
                  "ftol": 1e-14, "maxcor": 20, "maxls": 50},
     )
     if result.fun == FAILED_OBJECTIVE:
@@ -283,7 +280,6 @@ def fit(events: EventSet, d: Domain, inducing, cfg: FitConfig | None = None) -> 
         "trace": [float(t) for t in trace],
         "config": {
             "max_iters": cfg.max_iters,
-            "grad_tol": cfg.grad_tol,
             "optimize_z": cfg.optimize_z,
         },
         "blas_threads": pool_threads(),

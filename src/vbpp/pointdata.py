@@ -92,10 +92,6 @@ class EventSet:
     def n(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def dims(self) -> int:
-        return self.points.shape[1]
-
 
 def domain_measure(d: Domain) -> float:
     """Lebesgue measure |T| of the hyper-rectangle: the product of extents."""
@@ -170,10 +166,12 @@ def write_csv(path, rows, header=None) -> None:
 
 
 def write_json(doc: dict, path) -> None:
-    """Write ``doc`` as JSON with indent 2, sorted keys and a trailing newline."""
+    """Write ``doc`` as strict JSON with indent 2, sorted keys and a trailing
+    newline.  A NaN or an infinity raises ``ValueError`` before the file is
+    opened."""
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def save_events(events: EventSet, path) -> None:

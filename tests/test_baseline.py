@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize, minimize_scalar
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtr
 from scipy.stats import norm
 
 from vbpp import baseline
@@ -15,13 +15,29 @@ from vbpp.baseline import (
     ks_intensity,
     ks_log_predictive,
     loo_objective,
-    _dim_pdfs,
 )
 from vbpp.kernel import HyperParams
 from vbpp.pointdata import Domain, EventSet, split_events
 from vbpp.simulate import ground_truth, thin_sample
 
 from test_pointdata import poisson_log_likelihood
+
+
+def _dim_pdfs(x: np.ndarray, centers: np.ndarray, sigma: np.ndarray,
+              d: Domain) -> np.ndarray:
+    """Product over dimensions of 1-D normal pdfs truncated to the domain.
+
+    x: (n, R), centers: (m, R) -> (n, m).
+    """
+    out = np.ones((x.shape[0], centers.shape[0]))
+    for r in range(d.dims):
+        s = sigma[r]
+        z = (x[:, r][:, None] - centers[:, r][None, :]) / s
+        pdf = np.exp(-0.5 * z**2) / (s * np.sqrt(2.0 * np.pi))
+        mass = ndtr((d.hi[r] - centers[:, r]) / s) - ndtr((d.lo[r] - centers[:, r]) / s)
+        pdf = pdf / mass[None, :]
+        out *= pdf
+    return out
 
 
 def truncnorm_pdf(x, center, sigma, d: Domain) -> float:
@@ -78,6 +94,24 @@ def test_intensity_integrates_to_n():
     assert ks_intensity(model, grid, d).tolist() == ks_intensity(model, grid[:, None], d).tolist()
 
 
+@pytest.mark.parametrize("dims", [1, 2])
+def test_intensity_is_the_sum_of_the_kernel_pdfs(dims):
+    d, train = _cluster_and_isolated_point(dims)
+    rng = np.random.default_rng(6)
+    query = np.vstack([0.1 + 0.3 * rng.random((25, dims)), train.points])
+    for sigma in (np.full(dims, 0.05), np.array([0.3, 0.1][:dims])):
+        model = KsModel(train, sigma)
+        np.testing.assert_allclose(ks_intensity(model, query, d),
+                                   _dim_pdfs(query, train.points, sigma, d).sum(axis=1),
+                                   rtol=1e-12, atol=0)
+
+
+def test_intensity_of_an_empty_training_set_is_zero():
+    d = Domain([0.0], [1.0])
+    model = KsModel(EventSet(np.empty((0, 1))), np.array([0.1]))
+    assert ks_intensity(model, [0.2, 0.7], d).tolist() == [0.0, 0.0]
+
+
 def test_loo_objective_permutation_invariant():
     rng = np.random.default_rng(0)
     d = Domain([0.0], [1.0])
@@ -106,16 +140,72 @@ def _with_a_far_point(train, d):
     return EventSet(np.vstack([train.points, train.points[-1] + 40 * SIGMA_FLOOR_FRAC * d.extent]))
 
 
-def _pairwise_loo(train, sigma, d):
-    """The leave-one-out objective as a logsumexp of the pairwise log pdfs."""
-    X = train.points
-    log_pdfs = np.zeros((train.n, train.n))
+def _pairwise_log_pdfs(query, centres, sigma, d):
+    """log N_T(q_i; c_j, Sigma) for every pair, from scipy's normal."""
+    log_pdfs = np.zeros((query.shape[0], centres.shape[0]))
     for r in range(d.dims):
         s = sigma[r]
-        mass = norm.cdf((d.hi[r] - X[:, r]) / s) - norm.cdf((d.lo[r] - X[:, r]) / s)
-        log_pdfs += norm.logpdf(X[:, r][:, None], X[:, r][None, :], s) - np.log(mass)[None, :]
+        mass = norm.cdf((d.hi[r] - centres[:, r]) / s) - norm.cdf((d.lo[r] - centres[:, r]) / s)
+        log_pdfs += norm.logpdf(query[:, r][:, None], centres[:, r][None, :], s) \
+            - np.log(mass)[None, :]
+    return log_pdfs
+
+
+def _pairwise_loo(train, sigma, d):
+    """The leave-one-out objective as a logsumexp of the pairwise log pdfs."""
+    log_pdfs = _pairwise_log_pdfs(train.points, train.points, sigma, d)
     np.fill_diagonal(log_pdfs, -np.inf)
     return float(np.sum(logsumexp(log_pdfs, axis=1)))
+
+
+def _loo(train, d):
+    """The leave-one-out objective as fit_bandwidth searches it:
+    ``objective(sigma)`` is its value, ``objective(sigma, grad=True)`` the
+    value and its gradient in log sigma."""
+    sums = baseline._log_kernel_sums(train.points, train.points, d, leave_one_out=True)
+
+    def objective(sigma, grad=False):
+        if not grad:
+            return baseline._total(*sums(sigma))
+        peak, row, g = sums(sigma, grad=True)
+        return baseline._total(peak, row), g
+    return objective
+
+
+def _loo_oracle(train: EventSet, d: Domain):
+    """The leave-one-out objective over the training points alone, with
+    its own half-squares and row sums: the bit-level oracle of ``_loo``."""
+    X = train.points
+    half_sq = [-0.5 * (X[:, r][:, None] - X[:, r][None, :]) ** 2 for r in range(d.dims)]
+    buf = np.empty_like(half_sq[0])
+
+    def objective(sigma, grad=False):
+        sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
+        np.multiply(half_sq[0], sigma[0] ** -2, out=buf)
+        for r in range(1, d.dims):
+            np.add(buf, half_sq[r] * sigma[r] ** -2, out=buf)
+        np.fill_diagonal(buf, -np.inf)
+        peak = buf.max(axis=1)
+        np.subtract(buf, peak[:, None], out=buf)
+        np.maximum(buf, baseline.LOG_KERNEL_CUT, out=buf)
+        np.exp(buf, out=buf)
+        np.fill_diagonal(buf, 0.0)
+        a = (d.hi - X) / sigma
+        b = (d.lo - X) / sigma
+        mass = ndtr(a) - ndtr(b)
+        weight = (2.0 * np.pi) ** (-d.dims / 2) / np.prod(sigma) / mass.prod(axis=1)
+        row = buf @ weight
+        value = float(np.sum(peak) + np.sum(np.log(row)))
+        if not grad:
+            return value
+        np.multiply(buf, weight, out=buf)
+        np.divide(buf, row[:, None], out=buf)
+        dlog_mass = (b * np.exp(-0.5 * b**2) - a * np.exp(-0.5 * a**2)) \
+            / (np.sqrt(2.0 * np.pi) * mass)
+        g = [-2.0 * sigma[r] ** -2 * np.vdot(buf, half_sq[r]) for r in range(d.dims)]
+        return value, np.array(g) - X.shape[0] - buf.sum(axis=0) @ dlog_mass
+
+    return objective
 
 
 @pytest.mark.parametrize("dims", [1, 2])
@@ -134,6 +224,26 @@ def test_loo_objective_matches_the_pairwise_reference(dims):
     assert loo_objective(far, floor, d) == pytest.approx(_pairwise_loo(far, floor, d), rel=1e-12)
 
 
+
+def test_loo_is_bit_identical_to_the_oracle():
+    cases = []
+    for dims in (1, 2):
+        d, train = _cluster_and_isolated_point(dims)
+        far = _with_a_far_point(train, d)
+        floor = SIGMA_FLOOR_FRAC * d.extent
+        cases += [(d, train, floor), (d, far, floor), (d, train, np.full(dims, 0.02)),
+                  (d, far, np.full(dims, 0.3)), (d, train, np.array([0.7, 0.05][:dims]))]
+    d, train = _sim_2d_train(1)
+    cases += [(d, train, sigma) for sigma in
+              (SIGMA_FLOOR_FRAC * d.extent, np.array([0.885, 0.550]), np.array([3.0, 0.2]))]
+    for d, events, sigma in cases:
+        loo, oracle = _loo(events, d), _loo_oracle(events, d)
+        assert loo_objective(events, sigma, d) == loo(sigma) == oracle(sigma)
+        value, grad = loo(sigma, grad=True)
+        want_value, want_grad = oracle(sigma, grad=True)
+        assert value == want_value
+        assert grad.tolist() == want_grad.tolist()
+
 @pytest.mark.parametrize("dims", [1, 2])
 def test_loo_gradient_matches_finite_differences(dims):
     d, train = _cluster_and_isolated_point(dims)
@@ -143,7 +253,7 @@ def test_loo_gradient_matches_finite_differences(dims):
              (train, np.array([0.7, 0.05][:dims])), (far, np.full(dims, 0.3))]
     h = 1e-5
     for events, sigma in cases:
-        loo = baseline._loo(events, d)
+        loo = _loo(events, d)
         value, grad = loo(sigma, grad=True)
         assert value == loo(sigma)
         fd = np.empty(dims)
@@ -183,7 +293,7 @@ def test_fit_bandwidth_in_1d_is_one_bounded_search(monkeypatch):
     rng = np.random.default_rng(5)
     d = Domain([0.0], [10.0])
     train = EventSet(10.0 * rng.beta(2, 5, 80)[:, None])   # optimum inside the band
-    loo = baseline._loo(train, d)
+    loo = _loo(train, d)
     lo, hi = np.log(SIGMA_FLOOR_FRAC * d.extent), np.log(SIGMA_CEIL_FRAC * d.extent)
     res = minimize_scalar(lambda t: -loo(np.exp(np.array([t]))), bounds=(lo[0], hi[0]),
                           method="bounded", options={"xatol": 1e-8})
@@ -207,24 +317,24 @@ def _counting_loo(monkeypatch):
     """Route fit_bandwidth's objective through a wrapper that records the
     bandwidth of every evaluation."""
     evaluated = []
-    make_loo = baseline._loo
+    make_sums = baseline._log_kernel_sums
 
-    def counting_loo(*args):
-        objective = make_loo(*args)
+    def counting_sums(*args, **kwargs):
+        sums = make_sums(*args, **kwargs)
 
         def counted(sigma, **kwargs):
             evaluated.append(np.atleast_1d(sigma).copy())
-            return objective(sigma, **kwargs)
+            return sums(sigma, **kwargs)
         return counted
 
-    monkeypatch.setattr(baseline, "_loo", counting_loo)
+    monkeypatch.setattr(baseline, "_log_kernel_sums", counting_sums)
     return evaluated
 
 
 def _nelder_mead_oracle(train, d):
     """fit_bandwidth's 2-D oracle: the best end point of Nelder-Mead on the
     value alone, from the same eight starts inside the same box."""
-    loo = baseline._loo(train, d)
+    loo = _loo(train, d)
     lo, hi = np.log(SIGMA_FLOOR_FRAC * d.extent), np.log(SIGMA_CEIL_FRAC * d.extent)
     rng = np.random.Generator(np.random.Philox(key=[0, 0x4B53]))
     best = -np.inf
@@ -304,3 +414,43 @@ def test_better_bandwidth_scores_better():
     fitted = fit_bandwidth(train, d)
     narrow = KsModel(train, np.array([1e-3]))
     assert ks_log_predictive(fitted, test, d) > ks_log_predictive(narrow, test, d)
+
+
+def lone_event_data():
+    """Two tight clusters and one lone event far from both, on 0:100.  The
+    held-out split at fraction 0.5 and seed 0 puts the lone event, at 95, in
+    the test half."""
+    rng = np.random.default_rng(0)
+    x = np.concatenate([rng.normal(20, 0.3, 60), rng.normal(70, 0.3, 60), [95.0]])
+    return Domain([0.0], [100.0]), EventSet(np.clip(x, 0.0, 100.0)[:, None])
+
+
+def _lone_event_split(dims):
+    if dims == 1:
+        d, events = lone_event_data()
+        train, test = split_events(events, 0.5, 0)
+        assert 95.0 in test.points
+        return d, train, test
+    rng = np.random.default_rng(0)
+    d = Domain([0.0, 0.0], [10.0, 10.0])
+    return d, EventSet(rng.normal([3.0, 3.0], 0.05, (40, 2))), EventSet(np.array([[9.0, 9.0]]))
+
+
+def _log_predictive_oracle(train, test, sigma, d):
+    """K log N - N + sum_k log((1/N) sum_j N_T(x_k; x_j, Sigma)), the inner
+    sum a logsumexp of scipy's log pdfs."""
+    n = train.n
+    log_loc = logsumexp(_pairwise_log_pdfs(test.points, train.points, sigma, d), axis=1) \
+        - np.log(n)
+    return float(test.n * np.log(n) - n + np.sum(log_loc))
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_log_predictive_of_a_lone_test_event_is_finite(dims):
+    # every kernel term of the lone event underflows in linear space
+    d, train, test = _lone_event_split(dims)
+    model = fit_bandwidth(train, d)
+    assert (ks_intensity(model, test.points, d) == 0.0).any()
+    got = ks_log_predictive(model, test, d)
+    assert np.isfinite(got)
+    assert got == pytest.approx(_log_predictive_oracle(train, test, model.sigma, d), rel=1e-12)

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from vbpp.cli import build_parser, main, parse_domain
-from vbpp.pointdata import load_events
+from vbpp.pointdata import load_events, save_events
+
+from test_baseline import lone_event_data
 
 
 def run(tmp, *argv):
@@ -106,6 +108,23 @@ def test_evaluate_with_split_and_baseline(workspace):
     assert doc["n_test"] > 0
     assert not (workspace / "eval" / "intensity.csv").exists()    # predict draws the map
     assert (workspace / "eval" / "evaluate_manifest.json").exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_evaluate_baseline_report_is_strict_json_for_a_lone_test_event(tmp_path):
+    # the held-out half holds an event whose every kernel term underflows
+    _, events = lone_event_data()
+    save_events(events, tmp_path / "events.csv")
+    assert run(tmp_path, "fit", "--data", "events.csv", "--domain", "0:100",
+               "--inducing", "16", "--out-dir", "fit") == 0
+    assert run(tmp_path, "evaluate", "--model", "fit/model.json", "--data", "events.csv",
+               "--baseline", "--samples", "500", "--out-dir", "eval") == 0
+    doc = json.loads((tmp_path / "eval" / "report.json").read_text(),
+                     parse_constant=_reject_constant)
+    assert np.isfinite(doc["ks_log_predictive"])
 
 
 def test_baseline_command(workspace):

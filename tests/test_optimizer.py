@@ -32,8 +32,6 @@ from test_pointdata import contains
 def test_fit_config_validation():
     with pytest.raises(ValueError):
         FitConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        FitConfig(grad_tol=0.0)
 
 
 def test_regular_grid_midpoints():

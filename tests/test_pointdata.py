@@ -11,6 +11,7 @@ from vbpp.pointdata import (
     load_events,
     save_events,
     split_events,
+    write_json,
 )
 
 
@@ -65,7 +66,7 @@ def test_eventset_empty_is_valid():
     ev = EventSet()
     assert ev.n == 0
     ev2 = EventSet(np.empty((0, 3)))
-    assert ev2.n == 0 and ev2.dims == 3
+    assert ev2.n == 0 and ev2.points.shape[1] == 3
 
 
 def test_eventset_promotes_1d_to_column():
@@ -100,6 +101,16 @@ def test_load_save_roundtrip(tmp_path):
     save_events(EventSet(pts), path)
     back = load_events(path, d)
     assert np.array_equal(back.points, pts)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_write_json_rejects_non_finite_values(tmp_path, bad):
+    path = tmp_path / "doc.json"
+    with pytest.raises(ValueError):
+        write_json({"x": bad}, path)
+    assert not path.exists()
+    write_json({"x": 1.5, "a": [1, 2]}, path)
+    assert path.read_text() == '{\n  "a": [\n    1,\n    2\n  ],\n  "x": 1.5\n}\n'
 
 
 def test_load_events_skips_header_and_trims(tmp_path):
