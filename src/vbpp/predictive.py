@@ -7,8 +7,10 @@ KL term.  The tightened variant collapses S to zero.  Both are views of the
 one bound evaluation in :mod:`vbpp.core`.  The corresponding true
 predictive log-likelihoods are estimated by exact joint Gaussian sampling of
 f on the test points plus tensor-product Gauss-Legendre nodes over the
-domain, which integrate f^2.  One Cholesky factor of the joint covariance
-and one draw stream serve both Monte-Carlo modes.
+domain, which integrate f^2.  The joint covariance is positive
+semi-definite, often of numerical rank r far below its size: one pivoted
+Cholesky factor of rank r, taken with no jitter, and one draw stream serve
+both Monte-Carlo modes, and each draw takes r normals.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.linalg import blas
+from scipy.linalg import blas, lapack
 from scipy.special import ndtri, roots_legendre
 
-from .core import Model, chol_with_jitter, predictive_bound_l0, predictive_bound_lp, qf_marginals
+from .core import Model, predictive_bound_l0, predictive_bound_lp, qf_marginals
 from .kernel import gram
 from .pointdata import Domain, EventSet, tensor_grid
 
@@ -36,6 +38,7 @@ class PredictiveReport:
     m_0_stderr: float
     n_samples: int
     grid_resolution: list[int]
+    mc_rank: int
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -46,10 +49,9 @@ def _joint_qf(model: Model, points: np.ndarray):
     K_pp - A-bar A^T of q(f | u = m), and A-bar L.
 
     The covariance is F-contiguous: A-bar A^T is taken off K_pp in its own
-    buffer (``dgemm`` with beta = 1), and :func:`chol_with_jitter`
-    overwrites it with its factor.  It is symmetric only up to rounding: the
-    factor reads its lower triangle, and a retry with more jitter restores
-    that triangle from the upper one.  The covariance of q*(f) is that one
+    buffer (``dgemm`` with beta = 1), and :func:`_pivoted_cholesky`
+    overwrites it with its factor.  It is symmetric only up to rounding; the
+    factor reads its lower triangle.  The covariance of q*(f) is that one
     plus (A-bar L)(A-bar L)^T.
     """
     A = gram(points, model.inducing.Z, model.hyper)
@@ -65,18 +67,23 @@ def _log_mean_exp(values: np.ndarray) -> float:
 
 
 def _jackknife_stderr(values: np.ndarray, block: int = 100) -> float:
-    """Delete-one-block jackknife stderr of the log-mean-exp of ``values``."""
+    """Delete-one-block jackknife stderr of the log-mean-exp of ``values``.
+
+    Each block's log-sum-exp is taken once; the estimate without block b
+    combines the other blocks' log-sum-exps, so the cost is O(n + B^2) for
+    B blocks."""
     n = values.size
     n_blocks = n // block
     if n_blocks < 2:
         n_blocks, block = n, 1
         if n < 2:
             return 0.0
-    values = values[: n_blocks * block]
-    estimates = np.array([
-        _log_mean_exp(np.delete(values.reshape(n_blocks, block), b, axis=0).reshape(-1))
-        for b in range(n_blocks)
-    ])
+    blocks = values[: n_blocks * block].reshape(n_blocks, block)
+    peaks = blocks.max(axis=1)
+    lse = peaks + np.log(np.exp(blocks - peaks[:, None]).sum(axis=1))
+    others = np.where(np.eye(n_blocks, dtype=bool), -np.inf, lse)  # row b: all blocks but b
+    top = others.max(axis=1)
+    estimates = top + np.log(np.exp(others - top[:, None]).sum(axis=1) / ((n_blocks - 1) * block))
     centre = estimates.mean()
     return float(np.sqrt((n_blocks - 1) / n_blocks * np.sum((estimates - centre) ** 2)))
 
@@ -110,13 +117,50 @@ def _node_count(model: Model) -> int:
     return n
 
 
+def _pivoted_cholesky(cov: np.ndarray):
+    """Pivoted Cholesky factor of the positive semi-definite ``cov`` to its
+    numerical rank, with no jitter, made in cov's own buffer when it is
+    F-contiguous.
+
+    LAPACK's ``dpstrf`` at its default tolerance (P eps max diag) reads the
+    lower triangle.  Returns (c, rank, order): the rank-r factor is the
+    lower trapezoid G = tril(c[:, :r]), and cov = G[order] G[order]^T, where
+    ``order`` is the inverse of the pivot permutation.  A non-finite cov
+    raises ``ValueError``.
+    """
+    c, piv, rank, info = lapack.dpstrf(np.asarray_chkfinite(cov), lower=1, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"dpstrf: argument {-info} had an illegal value")
+    return c, int(rank), np.argsort(piv)
+
+
+def _factor_draws(c: np.ndarray, rank: int, order: np.ndarray, batch: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """``batch`` draws of G[order] e, e ~ N(0, I_rank), as a P x batch array,
+    for the factor of :func:`_pivoted_cholesky`.
+
+    The draws are made as e^T G^T in the rows of one F-ordered batch x P
+    buffer: the tail e^T G21^T first (``dgemm``), then the head e^T G11^T in
+    e's own columns (``dtrmm``); BLAS reads only G11's lower triangle.
+    """
+    P = c.shape[0]
+    buf = np.empty((batch, P), order="F")
+    head = buf[:, :rank]
+    rng.standard_normal(out=head.T)
+    if rank < P:
+        blas.dgemm(1.0, head, c[rank:, :rank], trans_b=1, c=buf[:, rank:], overwrite_c=1)
+    blas.dtrmm(1.0, c[:rank, :rank], head, side=1, lower=1, trans_a=1, overwrite_b=1)
+    return buf.T[order]
+
+
 def _mc_log_liks(model: Model, test: EventSet, n_samples: int, grid_res,
-                 seed: int) -> dict[str, np.ndarray]:
-    """Per-draw log p(H | f) for both Monte-Carlo modes, keyed "Mp" and "M0".
+                 seed: int) -> tuple[dict[str, np.ndarray], int]:
+    """Per-draw log p(H | f) for both Monte-Carlo modes, keyed "Mp" and "M0",
+    and the rank of the joint covariance's factor.
 
     ``grid_res`` is the number of Gauss-Legendre nodes per dimension.  One
     factor and one draw stream serve both modes.  Each batch draws
-    e ~ N(0, I_n) and eta ~ N(0, I_M): f0 = mean + chol e is a draw from
+    e ~ N(0, I_r) and eta ~ N(0, I_M): f0 = mean + G e is a draw from
     q(f | u = m) (mode "M0"), and f0 + (A-bar L) eta, whose covariance adds
     (A-bar L)(A-bar L)^T, is an exact draw from q*(f) (mode "Mp").
     """
@@ -138,18 +182,16 @@ def _mc_log_liks(model: Model, test: EventSet, n_samples: int, grid_res,
         return np.sum(np.log(f[:n_test] ** 2), axis=0) - weights @ f[n_test:] ** 2
 
     mean, cov, AbarL = _joint_qf(model, points)
-    chol = chol_with_jitter(cov, 1e-10 * model.hyper.gamma, tries=6)
+    c, rank, order = _pivoted_cholesky(cov)
     for done in range(0, n_samples, 512):
         batch = min(512, n_samples - done)
-        # f = chol e, made in the buffer of e^T (F-contiguous) as e^T chol^T
-        f = blas.dtrmm(1.0, chol, rng.standard_normal((points.shape[0], batch)).T,
-                       side=1, lower=1, trans_a=1, overwrite_b=1).T
+        f = _factor_draws(c, rank, order, batch, rng)
         f += mean[:, None]
         eta = rng.standard_normal((AbarL.shape[1], batch))
         log_liks["M0"][done:done + batch] = score(f)
         f += AbarL @ eta
         log_liks["Mp"][done:done + batch] = score(f)
-    return log_liks
+    return log_liks, rank
 
 
 def mc_predictive(model: Model, test: EventSet, mode: str, n_samples: int,
@@ -164,16 +206,17 @@ def mc_predictive(model: Model, test: EventSet, mode: str, n_samples: int,
     """
     if mode not in ("Mp", "M0"):
         raise ValueError(f"mode must be 'Mp' or 'M0', got {mode!r}")
-    log_liks = _mc_log_liks(model, test, n_samples, grid_res, seed)[mode]
+    log_liks = _mc_log_liks(model, test, n_samples, grid_res, seed)[0][mode]
     return _log_mean_exp(log_liks), _jackknife_stderr(log_liks)
 
 
 def predictive_report(model: Model, test: EventSet, n_samples: int = 10_000,
                       seed: int = 0) -> PredictiveReport:
     """Bundle both bounds and both MC estimates for a test set, with the
-    quadrature's node count (``grid_resolution``) chosen by ``_node_count``."""
+    quadrature's node count (``grid_resolution``) chosen by ``_node_count``
+    and the rank of the joint covariance's factor (``mc_rank``)."""
     res = [_node_count(model)] * model.domain.dims
-    log_liks = _mc_log_liks(model, test, n_samples, res, seed)
+    log_liks, rank = _mc_log_liks(model, test, n_samples, res, seed)
     mp, m0 = log_liks["Mp"], log_liks["M0"]
     return PredictiveReport(
         l_p=predictive_bound_lp(model, test),
@@ -182,6 +225,7 @@ def predictive_report(model: Model, test: EventSet, n_samples: int = 10_000,
         m_0_hat=_log_mean_exp(m0), m_0_stderr=_jackknife_stderr(m0),
         n_samples=n_samples,
         grid_resolution=res,
+        mc_rank=rank,
     )
 
 

@@ -18,10 +18,14 @@ from vbpp.kernel import HyperParams, gram
 from vbpp.optimizer import FitConfig, fit
 from vbpp.pointdata import Domain, EventSet
 from vbpp.predictive import (
+    _factor_draws,
     _gauss_legendre,
+    _jackknife_stderr,
     _joint_qf,
+    _log_mean_exp,
     _mc_log_liks,
     _node_count,
+    _pivoted_cholesky,
     mc_predictive,
     posterior_intensity,
     predictive_bound_l0,
@@ -63,23 +67,44 @@ def test_l0_equals_lp_when_s_collapses():
         predictive_bound_lp(model, ev), abs=1e-4)
 
 
-def test_mc_jitter_sequence(fitted, monkeypatch):
-    # The joint covariance gets six tries, from 1e-10 gamma up by 100 each.
-    import vbpp.core
-    model, ev, _ = fitted
-    diags = []
+def test_mc_duplicate_events_draw_from_a_singular_covariance(fitted):
+    # a repeated test event makes the joint covariance exactly singular: no
+    # jitter is needed, the rank falls below P, and the two events' f agree
+    # in every draw f = mean + G e
+    model, ev, d = fitted
+    dup = EventSet(np.vstack([ev.points, ev.points[3:4]]))
+    points = np.vstack([dup.points, _gauss_legendre(d, [8])[0]])
+    log_liks, rank = _mc_log_liks(model, dup, 700, 8, seed=2)
+    assert rank < points.shape[0]
+    assert all(np.isfinite(v).all() for v in log_liks.values())
 
-    def cholesky(K, lower, clean):
-        diags.append(K.diagonal().copy())
-        raise np.linalg.LinAlgError("not positive definite")
+    mean, cov, _ = _joint_qf(model, points)
+    c, rank, order = _pivoted_cholesky(cov)
+    f = mean[:, None] + _factor_draws(c, rank, order, 512, np.random.default_rng(0))
+    assert np.allclose(f[dup.n - 1], f[3], rtol=1e-9, atol=0)
 
-    monkeypatch.setattr(vbpp.core, "cholesky", cholesky)
-    with pytest.raises(np.linalg.LinAlgError):
-        mc_predictive(model, ev, "Mp", 4, 8)
-    assert len(diags) == 6
-    added = np.array([np.max(dg - diags[0]) for dg in diags[1:]])
-    expected = 1e-10 * model.hyper.gamma * (100.0 ** np.arange(1, 6) - 1.0)
-    assert np.allclose(added, expected, rtol=1e-6, atol=0)
+    cov[1, 0] = np.nan
+    with pytest.raises(ValueError):
+        _pivoted_cholesky(cov)
+
+
+def test_pivoted_factor_reconstructs_the_joint_covariance(fitted):
+    # G G^T gives back the covariance it factors (its lower triangle, which
+    # the factor reads), below full rank on the fitted model and at full rank
+    # for a few points that a short lengthscale keeps independent
+    model, ev, d = fitted
+    far = Model(HyperParams(gamma=2.0, alpha=np.array([1e-3]), u_bar=0.0),
+                InducingPoints(np.linspace(0.5, 4.5, 3)[:, None]),
+                VariationalState(np.array([0.3, -0.2, 0.5]), 0.1 * np.eye(3)), d)
+    cases = ((model, np.vstack([ev.points, _gauss_legendre(d, [8])[0]]), False),
+             (far, np.array([[0.1], [1.2], [2.9], [4.9]]), True))
+    for m, points, full in cases:
+        _, cov, _ = _joint_qf(m, points)
+        lower = np.tril(cov) + np.tril(cov, -1).T
+        c, rank, order = _pivoted_cholesky(cov)
+        G = np.tril(c[:, :rank])[order]           # cov = G G^T in point order
+        assert (rank == points.shape[0]) == full
+        assert np.abs(G @ G.T - lower).max() <= 1e-9 * cov.diagonal().max()
 
 
 def test_joint_qf_factors_the_qstar_covariance(fitted, monkeypatch):
@@ -130,10 +155,10 @@ def test_joint_qf_allocates_one_covariance(fitted):
     assert peak < 1.25 * 8 * points.shape[0] ** 2
 
 
-def test_mc_factors_in_place_as_the_copying_cholesky(fitted, monkeypatch):
-    # The joint covariance factored in its own buffer gives the factor, and
-    # so the draws, of the covariance built in C order and factored by scipy
-    # in a copy.
+def test_mc_factors_in_place_as_on_a_copy(fitted, monkeypatch):
+    # The joint covariance factored in its own buffer gives the factor,
+    # pivots and rank, and so the draws, of dpstrf on the covariance built
+    # in C order.
     from vbpp import predictive
     model, ev, d = fitted
     points = np.vstack([ev.points, _gauss_legendre(d, [8])[0]])
@@ -143,17 +168,85 @@ def test_mc_factors_in_place_as_the_copying_cholesky(fitted, monkeypatch):
     cov -= Abar @ A.T
     _, cov_f, _ = _joint_qf(model, points)
     assert cov_f.flags.f_contiguous and np.array_equal(cov_f, cov)
-    np.fill_diagonal(cov, cov.diagonal() + 1e-10 * model.hyper.gamma)
-    ref = scipy.linalg.cholesky(cov, lower=True)
+    ref, piv, ref_rank, _ = scipy.linalg.lapack.dpstrf(cov, lower=1)
 
-    chol = chol_with_jitter(cov_f, 1e-10 * model.hyper.gamma, tries=6)
-    assert np.shares_memory(chol, cov_f) and np.array_equal(chol, ref)
+    c, rank, order = _pivoted_cholesky(cov_f)
+    assert np.shares_memory(c, cov_f)
+    assert rank == ref_rank and np.array_equal(order[piv - 1], np.arange(points.shape[0]))
+    assert np.array_equal(np.tril(c[:, :rank]), np.tril(ref[:, :rank]))
 
-    got = _mc_log_liks(model, ev, 700, 8, seed=2)
-    monkeypatch.setattr(predictive, "chol_with_jitter", lambda K, jitter, tries: ref)
-    want = _mc_log_liks(model, ev, 700, 8, seed=2)
+    got, _ = _mc_log_liks(model, ev, 700, 8, seed=2)
+    factor = predictive._pivoted_cholesky
+    monkeypatch.setattr(predictive, "_pivoted_cholesky",
+                        lambda cov: factor(np.ascontiguousarray(cov)))
+    want, _ = _mc_log_liks(model, ev, 700, 8, seed=2)
     for mode in ("Mp", "M0"):
         assert np.array_equal(got[mode], want[mode]), mode
+
+
+def _jittered_mc_log_liks(model, test, n_samples, grid_res, seed):
+    """The dense sampler the pivoted factor replaced: a full Cholesky of the
+    joint covariance plus the smallest of six jitters from 1e-10 gamma that
+    works, with P normals per draw."""
+    nodes, weights = _gauss_legendre(model.domain, [grid_res] * model.domain.dims)
+    points = np.vstack([test.points, nodes])
+    rng = np.random.Generator(np.random.Philox(key=[seed, 0x4D43]))
+    mean, cov, AbarL = _joint_qf(model, points)
+    chol = chol_with_jitter(cov, 1e-10 * model.hyper.gamma, tries=6)
+    log_liks = {"Mp": np.empty(n_samples), "M0": np.empty(n_samples)}
+
+    def score(f):
+        return np.sum(np.log(f[:test.n] ** 2), axis=0) - weights @ f[test.n:] ** 2
+
+    for done in range(0, n_samples, 512):
+        batch = min(512, n_samples - done)
+        f = mean[:, None] + chol @ rng.standard_normal((points.shape[0], batch))
+        eta = rng.standard_normal((AbarL.shape[1], batch))
+        log_liks["M0"][done:done + batch] = score(f)
+        f += AbarL @ eta
+        log_liks["Mp"][done:done + batch] = score(f)
+    return log_liks
+
+
+def test_mc_estimates_agree_with_the_jittered_dense_sampler(fitted):
+    # the (samples, nodes, seed) of the Monte Carlo tests below
+    model, ev, _ = fitted
+    for n_samples, nodes, seed in ((3000, 1024, 1), (3000, 256, 2), (2000, 256, 4)):
+        new, _ = _mc_log_liks(model, ev, n_samples, nodes, seed)
+        old = _jittered_mc_log_liks(model, ev, n_samples, nodes, seed)
+        for mode in ("Mp", "M0"):
+            a, b = new[mode], old[mode]
+            se = np.hypot(_jackknife_stderr(a), _jackknife_stderr(b))
+            assert abs(_log_mean_exp(a) - _log_mean_exp(b)) <= 4 * se, (mode, seed)
+
+
+def _jackknife_by_deletion(values, block=100):
+    """Delete-one-block jackknife stderr of the log-mean-exp, each deletion
+    rebuilt in full."""
+    n = values.size
+    n_blocks = n // block
+    if n_blocks < 2:
+        n_blocks, block = n, 1
+        if n < 2:
+            return 0.0
+    values = values[: n_blocks * block]
+    estimates = np.array([
+        _log_mean_exp(np.delete(values.reshape(n_blocks, block), b, axis=0).reshape(-1))
+        for b in range(n_blocks)
+    ])
+    centre = estimates.mean()
+    return float(np.sqrt((n_blocks - 1) / n_blocks * np.sum((estimates - centre) ** 2)))
+
+
+def test_jackknife_matches_block_deletion():
+    # whole blocks of 100, a ragged tail, one-sample blocks below 200 values
+    rng = np.random.default_rng(11)
+    for scale in (0.01, 3.0, 30.0):
+        for n in (10_000, 1234, 150, 2):
+            values = scale * rng.standard_normal(n) - 50.0
+            assert _jackknife_stderr(values) == pytest.approx(
+                _jackknife_by_deletion(values), rel=1e-10, abs=0), (scale, n)
+    assert _jackknife_stderr(np.array([1.5])) == 0.0
 
 
 def test_mc_predictive_input_validation(fitted):
@@ -213,6 +306,14 @@ def test_predictive_report_fields(fitted):
         assert np.isfinite(doc[key])
     assert doc["n_samples"] == 400
     assert doc["grid_resolution"] == [16]
+
+
+def test_predictive_report_records_the_factor_rank(fitted):
+    model, ev, d = fitted
+    rep = predictive_report(model, ev, n_samples=400, seed=0)
+    _, rank = _mc_log_liks(model, ev, 400, rep.grid_resolution, seed=0)
+    assert rep.mc_rank == rank
+    assert 0 < rank < ev.n + rep.grid_resolution[0]
 
 
 def test_quadrature_matches_the_closed_form(fitted):

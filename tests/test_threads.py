@@ -3,7 +3,7 @@
 Each case runs the ``vbpp`` command (simulate, fit, evaluate) in a fresh
 interpreter and reads the thread count of numpy's and scipy's bundled
 OpenBLAS through their own getters: before vbpp is imported, after, inside
-the joint-covariance Cholesky of ``predictive_report``, and at the end.  It
+the joint covariance's pivoted Cholesky in ``predictive_report``, and at the end.  It
 also keeps evaluate's report.json.
 """
 
@@ -53,13 +53,13 @@ from vbpp import cli, predictive
 seen["imported"] = pools()
 seen["optimize_loaded"] = ["scipy.optimize" in sys.modules]
 seen["inside"] = []
-chol = predictive.chol_with_jitter
+factor = predictive._pivoted_cholesky
 
 def probe(*args, **kwargs):
     seen["inside"].append(pools())
-    return chol(*args, **kwargs)
+    return factor(*args, **kwargs)
 
-predictive.chol_with_jitter = probe
+predictive._pivoted_cholesky = probe
 os.chdir(sys.argv[1])
 for argv in (["simulate", "--domain", "0:3", "--gamma", "16", "--alpha", "0.5",
               "--grid-res", "256", "--seed", "1", "--out-dir", "sim"],
