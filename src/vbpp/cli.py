@@ -42,6 +42,11 @@ def parse_domain(spec: str):
     return Domain(lo=lo, hi=hi)
 
 
+def floats(spec: str) -> list[float]:
+    """Parse 'a1[,a2,...]'; argparse reports a ValueError as a usage error."""
+    return [float(part) for part in spec.split(",")]
+
+
 def _write_manifest(args, **resolved) -> None:
     """Echo the parsed arguments, with ``resolved`` values in place of their
     defaults, to <out_dir>/<command>_manifest.json."""
@@ -52,8 +57,7 @@ def _write_manifest(args, **resolved) -> None:
 
 def cmd_simulate(args) -> int:
     d = parse_domain(args.domain)
-    alpha = [float(a) for a in args.alpha.split(",")] if args.alpha else \
-        [(e / 5.0) ** 2 for e in d.extent]
+    alpha = args.alpha or [(e / 5.0) ** 2 for e in d.extent]
     if len(alpha) != d.dims:
         raise argparse.ArgumentTypeError(
             f"--alpha has {len(alpha)} values for a {d.dims}-dimensional domain")
@@ -158,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="draw a ground-truth intensity and events")
     p.add_argument("--domain", required=True)
     p.add_argument("--gamma", type=float, default=100.0)
-    p.add_argument("--alpha", default=None, help="comma-separated per-dimension scales")
+    p.add_argument("--alpha", type=floats, default=None,
+                   help="comma-separated per-dimension scales")
     p.add_argument("--grid-res", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=".")

@@ -83,53 +83,21 @@ def eye_and_vech_mask(M: int) -> tuple[np.ndarray, np.ndarray]:
     return consts
 
 
-def cholesky(K: np.ndarray, lower: bool = True, clean: bool = True) -> np.ndarray:
-    """Cholesky factor of ``K`` from LAPACK's dpotrf, in K's own buffer when
-    K is F-contiguous (in a copy otherwise).
+def cholesky(K: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of ``K`` from LAPACK's dpotrf, in K's own buffer
+    when K is F-contiguous (in a copy otherwise).
 
-    The same call and checks as ``scipy.linalg.cholesky`` without its
-    wrapper's cost, so the factor is bit-identical: ValueError when ``K``
-    holds an inf or NaN, LinAlgError when it is not positive definite.  With
-    ``clean`` the other triangle is zeroed, also when the factorisation
-    fails; without it that triangle is left as it was.
+    The same call and checks as ``scipy.linalg.cholesky(K, lower=True)``
+    without its wrapper's cost, so the factor is bit-identical: ValueError
+    when ``K`` holds an inf or NaN, LinAlgError when it is not positive
+    definite.  Only K's lower triangle is read; the upper one is zeroed.
     """
-    c, info = lapack.dpotrf(np.asarray_chkfinite(K), lower=lower, clean=clean, overwrite_a=1)
+    c, info = lapack.dpotrf(np.asarray_chkfinite(K), lower=1, overwrite_a=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}-th leading minor is not positive definite")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrf")
     return c
-
-
-def chol_with_jitter(K: np.ndarray, jitter: float, tries: int = 1) -> np.ndarray:
-    """Lower Cholesky factor of ``K`` plus the smallest jitter that works,
-    made in K's own buffer: K is overwritten by its factor.
-
-    ``K`` must be C- or F-contiguous and symmetric.  The factor is taken in
-    whichever of K and K.T is F-contiguous; for a symmetric K both hold the
-    same values.  The jitter goes onto the diagonal and grows 100-fold after
-    each failure, for at most ``tries`` values; then LinAlgError is raised.
-    A failed try leaves the other triangle as it was, and the next try
-    restores the factored triangle from it, so a K that is symmetric only up
-    to rounding has the other triangle's values from its second try on.
-    """
-    c = K if K.flags.f_contiguous else K.T
-    n = c.shape[0]
-    diag = c.diagonal().copy()
-    for attempt in range(tries):
-        if attempt:                       # restore the lower triangle
-            for j in range(n - 1):
-                c[j + 1:, j] = c[j, j + 1:]
-        np.fill_diagonal(c, diag + jitter)
-        try:
-            chol = cholesky(c, lower=True, clean=False)
-        except np.linalg.LinAlgError:
-            jitter *= 100.0
-            continue
-        for j in range(1, n):
-            chol[:j, j] = 0.0
-        return chol
-    raise np.linalg.LinAlgError(f"not positive definite even with jitter {jitter / 100.0:g}")
 
 
 def kzz_factor(Z: np.ndarray, hyper: HyperParams):

@@ -67,10 +67,10 @@ def gram(A, B, h: HyperParams) -> np.ndarray:
     """Gram matrix with entries K(A_i, B_j).
 
     ``gram(A, A)`` is exactly symmetric, so its transpose is an F-contiguous
-    view holding the same values, which :func:`vbpp.core.chol_with_jitter`
-    factors in place.  Built in one output buffer, in blocks of whole rows
-    and at most GRAM_BLOCK entries; each dimension after the first goes
-    through a scratch block, so the simulator's grids, whose n x m arrays
+    view holding the same values, which the simulator factors in place with
+    :func:`vbpp.core.cholesky`.  Built in one output buffer, in blocks of
+    whole rows and at most GRAM_BLOCK entries; each dimension after the first
+    goes through a scratch block, so the simulator's grids, whose n x m arrays
     reach gigabytes, need no second n x m array.  Every entry is the same
     elementwise arithmetic whatever the blocking.
     """

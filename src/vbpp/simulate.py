@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import chol_with_jitter
+from .core import JITTER_SCALE, cholesky
 from .kernel import HyperParams, gram
 from .pointdata import Domain, EventSet, as_points, domain_measure, regular_grid, write_csv
 
@@ -76,13 +76,14 @@ def sample_gp_grid(h: HyperParams, grid_points: np.ndarray, seed: int) -> np.nda
     """Exact GP draw on the grid with constant mean h.u_bar; deterministic in
     ``seed``.
 
-    The grid covariance K is built and factored in one P x P float64 array:
-    K is exactly symmetric, and :func:`chol_with_jitter` overwrites it with
-    its factor.  Jitter starts at 1e-8 gamma and escalates to 1e-4 gamma
-    before giving up.
+    The grid covariance K plus the model's nugget, JITTER_SCALE * gamma, is
+    built and factored in one P x P float64 array: K is exactly symmetric, so
+    :func:`vbpp.core.cholesky` factors its F-ordered view K.T in place.  A K
+    that does not factor at that nugget raises LinAlgError.
     """
     K = gram(grid_points, grid_points, h)
-    chol = chol_with_jitter(K, 1e-8 * h.gamma, tries=3)
+    np.fill_diagonal(K, K.diagonal() + JITTER_SCALE * h.gamma)
+    chol = cholesky(K.T)
     rng = _rng(seed, 0x4750)
     return h.u_bar + chol @ rng.standard_normal(grid_points.shape[0])
 

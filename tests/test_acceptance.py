@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
-from scipy.linalg import cho_factor, cho_solve, cholesky
+from scipy.linalg import cho_factor, cho_solve
 from scipy.special import roots_legendre
 
 from vbpp.baseline import (
@@ -56,6 +56,7 @@ from vbpp.threads import pool_threads
 
 from test_baseline import ks_log_predictive_rate_form, truncnorm_pdf
 from test_kernel import kernel_eval
+from test_predictive import jittered_cholesky
 
 
 def test_psi_integrals_match_numerical_quadrature():
@@ -250,14 +251,7 @@ def _mc_log_evidence(model, events, n_nodes, n_samples, seed):
     Kzz[np.diag_indices(Z.shape[0])] += 1e-8 * h.gamma
     mean = gram(pts, Z, h) @ cho_solve(cho_factor(Kzz, lower=True),
                                        np.full(Z.shape[0], h.u_bar))
-    K = gram(pts, pts, h)
-    jitter = 1e-8 * h.gamma
-    while True:
-        try:
-            C = cholesky(K + jitter * np.eye(K.shape[0]), lower=True)
-            break
-        except np.linalg.LinAlgError:
-            jitter *= 100.0
+    C, _ = jittered_cholesky(gram(pts, pts, h), 1e-8 * h.gamma, tries=6)
     rng = np.random.default_rng(seed)
     lls = np.empty(n_samples)
     done = 0

@@ -149,6 +149,10 @@ def test_usage_errors_exit_2(workspace, capsys):
     assert run(workspace, "simulate", "--domain", "0:4,0:4", "--alpha", "4",
                "--out-dir", "s5") == 2
     assert "--alpha" in capsys.readouterr().err
+    assert run(workspace, "simulate", "--domain", "0:4,0:4", "--alpha", "1,x",
+               "--out-dir", "s6") == 2
+    assert "--alpha" in capsys.readouterr().err
+    assert not (workspace / "s5").exists() and not (workspace / "s6").exists()
     assert run(workspace, "evaluate", "--model", "fit/model.json",
                "--out-dir", "e2") == 2
     # --test and --data are exclusive, and the smoother is always edge-corrected

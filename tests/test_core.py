@@ -10,7 +10,6 @@ from vbpp.core import (
     Model,
     VariationalState,
     _evaluate,
-    chol_with_jitter,
     cholesky,
     elbo,
     elbo_and_gradient,
@@ -249,50 +248,12 @@ def test_bound_is_bit_identical_whatever_blocks_are_requested(build):
 def test_cholesky_matches_scipy_bit_for_bit():
     model, _ = _coal_start()
     K = model.kzz.copy()
-    assert np.array_equal(cholesky(K, lower=True), scipy.linalg.cholesky(K, lower=True))
+    assert np.array_equal(cholesky(K), scipy.linalg.cholesky(K, lower=True))
     with pytest.raises(np.linalg.LinAlgError):
-        cholesky(K - 2.0 * np.eye(K.shape[0]), lower=True)
+        cholesky(K - 2.0 * np.eye(K.shape[0]))
     K[3, 2] = np.nan
     with pytest.raises(ValueError):
-        cholesky(K, lower=True)
-
-
-def _indefinite(n=200, seed=4):
-    """An exactly symmetric n x n matrix with one eigenvalue -1e-3, the others in [0.5, 2]."""
-    rng = np.random.default_rng(seed)
-    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    B = (Q * np.r_[-1e-3, np.linspace(0.5, 2.0, n - 1)]) @ Q.T
-    return (B + B.T) / 2.0
-
-
-@pytest.mark.parametrize("order", ["C", "F"])
-def test_chol_with_jitter_retry_restores_the_factored_triangle(order):
-    # 1e-4 of jitter fails and 1e-2 passes; the failed try overwrites part of
-    # the lower triangle, so the factor is right only if the retry restores it
-    K0 = _indefinite()
-    n = K0.shape[0]
-    failed = np.asfortranarray(K0 + 1e-4 * np.eye(n))
-    with pytest.raises(np.linalg.LinAlgError):
-        cholesky(failed, lower=True, clean=False)
-    assert not np.array_equal(np.tril(failed), np.tril(K0))
-    assert np.array_equal(np.triu(failed, 1), np.triu(K0, 1))
-
-    K = K0.copy(order=order)
-    chol = chol_with_jitter(K, 1e-4, tries=3)
-    assert np.shares_memory(chol, K)
-    assert np.array_equal(chol, scipy.linalg.cholesky(K0 + 1e-2 * np.eye(n), lower=True))
-
-
-def test_chol_with_jitter_failures():
-    with pytest.raises(np.linalg.LinAlgError):
-        chol_with_jitter(_indefinite(), 1e-4, tries=1)
-    K = _indefinite()
-    K[7, 3] = K[3, 7] = np.inf
-    with pytest.raises(ValueError):
-        chol_with_jitter(K, 1e-4, tries=3)
-    K[7, 3] = K[3, 7] = np.nan
-    with pytest.raises(ValueError):
-        chol_with_jitter(K, 1e-4, tries=3)
+        cholesky(K)
 
 
 def test_kzz_solve_matches_cho_solve_bit_for_bit():

@@ -62,33 +62,44 @@ def test_sample_gp_correlation_at_lengthscale():
     assert emp == pytest.approx(np.exp(-1.0), abs=0.08)
 
 
-def test_grid_jitter_escalates_to_1e4_gamma(monkeypatch):
-    # A Cholesky that fails below 1e-4 gamma of jitter: the grid draw must
-    # still try 1e-8, 1e-6 and 1e-4 gamma, also where gamma * 100^k rounds up.
-    import vbpp.core
+def test_grid_that_does_not_factor_raises_after_one_try(monkeypatch, tmp_path, capsys):
+    # one factorisation, at the model's nugget; its failure is an error, in
+    # the library and on the command line, and nothing is written
+    import vbpp.simulate
+    from vbpp.cli import main
 
+    tried = []
+
+    def cholesky(K):
+        tried.append(K.diagonal().copy())
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(vbpp.simulate, "cholesky", cholesky)
     h = HyperParams(gamma=7.0, alpha=np.array([0.5]))
-    jitters = []
-    factor = vbpp.core.cholesky
-
-    def cholesky(K, lower, clean):
-        jitters.append(K[0, 0] - h.gamma)
-        if jitters[-1] < 1e-4 * h.gamma * (1 - 1e-6):
-            raise np.linalg.LinAlgError("not positive definite")
-        return factor(K, lower, clean)
-
-    monkeypatch.setattr(vbpp.core, "cholesky", cholesky)
     grid, _ = make_grid(Domain([0.0], [4.0]), 16)
-    assert np.isfinite(sample_gp_grid(h, grid, seed=0)).all()
-    assert np.allclose(jitters, [7e-8, 7e-6, 7e-4], rtol=1e-6, atol=0)
+    with pytest.raises(np.linalg.LinAlgError):
+        sample_gp_grid(h, grid, seed=0)
+    assert len(tried) == 1
+    assert np.array_equal(tried[0], np.full(16, h.gamma + 1e-8 * h.gamma))
+
+    out = tmp_path / "sim"
+    assert main(["simulate", "--domain", "0:4", "--grid-res", "16",
+                 "--out-dir", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("d, res, alpha", [
     (Domain([0.0], [10.0]), 512, [1.0]),
     (Domain([0.0, 0.0], [10.0, 10.0]), 24, [4.0, 4.0]),
+    (Domain([0.0], [10.0]), None, [1e-2]),
+    (Domain([0.0], [10.0]), None, [1e6]),
+    (Domain([0.0, 0.0], [10.0, 10.0]), 64, [1e4, 1e4]),
 ])
 def test_grid_draw_matches_copying_cholesky_bit_for_bit(d, res, alpha):
-    # the factor made in K's own buffer is the one scipy makes in a copy
+    # the factor made in K's own buffer is the one scipy makes in a copy, at
+    # the one nugget, also for the default 1-D grid at the extremes of alpha
+    # and for a smooth 64^2 grid
     h = HyperParams(gamma=4.0, alpha=np.array(alpha), u_bar=0.5)
     grid, _ = make_grid(d, res)
     K = gram(grid, grid, h)
