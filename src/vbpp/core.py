@@ -233,14 +233,16 @@ def predictive_bound_l0(model: Model, test: EventSet) -> float:
 
 
 def elbo_and_gradient(model: Model, events: EventSet, wrt=GRAD_BLOCKS, _xz_sq=None):
-    """Bound value and its analytic gradient for the selected blocks.
+    """Bound value and its analytic gradient, returned for the blocks in ``wrt``.
 
-    ``wrt`` selects any subset of ("log_gamma", "log_alpha", "u_bar", "m",
-    "L", "Z").  Positive parameters are differentiated in log space; the
-    diagonal of L likewise.  The "L" block is returned as vech order (rows of
-    the lower triangle), the "Z" block as an M x R array, the gradient with
-    respect to the inducing locations themselves.  A fit with fixed Z passes
-    ``_xz_sq``, the events' :func:`xz_sq_diffs`, once made for all its calls.
+    ``wrt`` names blocks of ("log_gamma", "log_alpha", "u_bar", "m", "L",
+    "Z"); it only chooses what is returned, as every block but Z is computed
+    for any request, and Z when named.  Positive parameters are
+    differentiated in log space; the diagonal of L likewise.  The "L" block
+    is returned as vech order (rows of the lower triangle), the "Z" block as
+    an M x R array, the gradient with respect to the inducing locations
+    themselves.  A fit with fixed Z passes ``_xz_sq``, the events'
+    :func:`xz_sq_diffs`, once made for all its calls.
 
     Returns (value, dict of gradient blocks).
     """
@@ -261,20 +263,22 @@ def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
               collapse_s: bool = False, xz_sq: np.ndarray | None = None) -> BoundTerms:
     """The one evaluation of the bound: every function above is a view of it.
 
-    K_zz and its Cholesky factor come from the model.  Psi comes from
-    :func:`psi_with_partials` with only the partials that ``wrt`` reads: the
-    log-alpha ones for the "log_alpha" block, the Z ones for the "Z" block,
-    none for a value.  No term of the value depends on ``wrt``, so the four
-    terms are bit-identical whichever blocks are requested.  K^-1 is formed
-    once from the model's Cholesky factor and every product below goes
-    through it; the fit's iterates depend on this arithmetic bit for bit.
-    The gradient's N x M products are formed in place in two scratch
-    buffers, in the same order of operations.  The data term goes through
-    :func:`expected_log_f_sq`, and no events (``events`` None or empty) run
-    the same code with N = 0.  K(X, Z) and the log-alpha block read
-    ``xz_sq``, the events' :func:`xz_sq_diffs`, made here unless given.
-    ``collapse_s`` sets S to zero in the expectations of f, not in the KL;
-    that variant is a value only, and asking for its gradient raises
+    It takes one of three paths: the value alone (``wrt`` empty), the value
+    and every gradient block but Z, or the value and every block (``wrt``
+    names "Z"); ``wrt`` only chooses the blocks returned.  K_zz and its
+    Cholesky factor come from the model.  Psi comes from
+    :func:`psi_with_partials` with the partials the path needs: none, the
+    log-alpha ones, or those and the Z ones.  No term of the value depends on
+    the path, so the four terms are bit-identical whichever blocks are
+    requested.  K^-1 is formed once from the model's Cholesky factor and
+    every product below goes through it; the fit's iterates depend on this
+    arithmetic bit for bit.  The gradient's N x M products are formed in
+    place in two scratch buffers, in the same order of operations.  The data
+    term goes through :func:`expected_log_f_sq`, and no events (``events``
+    None or empty) run the same code with N = 0.  K(X, Z) and the log-alpha
+    block read ``xz_sq``, the events' :func:`xz_sq_diffs`, made here unless
+    given.  ``collapse_s`` sets S to zero in the expectations of f, not in
+    the KL; that variant is a value only, and asking for its gradient raises
     ValueError.  ``wrt`` is as in :func:`elbo_and_gradient`.
     """
     wrt = tuple(wrt)
@@ -283,6 +287,9 @@ def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
         raise ValueError(f"unknown gradient blocks: {sorted(unknown)}")
     if collapse_s and wrt:
         raise ValueError("the bound with S collapsed is not differentiated")
+    partials = ()
+    if wrt:
+        partials = ("log_alpha", "Z") if "Z" in wrt else ("log_alpha",)
 
     h = model.hyper
     Z = model.inducing.Z
@@ -292,12 +299,11 @@ def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
     S = model.var_state.S
     gamma = h.gamma
     measure = domain_measure(model.domain)
-    need_hyper = bool({"log_gamma", "log_alpha", "Z"} & set(wrt))
 
     eye, vech_mask = eye_and_vech_mask(M)
     Kinv = model.kzz_solve(eye)
     K = model.kzz
-    psi, dpsi_dlog_alpha, dpsi_dzi = psi_with_partials(Z, h, model.domain, wrt)
+    psi, dpsi_dlog_alpha, dpsi_dzi = psi_with_partials(Z, h, model.domain, partials)
 
     c = Kinv @ m
     kinv_psi = Kinv @ psi
@@ -325,9 +331,8 @@ def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
     ell, gslope = expected_log_f_sq(mu, var)
     data = float(ell.sum())
 
-    grads: dict[str, np.ndarray | float] = {}
-    if not wrt:
-        return BoundTerms(int_mean_sq, int_var, data, kl, grads)
+    if not partials:
+        return BoundTerms(int_mean_sq, int_var, data, kl, {})
 
     B = kinv_psi @ Kinv
     e_mu = gslope * mu / var
@@ -335,78 +340,68 @@ def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
     e_s = np.where(clamped, 0.0, e_s)        # floored variance is locally constant
     Amu = Abar.T @ e_mu                      # sum_n e_mu_n a_n
     work = np.empty_like(A)                  # N x M scratch
-    if "L" in wrt or need_hyper:
-        AsA = Abar.T @ np.multiply(Abar, e_s[:, None], out=work)
+    AsA = Abar.T @ np.multiply(Abar, e_s[:, None], out=work)
+    grads: dict[str, np.ndarray | float] = {}
+    grads["m"] = -2.0 * (B @ m) + q + Amu
 
-    if "m" in wrt:
-        grads["m"] = -2.0 * (B @ m) + q + Amu
+    # Lc is C-ordered (np.tril's output), so this is the LAPACK call that
+    # scipy.linalg.solve_triangular(Lc, eye, lower=True) makes.
+    Linv, info = lapack.dtrtrs(Lc.T, eye, lower=False, trans=1)
+    if info:
+        raise np.linalg.LinAlgError(f"L is singular at diagonal {info - 1}")
+    Sinv = Linv.T @ Linv
+    Gs = -B - 0.5 * Kinv + 0.5 * Sinv + AsA
+    gl = (Gs + Gs.T) @ Lc
+    np.fill_diagonal(gl, gl.diagonal() * Lc.diagonal())   # log-diagonal parameterisation
+    grads["L"] = gl[vech_mask]
 
-    if "L" in wrt:
-        # Lc is C-ordered (np.tril's output), so this is the LAPACK call that
-        # scipy.linalg.solve_triangular(Lc, eye, lower=True) makes.
-        Linv, info = lapack.dtrtrs(Lc.T, eye, lower=False, trans=1)
-        if info:
-            raise np.linalg.LinAlgError(f"L is singular at diagonal {info - 1}")
-        Sinv = Linv.T @ Linv
-        Gs = -B - 0.5 * Kinv + 0.5 * Sinv + AsA
-        gl = (Gs + Gs.T) @ Lc
-        np.fill_diagonal(gl, gl.diagonal() * Lc.diagonal())   # log-diagonal parameterisation
-        grads["L"] = gl[vech_mask]
+    grads["u_bar"] = -float(q.sum())
 
-    if "u_bar" in wrt:
-        grads["u_bar"] = -float(q.sum())
+    # Raw partials of the bound w.r.t. the kernel structures.
+    v = kinv_psi @ c
+    g_psi = -np.multiply.outer(c, c) + Kinv - W
+    M1 = W @ psi @ Kinv
+    Gk = (np.multiply.outer(v, c) + np.multiply.outer(c, v)) - B + (M1 + M1.T) \
+        - 0.5 * (Kinv - W - np.multiply.outer(q, q))
+    What = A @ W                                # rows w_n^T
+    AsW = Abar.T @ np.multiply(What, e_s[:, None], out=work)
+    Gk = Gk - np.multiply.outer(Amu, c) + AsA - AsW - AsW.T
+    # GA = outer(e_mu, c) + e_s * (-2 Abar + 2 What), built in place.
+    GA = np.multiply(Abar, -2.0)
+    What *= 2.0
+    GA += What
+    GA *= e_s[:, None]
+    GA += np.multiply.outer(e_mu, c, out=work)
+    GA_A = np.multiply(GA, A, out=What)         # What is spent
+    g_gamma_direct = -measure + float(e_s.sum())
+    grads["log_gamma"] = float((Gk * K).sum()) + 2.0 * float((g_psi * psi).sum()) \
+        + g_gamma_direct * gamma + float(GA_A.sum())
 
-    if need_hyper:
-        # Raw partials of the bound w.r.t. the kernel structures.
-        v = kinv_psi @ c
-        g_psi = -np.multiply.outer(c, c) + Kinv - W
-        M1 = W @ psi @ Kinv
-        Gk = (np.multiply.outer(v, c) + np.multiply.outer(c, v)) - B + (M1 + M1.T) \
-            - 0.5 * (Kinv - W - np.multiply.outer(q, q))
-        What = A @ W                                # rows w_n^T
-        AsW = Abar.T @ np.multiply(What, e_s[:, None], out=work)
-        Gk = Gk - np.multiply.outer(Amu, c) + AsA - AsW - AsW.T
-        # GA = outer(e_mu, c) + e_s * (-2 Abar + 2 What), built in place.
-        GA = np.multiply(Abar, -2.0)
-        What *= 2.0
-        GA += What
-        GA *= e_s[:, None]
-        GA += np.multiply.outer(e_mu, c, out=work)
-        if "log_gamma" in wrt or "Z" in wrt:
-            GA_A = np.multiply(GA, A, out=What)     # What is spent
-        g_gamma_direct = -measure + float(e_s.sum())
+    # One pass over the dimensions forms the Z-Z differences once for both
+    # blocks; the X-Z ones only for the Z block.
+    grads["log_alpha"] = np.empty(R)
+    with_z = dpsi_dzi is not None
+    if with_z:
+        grads["Z"] = np.empty((M, R))
+        Gk_sym = Gk + Gk.T
+        g_psi_sym = g_psi + g_psi.T
+        delta_xz = np.empty_like(A)
+    for r in range(R):
+        delta_zz = Z[:, r][:, None] - Z[:, r][None, :]
+        np.multiply(xz_sq[r], A, out=work)   # GA * (A delta^2 / (2 alpha_r))
+        work /= 2.0 * h.alpha[r]
+        work *= GA
+        grads["log_alpha"][r] = \
+            float((Gk * (K * delta_zz**2 / (2.0 * h.alpha[r]))).sum()) \
+            + float((g_psi * dpsi_dlog_alpha[r]).sum()) + float(work.sum())
+        if with_z:
+            np.subtract.outer(X[:, r], Z[:, r], out=delta_xz)
+            np.multiply(GA_A, delta_xz, out=work)    # GA A delta / alpha_r
+            work /= h.alpha[r]
+            grads["Z"][:, r] = (Gk_sym * K * (-delta_zz / h.alpha[r])).sum(axis=1) \
+                + (g_psi_sym * dpsi_dzi[r]).sum(axis=1) + work.sum(axis=0)
 
-        if "log_gamma" in wrt:
-            grads["log_gamma"] = float((Gk * K).sum()) + 2.0 * float((g_psi * psi).sum()) \
-                + g_gamma_direct * gamma + float(GA_A.sum())
-
-        if "log_alpha" in wrt:
-            grads["log_alpha"] = np.empty(R)
-        if "Z" in wrt:
-            grads["Z"] = np.empty((M, R))
-            Gk_sym = Gk + Gk.T
-            g_psi_sym = g_psi + g_psi.T
-        if "log_alpha" in wrt or "Z" in wrt:
-            # One pass over the dimensions forms the Z-Z differences once for
-            # both blocks; the X-Z ones only for the Z block.
-            delta_xz = np.empty_like(A) if "Z" in wrt else None
-            for r in range(R):
-                delta_zz = Z[:, r][:, None] - Z[:, r][None, :]
-                if "log_alpha" in wrt:
-                    np.multiply(xz_sq[r], A, out=work)   # GA * (A delta^2 / (2 alpha_r))
-                    work /= 2.0 * h.alpha[r]
-                    work *= GA
-                    grads["log_alpha"][r] = \
-                        float((Gk * (K * delta_zz**2 / (2.0 * h.alpha[r]))).sum()) \
-                        + float((g_psi * dpsi_dlog_alpha[r]).sum()) + float(work.sum())
-                if "Z" in wrt:
-                    np.subtract.outer(X[:, r], Z[:, r], out=delta_xz)
-                    np.multiply(GA_A, delta_xz, out=work)    # GA A delta / alpha_r
-                    work /= h.alpha[r]
-                    grads["Z"][:, r] = (Gk_sym * K * (-delta_zz / h.alpha[r])).sum(axis=1) \
-                        + (g_psi_sym * dpsi_dzi[r]).sum(axis=1) + work.sum(axis=0)
-
-    return BoundTerms(int_mean_sq, int_var, data, kl, grads)
+    return BoundTerms(int_mean_sq, int_var, data, kl, {b: grads[b] for b in wrt})
 
 
 # ----------------------------------------------------------------------

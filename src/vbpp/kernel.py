@@ -135,8 +135,8 @@ def psi_with_partials(Z, h: HyperParams, d: Domain, wrt=("log_alpha", "Z")):
     single exponentiated quadratic in x, so the integral factorises over
     dimensions into Gaussian-error-function terms.  Psi itself is computed
     the same way whatever ``wrt`` holds; the partials w.r.t. log alpha only
-    when it holds "log_alpha", those w.r.t. Z only when it holds "Z" (other
-    names are ignored, so the bound passes its gradient blocks through).
+    when it holds "log_alpha", those w.r.t. Z only when it holds "Z".  The
+    bound asks for none, for ("log_alpha",) or for ("log_alpha", "Z").
 
     Returns
     -------

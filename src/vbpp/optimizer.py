@@ -17,6 +17,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .core import (
+    GRAD_BLOCKS,
     InducingPoints,
     Model,
     VariationalState,
@@ -136,9 +137,7 @@ def _initial_model(events: EventSet, d: Domain, Z: np.ndarray) -> Model:
 # ----------------------------------------------------------------------
 
 def _objective_factory(events, domain, M, cfg, fixed_z):
-    wrt = ("log_gamma", "log_alpha", "u_bar", "m", "L")
-    if cfg.optimize_z:
-        wrt = wrt + ("Z",)
+    wrt = tuple(b for b in GRAD_BLOCKS if cfg.optimize_z or b != "Z")
     # With Z fixed, the events' squared differences to it never change.
     xz_sq = None if cfg.optimize_z else xz_sq_diffs(events, fixed_z)
 

@@ -188,9 +188,7 @@ def coal_style_dataset() -> tuple[EventSet, Domain]:
     from importlib.resources import files
 
     d = Domain([1851.0], [1962.0])
-    with files("vbpp.data").joinpath("coal_style.csv").open("r") as fh:
-        pts = np.array([float(line) for line in fh if not line[:1].isalpha()])
-    return EventSet(pts[:, None]), d
+    return load_events(files("vbpp.data") / "coal_style.csv", d), d
 
 
 def split_events(events: EventSet, p: float, seed: int) -> tuple[EventSet, EventSet]:

@@ -39,6 +39,8 @@ EULER_MASCHERONI = 0.5772156649015329
 _LITERAL_MAX = 14.0
 _POISSON_MAX = 300.0
 _SERIES_CAP = 400
+_SERIES_T_MAX = 1e15                     # the asymptotic correction's largest t
+_FOUR_T_MAX = np.finfo(float).max / 4.0  # the largest t whose 4t is finite
 
 # Knot layout: z = -10^(k / KNOTS_PER_DECADE) spanning |z| in
 # [10^LO_EXP, 10^HI_EXP], plus the knot z = 0.  Linear interpolation at this
@@ -73,9 +75,15 @@ def _series_poisson(t: np.ndarray) -> np.ndarray:
 
 def _asymptotic_value(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    corr = 1.0 / (2 * t) + 3.0 / (8 * t**2) + 5.0 / (8 * t**3) \
-        + 105.0 / (64 * t**4) + 945.0 / (160 * t**5)
-    return -(EULER_MASCHERONI + np.log(4.0 * t)) + corr
+    # Past t = 1e15 the series is below half an ulp of C + log 4t, so taking
+    # it there changes no value and keeps its powers of t from overflowing.
+    ts = np.minimum(t, _SERIES_T_MAX)
+    corr = 1.0 / (2 * ts) + 3.0 / (8 * ts**2) + 5.0 / (8 * ts**3) \
+        + 105.0 / (64 * ts**4) + 945.0 / (160 * ts**5)
+    # log 4t in two factors where 4t would overflow; elsewhere the second
+    # factor is 1 and its log adds exactly 0.
+    t4 = np.minimum(t, _FOUR_T_MAX)
+    return -(EULER_MASCHERONI + (np.log(4.0 * t4) + np.log(t / t4))) + corr
 
 
 def _series(t: np.ndarray) -> np.ndarray:
@@ -187,9 +195,9 @@ def g_tilde_batch(z):
     Within the table range the value is linear interpolation between knots
     and the derivative is the slope of the active interval, so the pair is
     exactly consistent under finite differencing.  Below the table range the
-    asymptotic expansion takes over.  When every argument lies in the table
-    range, as in a typical evaluation of the bound, the lookup runs on the
-    whole array without masks; the arithmetic is the same either way.
+    asymptotic expansion takes over.  Every argument is looked up with its t
+    capped at the table's end, so the lookup runs on the whole array without
+    masks; the arguments beyond the table are then overwritten.
     """
     table = default_table()
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -197,14 +205,10 @@ def g_tilde_batch(z):
         raise GTildeDomainError("argument must be <= 0")
 
     t = -z
-    inside = t <= table.t_knots[-1]
-    if inside.all():
-        return _interpolate(table, z, t)
-    values = np.empty_like(t)
-    slopes = np.empty_like(t)
-    if inside.any():
-        values[inside], slopes[inside] = _interpolate(table, z[inside], t[inside])
-    beyond = ~inside
+    t_max = table.t_knots[-1]
+    t_in = np.fmin(t, t_max)             # NaN, like t beyond the table, looks up t_max
+    values, slopes = _interpolate(table, -t_in, t_in)
+    beyond = ~(t <= t_max)
     if beyond.any():
         tb = t[beyond]
         values[beyond] = _asymptotic_value(tb)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from vbpp import core
 from vbpp.core import (
     GRAD_BLOCKS,
     InducingPoints,
@@ -21,7 +22,7 @@ from vbpp.core import (
     qf_marginals,
     save_model,
 )
-from vbpp.kernel import HyperParams, gram
+from vbpp.kernel import HyperParams, gram, psi_with_partials
 from vbpp.optimizer import _initial_model
 from vbpp.pointdata import Domain, EventSet, coal_style_dataset, domain_measure, regular_grid
 from vbpp.specfun import EULER_MASCHERONI
@@ -225,16 +226,31 @@ def _two_d_model():
 
 
 @pytest.mark.parametrize("build", [_coal_start, _two_d_model], ids=["coal-start", "2d"])
-def test_bound_is_bit_identical_whatever_blocks_are_requested(build):
-    # Psi's partials are computed only for the blocks requested, so a value,
-    # one block or all six must round identically
+def test_bound_is_bit_identical_whatever_blocks_are_requested(build, monkeypatch):
+    # the bound takes one of three paths, the value alone, every block but Z,
+    # or every block, and wrt only chooses which blocks are returned; so a
+    # value, any request and any order of blocks must round identically
     model, ev = build()
+    seen = []
+
+    def psi_spy(Z, h, d, wrt):
+        seen.append(wrt)
+        return psi_with_partials(Z, h, d, wrt)
+
+    monkeypatch.setattr(core, "psi_with_partials", psi_spy)
     full = _evaluate(model, ev, GRAD_BLOCKS)
-    for wrt in [()] + [(b,) for b in GRAD_BLOCKS]:
+    fit_fixed_z = tuple(b for b in GRAD_BLOCKS if b != "Z")
+    shuffled = ("L", "Z", "log_gamma", "m", "u_bar", "log_alpha")
+    requests = [(), *[(b,) for b in GRAD_BLOCKS], fit_fixed_z, GRAD_BLOCKS, shuffled]
+    for wrt in requests:
         part = _evaluate(model, ev, wrt)
         assert part[:4] == full[:4], wrt
+        assert tuple(part.grads) == wrt
         for b in wrt:
             assert np.array_equal(part.grads[b], full.grads[b]), b
+    # Psi's partials: none for a value, log-alpha ones without Z, and both with Z
+    value, no_z, with_z = (), ("log_alpha",), ("log_alpha", "Z")
+    assert seen == [with_z, value, *[no_z] * 5, with_z, no_z, with_z, with_z]
     assert elbo(model, ev) == full.elbo
     assert predictive_bound_lp(model, ev) == full.expected_log_lik
     # collapsing S leaves the squared-mean integral and the KL as they are

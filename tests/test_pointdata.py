@@ -1,3 +1,5 @@
+from importlib.resources import files
+
 import numpy as np
 import pytest
 
@@ -175,3 +177,7 @@ def test_bundled_dataset_shape_and_domain():
     assert contains(d, ev.points).all()
     # times come sorted, convenient for plotting scripts
     assert (np.diff(ev.points[:, 0]) >= 0).all()
+    # read through load_events, the file's values are those of a bare float() per line
+    with files("vbpp.data").joinpath("coal_style.csv").open("r") as fh:
+        pts = np.array([float(line) for line in fh if not line[:1].isalpha()])
+    assert np.array_equal(ev.points, pts[:, None])

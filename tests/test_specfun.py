@@ -115,15 +115,48 @@ def test_beyond_table_range_uses_asymptotics():
     assert s[0] == pytest.approx(g_tilde_derivative(-1e7), rel=1e-10)
 
 
-def test_in_range_fast_path_matches_the_general_path():
-    # one argument beyond the table sends the whole batch down the masked
-    # path; the in-range arguments must come out with the same bits
+def test_mixed_batch_equals_its_in_table_and_beyond_table_parts():
+    # every argument is looked up at t capped to the table's end, and those
+    # beyond it are overwritten; each part must keep the bits it has alone
     rng = np.random.default_rng(3)
-    z = np.concatenate([[0.0, -0.0], -10.0 ** rng.uniform(-9, 5, 500)])
-    fast = g_tilde_batch(z)
-    general = g_tilde_batch(np.append(z, -1e7))
-    for a, b in zip(fast, general):
-        assert np.array_equal(a, b[:-1])
+    inside = np.concatenate([[0.0, -0.0, -1e5], -10.0 ** rng.uniform(-9, 5, 500)])
+    beyond = np.concatenate([[np.nextafter(-1e5, -np.inf), -1e7, -1e300],
+                             -10.0 ** rng.uniform(5, 60, 200)])
+    z = np.concatenate([inside, beyond])
+    order = rng.permutation(z.size)
+    parts = [np.concatenate(p) for p in zip(g_tilde_batch(inside), g_tilde_batch(beyond))]
+    for got, want in zip(g_tilde_batch(z[order]), parts):
+        assert np.array_equal(got, want[order])
+    assert np.array_equal(g_tilde_batch(beyond)[0], specfun._asymptotic_value(-beyond))
+
+
+def _asymptotic_value_oracle(t):
+    """The asymptotic expansion as one expression, overflowing for huge t."""
+    corr = 1.0 / (2 * t) + 3.0 / (8 * t**2) + 5.0 / (8 * t**3) \
+        + 105.0 / (64 * t**4) + 945.0 / (160 * t**5)
+    return -(specfun.EULER_MASCHERONI + np.log(4.0 * t)) + corr
+
+
+def test_asymptotic_value_is_bit_identical_to_the_one_expression():
+    # the correction series is taken at min(t, 1e15); past 1e15 it is below
+    # half an ulp of C + log 4t, so no value moves
+    rng = np.random.default_rng(11)
+    t = np.concatenate([10.0 ** rng.uniform(np.log10(300.0), 61.0, 1_000_000),
+                        np.logspace(np.log10(300.0), 61.0, 10_001)[1:-1],
+                        [1e15, np.nextafter(1e15, 0.0), np.nextafter(1e15, np.inf)]])
+    assert np.array_equal(specfun._asymptotic_value(t), _asymptotic_value_oracle(t))
+
+
+@pytest.mark.parametrize("t", [1e61, 1.7e61, 1e62, 1e300, np.finfo(float).max / 4.0,
+                               np.finfo(float).max])
+def test_asymptotic_value_is_finite_without_warnings_for_huge_t(t):
+    # the suite turns a RuntimeWarning into an error, so an overflow fails here
+    value = specfun._asymptotic_value(np.array([t]))
+    assert np.isfinite(value).all()
+    assert value[0] == pytest.approx(-(specfun.EULER_MASCHERONI + np.log(4.0) + np.log(t)),
+                                     rel=1e-15)
+    values, slopes = g_tilde_batch(np.array([-t]))
+    assert np.isfinite(values).all() and np.isfinite(slopes).all()
 
 
 def test_table_slopes_are_the_interval_slopes():
