@@ -42,6 +42,14 @@ def parse_domain(spec: str):
     return Domain(lo=lo, hi=hi)
 
 
+def positive_int(spec: str) -> int:
+    """Parse an integer >= 1; argparse reports anything else as a usage error."""
+    value = int(spec)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {spec!r}")
+    return value
+
+
 def floats(spec: str) -> list[float]:
     """Parse 'a1[,a2,...]'; argparse reports a ValueError as a usage error."""
     return [float(part) for part in spec.split(",")]
@@ -196,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", default=None, help="training events for --baseline")
     p.add_argument("--split", type=float, default=0.5)
     p.add_argument("--split-seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--samples", type=positive_int, default=1_000,
+                   help="importance-sampling draws per Monte Carlo mode")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--baseline", action="store_true")
     p.add_argument("--out-dir", default=".")

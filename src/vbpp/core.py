@@ -91,12 +91,21 @@ def cholesky(K: np.ndarray) -> np.ndarray:
     without its wrapper's cost, so the factor is bit-identical: ValueError
     when ``K`` holds an inf or NaN, LinAlgError when it is not positive
     definite.  Only K's lower triangle is read; the upper one is zeroed.
+    scipy's wrapper zeroes it row by row, a stride-P walk; from 512 rows on
+    it is zeroed here instead, column by column, each a contiguous slice of
+    the F-ordered factor.  Timed on one BLAS thread, the two ways tie near
+    384 rows; the Python loop costs 4x more at 32 and 18% less at 1024.
     """
-    c, info = lapack.dpotrf(np.asarray_chkfinite(K), lower=1, overwrite_a=1)
+    by_column = K.shape[0] >= 512
+    c, info = lapack.dpotrf(np.asarray_chkfinite(K), lower=1, overwrite_a=1,
+                            clean=int(not by_column))
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}-th leading minor is not positive definite")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    if by_column:
+        for j in range(1, c.shape[0]):
+            c[:j, j] = 0.0
     return c
 
 
@@ -312,6 +321,16 @@ def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
     if not collapse_s:
         W = Kinv @ S @ Kinv
         int_var += float((W * psi).sum())
+    else:
+        # The collapsed bound is a value only, which the fit never takes, so
+        # its integrals can be exact to rounding without moving the fit.
+        # There the squared-mean integral takes K^-1 m from the Cholesky
+        # solve (through the explicit inverse it fell 2.7e-6 short on coal at
+        # M = 20, cond K_zz 1.4e9), and int Var, the conditional GP variance,
+        # is >= 0 although its closed form read -2.5e-6 there.
+        c_solved = model.kzz_solve(m)
+        int_mean_sq = float(c_solved @ psi @ c_solved)
+        int_var = max(int_var, 0.0)
 
     d = h.u_bar - m
     q = Kinv @ d

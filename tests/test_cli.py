@@ -106,8 +106,19 @@ def test_evaluate_with_split_and_baseline(workspace):
     assert doc["l_p"] <= doc["m_p_hat"] + 4 * doc["m_p_stderr"] + 0.5
     assert np.isfinite(doc["ks_log_predictive"])
     assert doc["n_test"] > 0
+    assert 0 < doc["m_p_ess"] <= 300 and 0 < doc["m_0_ess"] <= 300
+    assert doc["m_p_components"] >= 2
     assert not (workspace / "eval" / "intensity.csv").exists()    # predict draws the map
     assert (workspace / "eval" / "evaluate_manifest.json").exists()
+
+
+def test_evaluate_samples_must_be_a_positive_integer(workspace, capsys):
+    # a usage error, found while parsing: nothing is loaded or written
+    for bad in ("0", "-5", "2.5", "x"):
+        assert run(workspace, "evaluate", "--model", "missing.json", "--data",
+                   "sim/events.csv", "--samples", bad, "--out-dir", "e_bad") == 2, bad
+        assert "--samples" in capsys.readouterr().err
+    assert not (workspace / "e_bad").exists()
 
 
 def _reject_constant(name):

@@ -253,9 +253,17 @@ def test_bound_is_bit_identical_whatever_blocks_are_requested(build, monkeypatch
     assert seen == [with_z, value, *[no_z] * 5, with_z, no_z, with_z, with_z]
     assert elbo(model, ev) == full.elbo
     assert predictive_bound_lp(model, ev) == full.expected_log_lik
-    # collapsing S leaves the squared-mean integral and the KL as they are
+    # collapsing S leaves the KL as it is; the collapsed value takes its
+    # squared-mean integral through the Cholesky solve K^-1 m, which the
+    # fit's path, through the explicit inverse, matches only to rounding,
+    # and floors its integrated variance at 0
     collapsed = _evaluate(model, ev, collapse_s=True)
-    assert (collapsed.int_mean_sq, collapsed.kl) == (full.int_mean_sq, full.kl)
+    c = model.kzz_solve(model.var_state.m)
+    psi = psi_with_partials(model.inducing.Z, model.hyper, model.domain, ())[0]
+    assert collapsed.kl == full.kl
+    assert collapsed.int_mean_sq == float(c @ psi @ c)
+    assert collapsed.int_mean_sq == pytest.approx(full.int_mean_sq, rel=1e-6)
+    assert collapsed.int_var >= 0
     assert predictive_bound_l0(model, ev) == collapsed.expected_log_lik
     with pytest.raises(ValueError):
         _evaluate(model, ev, ("m",), collapse_s=True)
@@ -265,6 +273,16 @@ def test_cholesky_matches_scipy_bit_for_bit():
     model, _ = _coal_start()
     K = model.kzz.copy()
     assert np.array_equal(cholesky(K), scipy.linalg.cholesky(K, lower=True))
+    # an F-ordered K is factored in its own buffer, here at P = 1024 with
+    # junk in the upper triangle, which is never read and comes back zero
+    x = np.linspace(0.0, 10.0, 1024)[:, None]
+    big = gram(x, x, HyperParams(gamma=2.0, alpha=np.array([0.5])))
+    big[np.diag_indices_from(big)] += 1e-6
+    want = scipy.linalg.cholesky(big, lower=True)
+    buf = np.asfortranarray(np.tril(big) + np.triu(np.full_like(big, 7.0), 1))
+    got = cholesky(buf)
+    assert np.shares_memory(got, buf) and np.array_equal(got, want)
+    assert not np.triu(got, 1).any()
     with pytest.raises(np.linalg.LinAlgError):
         cholesky(K - 2.0 * np.eye(K.shape[0]))
     K[3, 2] = np.nan

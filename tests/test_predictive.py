@@ -17,12 +17,9 @@ from vbpp.kernel import HyperParams, gram
 from vbpp.optimizer import FitConfig, fit
 from vbpp.pointdata import Domain, EventSet
 from vbpp.predictive import (
-    _factor_draws,
     _gauss_legendre,
-    _jackknife_stderr,
     _joint_qf,
-    _log_mean_exp,
-    _mc_log_liks,
+    _mc_estimates,
     _node_count,
     _pivoted_cholesky,
     mc_predictive,
@@ -73,13 +70,14 @@ def test_mc_duplicate_events_draw_from_a_singular_covariance(fitted):
     model, ev, d = fitted
     dup = EventSet(np.vstack([ev.points, ev.points[3:4]]))
     points = np.vstack([dup.points, _gauss_legendre(d, [8])[0]])
-    log_liks, rank = _mc_log_liks(model, dup, 700, 8, seed=2)
+    estimates, rank = _mc_estimates(model, dup, 700, 8, seed=2)
     assert rank < points.shape[0]
-    assert all(np.isfinite(v).all() for v in log_liks.values())
+    assert all(np.isfinite(e).all() for e in estimates.values())
 
     mean, cov, _ = _joint_qf(model, points)
     c, rank, order = _pivoted_cholesky(cov)
-    f = mean[:, None] + _factor_draws(c, rank, order, 512, np.random.default_rng(0))
+    G = np.tril(c[:, :rank])[order]
+    f = mean[:, None] + G @ np.random.default_rng(0).standard_normal((rank, 512))
     assert np.allclose(f[dup.n - 1], f[3], rtol=1e-9, atol=0)
 
     cov[1, 0] = np.nan
@@ -177,19 +175,35 @@ def test_mc_factors_in_place_as_on_a_copy(fitted, monkeypatch):
     assert rank == ref_rank and np.array_equal(order[piv - 1], np.arange(points.shape[0]))
     assert np.array_equal(np.tril(c[:, :rank]), np.tril(ref[:, :rank]))
 
-    got, _ = _mc_log_liks(model, ev, 700, 8, seed=2)
+    got, _ = _mc_estimates(model, ev, 700, 8, seed=2)
     factor = predictive._pivoted_cholesky
     monkeypatch.setattr(predictive, "_pivoted_cholesky",
                         lambda cov: factor(np.ascontiguousarray(cov)))
-    want, _ = _mc_log_liks(model, ev, 700, 8, seed=2)
+    want, _ = _mc_estimates(model, ev, 700, 8, seed=2)
+    assert got == want
+
+
+def test_mc_draws_in_chunks_of_bounded_size(fitted, monkeypatch):
+    # each draws x n_test array is bounded by DRAW_CHUNK_BYTES; chunks of a
+    # few draws take the same stream, so the estimates agree to rounding (M0's
+    # stderr, 6e-11 here, is itself at the rounding level of its weights)
+    from vbpp import predictive
+    model, ev, _ = fitted
+    whole, _ = _mc_estimates(model, ev, 700, 8, seed=2)
+    monkeypatch.setattr(predictive, "DRAW_CHUNK_BYTES", 8 * 30 * 7)
+    chunked, _ = _mc_estimates(model, ev, 700, 8, seed=2)
     for mode in ("Mp", "M0"):
-        assert np.array_equal(got[mode], want[mode]), mode
+        a, b = chunked[mode], whole[mode]
+        assert a.log_mean == pytest.approx(b.log_mean, rel=1e-12, abs=0), mode
+        assert a.stderr == pytest.approx(b.stderr, rel=1e-6, abs=1e-12), mode
+        assert a.ess == pytest.approx(b.ess, rel=1e-12) and a.components == b.components
 
 
 def _jittered_mc_log_liks(model, test, n_samples, grid_res, seed):
-    """The dense sampler the pivoted factor replaced: a full Cholesky of the
-    joint covariance plus the smallest of six jitters from 1e-10 gamma that
-    works, with P normals per draw."""
+    """Plain Monte Carlo through a dense factor: a full Cholesky of the joint
+    covariance plus the smallest of six jitters from 1e-10 gamma that works,
+    P normals per draw, and log p(H | f) for each draw of f from q(f | u = m)
+    (mode "M0") and q*(f) (mode "Mp")."""
     nodes, weights = _gauss_legendre(model.domain, [grid_res] * model.domain.dims)
     points = np.vstack([test.points, nodes])
     rng = np.random.Generator(np.random.Philox(key=[seed, 0x4D43]))
@@ -210,45 +224,154 @@ def _jittered_mc_log_liks(model, test, n_samples, grid_res, seed):
     return log_liks
 
 
+def _plain_estimate(log_liks):
+    """The log-mean-exp of plain draws' log-likelihoods and its delta-method
+    stderr."""
+    peak = log_liks.max()
+    w = np.exp(log_liks - peak)
+    return peak + np.log(w.mean()), w.std(ddof=1) / (w.mean() * np.sqrt(w.size))
+
+
 def test_mc_estimates_agree_with_the_jittered_dense_sampler(fitted):
-    # the (samples, nodes, seed) of the Monte Carlo tests below
+    # importance sampling against plain draws through a dense jittered
+    # factor, at the (samples, nodes, seed) of the Monte Carlo tests below
     model, ev, _ = fitted
     for n_samples, nodes, seed in ((3000, 1024, 1), (3000, 256, 2), (2000, 256, 4)):
-        new, _ = _mc_log_liks(model, ev, n_samples, nodes, seed)
+        new, _ = _mc_estimates(model, ev, n_samples, nodes, seed)
         old = _jittered_mc_log_liks(model, ev, n_samples, nodes, seed)
         for mode in ("Mp", "M0"):
-            a, b = new[mode], old[mode]
-            se = np.hypot(_jackknife_stderr(a), _jackknife_stderr(b))
-            assert abs(_log_mean_exp(a) - _log_mean_exp(b)) <= 4 * se, (mode, seed)
+            plain, plain_se = _plain_estimate(old[mode])
+            se = np.hypot(new[mode].stderr, plain_se)
+            assert abs(new[mode].log_mean - plain) <= 4 * se, (mode, seed)
 
 
-def _jackknife_by_deletion(values, block=100):
-    """Delete-one-block jackknife stderr of the log-mean-exp, each deletion
-    rebuilt in full."""
-    n = values.size
-    n_blocks = n // block
-    if n_blocks < 2:
-        n_blocks, block = n, 1
-        if n < 2:
-            return 0.0
-    values = values[: n_blocks * block]
-    estimates = np.array([
-        _log_mean_exp(np.delete(values.reshape(n_blocks, block), b, axis=0).reshape(-1))
-        for b in range(n_blocks)
-    ])
-    centre = estimates.mean()
-    return float(np.sqrt((n_blocks - 1) / n_blocks * np.sum((estimates - centre) ** 2)))
+def tilted_moments(model, points, nodes, weights, mode):
+    """The joint Gaussian of f at ``points`` and the Gauss-Legendre nodes,
+    built from the kernel directly (no factor), tilted exactly by
+    exp(-sum_j w_j f_j^2): log E[exp(-sum_j w_j f_j^2)] and the tilted mean
+    and covariance of f at ``points``.  The nodes' covariance S enters only
+    through W^-1 / 2 + S, which is positive definite whatever S's rank."""
+    n = points.shape[0]
+    x = np.vstack([points, nodes])
+    A = gram(x, model.inducing.Z, model.hyper)
+    KinvAT = np.linalg.solve(model.kzz, A.T)
+    mu = KinvAT.T @ model.var_state.m
+    cov = gram(x, x, model.hyper) - A @ KinvAT
+    if mode == "Mp":
+        cov += KinvAT.T @ model.var_state.S @ KinvAT
+    cov = 0.5 * (cov + cov.T)
+    mu_n, S_nn, S_xn = mu[n:], cov[n:, n:], cov[:n, n:]
+    R = np.diag(0.5 / weights) + S_nn
+    log_z = -0.5 * np.linalg.slogdet(np.eye(weights.size) + 2.0 * S_nn * weights)[1] \
+        - 0.5 * mu_n @ np.linalg.solve(R, mu_n)
+    mean = mu[:n] - S_xn @ np.linalg.solve(R, mu_n)
+    return log_z, mean, cov[:n, :n] - S_xn @ np.linalg.solve(R, S_xn.T)
 
 
-def test_jackknife_matches_block_deletion():
-    # whole blocks of 100, a ragged tail, one-sample blocks below 200 values
-    rng = np.random.default_rng(11)
-    for scale in (0.01, 3.0, 30.0):
-        for n in (10_000, 1234, 150, 2):
-            values = scale * rng.standard_normal(n) - 50.0
-            assert _jackknife_stderr(values) == pytest.approx(
-                _jackknife_by_deletion(values), rel=1e-10, abs=0), (scale, n)
-    assert _jackknife_stderr(np.array([1.5])) == 0.0
+def two_event_log_lik(model, points, nodes, weights, mode):
+    """log p(H) for two test events in closed form: the exact tilt, then
+    E[f1^2 f2^2] = (m1^2 + S11)(m2^2 + S22) + 2 S12^2 + 4 m1 m2 S12 by
+    Isserlis' theorem."""
+    log_z, m, S = tilted_moments(model, points, nodes, weights, mode)
+    moment = (m[0] ** 2 + S[0, 0]) * (m[1] ** 2 + S[1, 1]) + 2 * S[0, 1] ** 2 \
+        + 4 * m[0] * m[1] * S[0, 1]
+    return log_z + np.log(moment)
+
+
+@pytest.fixture(scope="module")
+def benchmark_models():
+    """The coal model (M = 16) and the dense 1-D configuration (gamma 200,
+    alpha 1, seed 3, M = 32), each fitted to all its events, and the first
+    two events of each held-out half."""
+    from vbpp.pointdata import coal_style_dataset, split_events
+    from vbpp.simulate import ground_truth, thin_sample
+    coal, d_coal = coal_style_dataset()
+    d = Domain([0.0], [10.0])
+    dense = thin_sample(ground_truth(HyperParams(200.0, [1.0]), d, seed=3), d, seed=3)
+    out = {}
+    for name, events, dom, M in (("coal", coal, d_coal, 16), ("dense", dense, d, 32)):
+        model = fit(events, dom, M, FitConfig(max_iters=5000))
+        out[name] = model, split_events(events, 0.5, 0)[1].points[:2]
+    return out
+
+
+def _check_against_closed_form(model, points, n_samples=2000, seed=1):
+    """Both modes' estimates within 4 stderrs of the closed form, plus 1e-8
+    for rounding: the estimator factors the covariance to its numerical rank,
+    the oracle solves with it in full.  Returns the estimates."""
+    res = [_node_count(model)] * model.domain.dims
+    nodes, weights = _gauss_legendre(model.domain, res)
+    estimates, _ = _mc_estimates(model, EventSet(points), n_samples, res, seed)
+    for mode, est in estimates.items():
+        exact = two_event_log_lik(model, points, nodes, weights, mode)
+        assert abs(est.log_mean - exact) <= 4 * est.stderr + 1e-8, (mode, est, exact)
+    return estimates
+
+
+@pytest.mark.parametrize("name", ["coal", "dense"])
+def test_mc_matches_the_two_event_closed_form(benchmark_models, name):
+    model, points = benchmark_models[name]
+    _check_against_closed_form(model, points)
+
+
+def test_mc_matches_the_closed_form_where_f_nears_zero(benchmark_models):
+    # events where q*(f)'s mean is within 3 sd of zero: the mixture gains a
+    # component where their f is negative, and the estimate holds to the
+    # closed form with it.  One pair puts the second event where f is far
+    # from zero; the other puts it 0.05 away, so that flipping one event's
+    # sign flips both (the Laplace sd at the mode, which counts each event's
+    # own factor, would put them at 3 sd)
+    model, _ = benchmark_models["dense"]
+    grid = np.linspace(0.05, 9.95, 397)[:, None]
+    mu, var = qf_marginals(grid, model)
+    ratio = np.abs(mu) / np.sqrt(var)
+    near = grid[np.argmin(ratio)]
+    assert ratio.min() < 3.0
+    for other in (grid[np.argmax(ratio)], near + 0.05):
+        estimates = _check_against_closed_form(model, np.vstack([near, other]))
+        assert estimates["Mp"].components >= 3
+
+
+def hafnian(S, idx):
+    """Sum over the perfect matchings of ``idx`` of the products of S's
+    entries: E[prod_i f_idx[i]] for f ~ N(0, S) (Isserlis' theorem)."""
+    if not idx:
+        return 1.0
+    a, rest = idx[0], idx[1:]
+    return sum(S[a, b] * hafnian(S, rest[:i] + rest[i + 1:]) for i, b in enumerate(rest))
+
+
+def test_mc_finds_the_orthants_that_hold_mass_when_the_mean_vanishes(fitted):
+    # a zero mean: f vanishes at the tilted mean, so the first search starts
+    # beside it, every event is a candidate, and each orthant's mirror image
+    # holds as much mass as the orthant.  Two events: all four orthants get a
+    # Laplace fit, beside the defensive component.  Six events: the closed
+    # form is E[prod_k f_k^2] = hafnian of the tilted covariance
+    model, _, d = fitted
+    zero = Model(model.hyper, model.inducing,
+                 VariationalState(np.zeros(model.num_inducing), model.var_state.L), d)
+    estimates = _check_against_closed_form(zero, np.array([[1.0], [3.5]]))
+    assert estimates["Mp"].components == 5
+
+    points = np.linspace(0.3, 4.8, 6)[:, None]
+    res = [_node_count(zero)]
+    nodes, weights = _gauss_legendre(d, res)
+    estimates, _ = _mc_estimates(zero, EventSet(points), 2000, res, seed=1)
+    for mode, est in estimates.items():
+        log_z, mean, S = tilted_moments(zero, points, nodes, weights, mode)
+        assert not mean.any()
+        exact = log_z + np.log(hafnian(S, tuple(np.repeat(np.arange(6), 2))))
+        assert abs(est.log_mean - exact) <= 4 * est.stderr, (mode, est, exact)
+
+
+def test_mc_on_an_empty_test_set_is_the_exact_tilt_normaliser(fitted):
+    model, _, d = fitted
+    nodes, weights = _gauss_legendre(d, [16])
+    estimates, _ = _mc_estimates(model, EventSet(np.empty((0, 1))), 500, 16, seed=3)
+    for mode, est in estimates.items():
+        log_z, _, _ = tilted_moments(model, np.empty((0, 1)), nodes, weights, mode)
+        assert est.log_mean == pytest.approx(log_z, rel=1e-9), mode
+        assert (est.stderr, est.ess, est.components) == (0.0, 0.0, 0)
 
 
 def test_mc_predictive_input_validation(fitted):
@@ -268,13 +391,24 @@ def test_mc_predictive_single_sample(fitted):
     assert se == 0.0
 
 
-def test_mc_predictive_deterministic(fitted):
+def test_mc_predictive_deterministic(fitted, monkeypatch):
+    from vbpp import predictive
     model, ev, _ = fitted
     a = mc_predictive(model, ev, "M0", 500, 128, seed=5)
     b = mc_predictive(model, ev, "M0", 500, 128, seed=5)
     assert a == b
     c = mc_predictive(model, ev, "M0", 500, 128, seed=6)
     assert a != c
+    # mc_predictive samples only its own mode, and each mode has its own
+    # stream, so it gives the estimate that both modes together give
+    both, _ = _mc_estimates(model, ev, 500, 128, seed=5)
+    calls = []
+    sample = predictive._importance_sample
+    monkeypatch.setattr(predictive, "_importance_sample",
+                        lambda *args: calls.append(1) or sample(*args))
+    assert a == tuple(both["M0"][:2])
+    assert mc_predictive(model, ev, "Mp", 500, 128, seed=5) == tuple(both["Mp"][:2])
+    assert len(calls) == 1
 
 
 def test_mc_bounds_hold(fitted):
@@ -308,12 +442,16 @@ def test_predictive_report_fields(fitted):
         assert np.isfinite(doc[key])
     assert doc["n_samples"] == 400
     assert doc["grid_resolution"] == [16]
+    # Kish's effective sample size of each mode's weights, and the Mp
+    # mixture's components: a Laplace fit and the defensive one at least
+    assert 0 < doc["m_0_ess"] <= 400 and 0 < doc["m_p_ess"] <= 400
+    assert doc["m_p_components"] >= 2
 
 
 def test_predictive_report_records_the_factor_rank(fitted):
     model, ev, d = fitted
     rep = predictive_report(model, ev, n_samples=400, seed=0)
-    _, rank = _mc_log_liks(model, ev, 400, rep.grid_resolution, seed=0)
+    _, rank = _mc_estimates(model, ev, 400, rep.grid_resolution, seed=0)
     assert rep.mc_rank == rank
     assert 0 < rank < ev.n + rep.grid_resolution[0]
 
