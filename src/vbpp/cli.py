@@ -117,11 +117,13 @@ def cmd_evaluate(args) -> int:
     if args.data is not None and args.train is not None:
         raise argparse.ArgumentTypeError("--train conflicts with --data: the split "
                                          "supplies the training events")
+    if args.baseline and args.data is None and args.train is None:
+        raise argparse.ArgumentTypeError("--baseline needs --train or --data/--split")
     model = load_model(args.model)
     d = model.domain
-    train = None
     if args.data is None:
         test = load_events(args.test, d)
+        train = load_events(args.train, d) if args.baseline else None
     else:
         events = load_events(args.data, d)
         train, test = split_events(events, args.split, args.split_seed)
@@ -131,10 +133,6 @@ def cmd_evaluate(args) -> int:
     doc["n_test"] = test.n
 
     if args.baseline:
-        if train is None:
-            if not args.train:
-                raise argparse.ArgumentTypeError("--baseline needs --train or --data/--split")
-            train = load_events(args.train, d)
         ks = fit_bandwidth(train, d)
         doc["ks_log_predictive"] = ks_log_predictive(ks, test, d)
         doc["ks_sigma"] = ks.sigma.tolist()
@@ -172,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=100.0)
     p.add_argument("--alpha", type=floats, default=None,
                    help="comma-separated per-dimension scales")
-    p.add_argument("--grid-res", type=int, default=None)
+    p.add_argument("--grid-res", type=positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_simulate)
@@ -180,18 +178,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit the variational model")
     p.add_argument("--data", required=True)
     p.add_argument("--domain", required=True)
-    p.add_argument("--inducing", "--inducing-per-dim", type=int, default=16,
+    p.add_argument("--inducing", "--inducing-per-dim", type=positive_int, default=16,
                    help="inducing points per dimension, on a regular grid")
     p.add_argument("--optimize-z", action="store_true",
                    help="also optimise the inducing locations, kept inside the domain "
                         "by box bounds")
-    p.add_argument("--max-iters", type=int, default=FitConfig.max_iters)
+    p.add_argument("--max-iters", type=positive_int, default=FitConfig.max_iters)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("predict", help="posterior intensity over a grid")
     p.add_argument("--model", required=True)
-    p.add_argument("--grid-res", type=int, default=None)
+    p.add_argument("--grid-res", type=positive_int, default=None)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_predict)
 

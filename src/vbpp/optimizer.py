@@ -27,7 +27,8 @@ from .core import (
     xz_sq_diffs,
 )
 from .kernel import HyperParams
-from .pointdata import Domain, EventSet, as_points, domain_measure, regular_grid
+from .pointdata import (Domain, EventSet, as_points, check_in_domain, domain_measure,
+                        regular_grid)
 from .threads import pool_threads
 
 
@@ -136,88 +137,86 @@ def _initial_model(events: EventSet, d: Domain, Z: np.ndarray) -> Model:
 # Fit driver
 # ----------------------------------------------------------------------
 
-def _objective_factory(events, domain, M, cfg, fixed_z):
+def _objective_factory(events: EventSet, start: Model, cfg: FitConfig):
+    """The function the fit minimises, and the maps between its coordinates
+    and :func:`pack`'s.
+
+    The start model supplies the domain, the inducing points (fixed unless
+    cfg.optimize_z) and C0, the Cholesky factor of its K_zz + jitter.  m and
+    L are whitened, m = C0 w and L = C0 W with W's diagonal stored as logs:
+    the bound is extremely stiff along near-null directions of K_zz in m and
+    L (K_zz^-1 m appears squared), which stalls the line search on dense
+    inducing grids.  The fixed preconditioner leaves the model unchanged.
+
+    Returns (negative_bound, to_canonical, from_canonical).  negative_bound
+    returns FAILED_OBJECTIVE and a zero gradient for a step it cannot
+    evaluate or whose value or gradient is not finite; to_canonical returns
+    (packed vector, W, L).
+    """
+    domain, Z, C0 = start.domain, start.inducing.Z, start.kzz_chol
+    M, R = Z.shape
     wrt = tuple(b for b in GRAD_BLOCKS if cfg.optimize_z or b != "Z")
     # With Z fixed, the events' squared differences to it never change.
-    xz_sq = None if cfg.optimize_z else xz_sq_diffs(events, fixed_z)
-
-    def negative_bound(y):
-        try:
-            model = unpack(y, domain, M, cfg, fixed_z=fixed_z)
-            value, grads = elbo_and_gradient(model, events, wrt=wrt, _xz_sq=xz_sq)
-        except (np.linalg.LinAlgError, FloatingPointError):
-            return FAILED_OBJECTIVE, np.zeros_like(y)
-        gvec = np.concatenate([
-            np.atleast_1d(np.asarray(grads[name], dtype=float)).reshape(-1)
-            for name in wrt
-        ])
-        # A non-finite gradient would poison L-BFGS-B's curvature pairs as
-        # surely as a non-finite value would poison its line search.
-        if not (np.isfinite(value) and np.isfinite(gvec).all()):
-            return FAILED_OBJECTIVE, np.zeros_like(y)
-        return -value, -gvec
-
-    return negative_bound
-
-
-def _whitened_coords(objective, C0: np.ndarray, M: int, R: int):
-    """Change of variables m = C0 w, L = C0 W for the variational blocks.
-
-    C0 is the Cholesky factor of the initial K_zz + jitter.  The bound is
-    extremely stiff along near-null directions of K_zz when m and L are
-    optimised directly (Kzz^{-1} m appears squared), which stalls the line
-    search for dense inducing grids; the fixed linear preconditioner flattens
-    those directions without changing the model parameterisation.
-
-    Returns (wrapped_objective, to_canonical, from_canonical) where the two
-    converters map whole parameter vectors and leave the hyperparameter head
-    and any trailing Z block untouched.
-    """
+    xz_sq = None if cfg.optimize_z else xz_sq_diffs(events, Z)
+    tril, diag = np.tril_indices(M), np.diag_indices(M)
     head = 1 + R + 1
-    tril = np.tril_indices(M)
-    diag = np.diag_indices(M)
-    n_tril = tril[0].size
+    w_block = slice(head, head + M)
+    l_block = slice(head + M, head + M + tril[0].size)
 
     def to_canonical(yw):
         y = np.asarray(yw, dtype=float).copy()
-        y[head:head + M] = C0 @ yw[head:head + M]
         W = np.zeros((M, M))
-        W[tril] = yw[head + M:head + M + n_tril]
-        W[diag] = np.exp(W[diag])
-        L = C0 @ W
-        packed = L.copy()
-        packed[diag] = np.log(L[diag])
-        y[head + M:head + M + n_tril] = packed[tril]
+        W[tril] = y[l_block]
+        # An overflowing step reaches unpack as a 0 or inf diagonal and fails
+        # there.  This log and unpack's exp only round, like the division by
+        # diag L below, but the fits' iterates depend on that rounding.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            y[w_block] = C0 @ y[w_block]
+            W[diag] = np.exp(W[diag])
+            L = C0 @ W
+            packed = L.copy()
+            packed[diag] = np.log(L[diag])
+        y[l_block] = packed[tril]
         return y, W, L
 
     def from_canonical(y):
         yw = np.asarray(y, dtype=float).copy()
-        yw[head:head + M] = solve_triangular(C0, y[head:head + M], lower=True)
+        yw[w_block] = solve_triangular(C0, y[w_block], lower=True)
         L = np.zeros((M, M))
-        L[tril] = y[head + M:head + M + n_tril]
+        L[tril] = y[l_block]
         L[diag] = np.exp(L[diag])
         W = solve_triangular(C0, L, lower=True)
         packed = W.copy()
         packed[diag] = np.log(np.abs(W[diag]))
-        yw[head + M:head + M + n_tril] = packed[tril]
+        yw[l_block] = packed[tril]
         return yw
 
-    def wrapped(yw):
+    def negative_bound(yw):
         y, W, L = to_canonical(yw)
-        f, g = objective(y)
-        if f == FAILED_OBJECTIVE:
-            return f, np.zeros_like(yw)
-        gw = g.copy()
-        gw[head:head + M] = C0.T @ g[head:head + M]
+        try:
+            model = unpack(y, domain, M, cfg, fixed_z=Z)
+            value, grads = elbo_and_gradient(model, events, wrt=wrt, _xz_sq=xz_sq)
+        except (np.linalg.LinAlgError, FloatingPointError):
+            return FAILED_OBJECTIVE, np.zeros_like(yw)
+        g = -np.concatenate([
+            np.atleast_1d(np.asarray(grads[name], dtype=float)).reshape(-1)
+            for name in wrt
+        ])
         GL = np.zeros((M, M))
-        GL[tril] = g[head + M:head + M + n_tril]
-        GL[diag] = GL[diag] / L[diag]          # undo the log-diagonal chain
-        GW = C0.T @ GL
-        GW[diag] = GW[diag] * W[diag]
-        gw[head + M:head + M + n_tril] = GW[tril]
-        return f, gw
+        GL[tril] = g[l_block]
+        with np.errstate(over="ignore", invalid="ignore"):    # the finite check follows
+            GL[diag] = GL[diag] / L[diag]          # undo the log-diagonal chain
+            GW = C0.T @ GL
+            GW[diag] = GW[diag] * W[diag]
+            g[w_block] = C0.T @ g[w_block]
+        g[l_block] = GW[tril]
+        # A non-finite gradient would poison L-BFGS-B's curvature pairs as
+        # surely as a non-finite value would poison its line search.
+        if not (np.isfinite(value) and np.isfinite(g).all()):
+            return FAILED_OBJECTIVE, np.zeros_like(yw)
+        return -value, g
 
-    return wrapped, to_canonical, from_canonical
+    return negative_bound, to_canonical, from_canonical
 
 
 def fit(events: EventSet, d: Domain, inducing, cfg: FitConfig | None = None) -> Model:
@@ -239,16 +238,12 @@ def fit(events: EventSet, d: Domain, inducing, cfg: FitConfig | None = None) -> 
     from scipy.optimize import Bounds, minimize   # here, so `import vbpp` skips it
     cfg = cfg or FitConfig()
     Z = regular_grid(d, int(inducing)) if np.isscalar(inducing) else as_points(inducing, d.dims)
-    if events.n and events.points.shape[1] != d.dims:
-        raise ValueError("event dimensionality does not match the domain")
+    if events.n:
+        check_in_domain(events.points, d, origin="event")   # also their dimensionality
 
     init = _initial_model(events, d, Z)
     M = Z.shape[0]
-    fixed_z = None if cfg.optimize_z else Z
-    objective = _objective_factory(events, d, M, cfg, fixed_z)
-
-    wobj, to_canonical, from_canonical = _whitened_coords(
-        objective, init.kzz_chol, M, d.dims)
+    objective, to_canonical, from_canonical = _objective_factory(events, init, cfg)
     y0 = from_canonical(pack(init, cfg))
     bounds = None
     if cfg.optimize_z:
@@ -258,13 +253,13 @@ def fit(events: EventSet, d: Domain, inducing, cfg: FitConfig | None = None) -> 
         hi[-Z.size:] = np.tile(d.hi, M)
         bounds = Bounds(lo, hi)
 
-    trace = [-wobj(y0)[0]]
+    trace = [-objective(y0)[0]]
 
     def record(intermediate_result):   # this parameter name makes scipy pass the value
         trace.append(-intermediate_result.fun)
 
     result = minimize(
-        wobj, y0, jac=True, method="L-BFGS-B", bounds=bounds, callback=record,
+        objective, y0, jac=True, method="L-BFGS-B", bounds=bounds, callback=record,
         options={"maxiter": cfg.max_iters, "gtol": 1e-5,
                  "ftol": 1e-14, "maxcor": 20, "maxls": 50},
     )
@@ -283,5 +278,4 @@ def fit(events: EventSet, d: Domain, inducing, cfg: FitConfig | None = None) -> 
         },
         "blas_threads": pool_threads(),
     }
-    return unpack(to_canonical(result.x)[0], d, M, cfg,
-                  fixed_z=fixed_z, fit_metadata=metadata)
+    return unpack(to_canonical(result.x)[0], d, M, cfg, fixed_z=Z, fit_metadata=metadata)

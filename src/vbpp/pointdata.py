@@ -111,7 +111,8 @@ def regular_grid(d: Domain, per_dim: int | list[int]) -> np.ndarray:
                         for r in range(d.dims)])
 
 
-def _check_in_domain(points: np.ndarray, d: Domain, origin: str = "point") -> None:
+def check_in_domain(points: np.ndarray, d: Domain, origin: str = "point") -> None:
+    """Raise PointDataError naming the first point outside ``d``."""
     pts = as_points(points, d.dims)
     below = pts < d.lo
     above = pts > d.hi
@@ -150,7 +151,7 @@ def load_events(path, d: Domain) -> EventSet:
             rows.append(vals)
     pts = np.asarray(rows, dtype=float) if rows else np.empty((0, d.dims))
     if pts.size:
-        _check_in_domain(pts, d, origin=f"{path}: row")
+        check_in_domain(pts, d, origin=f"{path}: row")
     return EventSet(pts)
 
 

@@ -32,7 +32,7 @@ from scipy.special import ndtri, roots_legendre
 
 from .core import Model, cholesky, predictive_bound_l0, predictive_bound_lp, qf_marginals
 from .kernel import gram
-from .pointdata import Domain, EventSet, tensor_grid
+from .pointdata import Domain, EventSet, check_in_domain, tensor_grid
 
 DEFENSIVE_SHARE = 0.05   # of the draws, from the defensive component
 MAX_COMPONENTS = 8       # Laplace fits in one mixture
@@ -394,6 +394,8 @@ def predictive_report(model: Model, test: EventSet, n_samples: int = 1_000,
     quadrature's node count (``grid_resolution``) chosen by ``_node_count``,
     the rank of the joint covariance's factor (``mc_rank``), each mode's
     effective sample size and the Mp mixture's component count."""
+    if test.n:
+        check_in_domain(test.points, model.domain, origin="test event")
     res = [_node_count(model)] * model.domain.dims
     estimates, rank = _mc_estimates(model, test, n_samples, res, seed)
     mp, m0 = estimates["Mp"], estimates["M0"]

@@ -146,10 +146,10 @@ def _random_model(rng, M, dims):
 
 
 def test_analytic_gradient_matches_finite_differences():
-    # 25 random models covering M in {2, 8} and N in {0, 5, 50}; every packed
-    # coordinate (hyperparameters, variational state, inducing locations) of
-    # the gradient the fit's optimiser receives within relative 1e-5 of a
-    # central difference
+    # 25 random models covering M in {2, 8} and N in {0, 5, 50}; every
+    # coordinate (hyperparameters, whitened variational state, inducing
+    # locations) of the gradient the fit's optimiser receives within relative
+    # 1e-5 of a central difference of the function it minimises
     rng = np.random.default_rng(3)
     cfg = FitConfig(optimize_z=True)
     for case in range(25):
@@ -159,11 +159,12 @@ def test_analytic_gradient_matches_finite_differences():
         model = _random_model(rng, M, dims)
         pts = model.domain.lo + rng.random((N, dims)) * model.domain.extent
         ev = EventSet(pts)
-        y0 = pack(model, cfg)
-        g = -_objective_factory(ev, model.domain, M, cfg, None)(y0)[1]
+        negative_bound, _, from_canonical = _objective_factory(ev, model, cfg)
+        y0 = from_canonical(pack(model, cfg))
+        g = -negative_bound(y0)[1]
 
         def value(y):
-            return elbo(unpack(y, model.domain, M, cfg, fixed_z=None), ev)
+            return -negative_bound(y)[0]
 
         scale = max(1.0, np.abs(g).max())
         for i in range(y0.size):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vbpp import cli
 from vbpp.cli import build_parser, main, parse_domain
 from vbpp.pointdata import load_events, save_events
 
@@ -121,6 +122,35 @@ def test_evaluate_samples_must_be_a_positive_integer(workspace, capsys):
     assert not (workspace / "e_bad").exists()
 
 
+FIT = ("fit", "--data", "sim/events.csv", "--domain", "0:3")
+
+
+@pytest.mark.parametrize("argv", [
+    FIT + ("--inducing", "0"), FIT + ("--inducing", "-2"), FIT + ("--inducing-per-dim", "0"),
+    FIT + ("--max-iters", "0"),
+    ("simulate", "--domain", "0:3", "--grid-res", "0"),
+    ("predict", "--model", "fit/model.json", "--grid-res", "0"),
+    ("predict", "--model", "fit/model.json", "--grid-res", "-4"),
+], ids=lambda argv: " ".join((argv[0], *argv[-2:])))
+def test_counts_below_one_are_usage_errors(workspace, capsys, argv):
+    # rejected while parsing, like --samples: nothing is run or written
+    assert run(workspace, *argv, "--out-dir", "bad_count") == 2
+    assert argv[-2] in capsys.readouterr().err
+    assert not (workspace / "bad_count").exists()
+
+
+def test_evaluate_baseline_needs_training_events_before_any_scoring(workspace, capsys,
+                                                                    monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the held-out report ran before the usage check")
+
+    monkeypatch.setattr(cli, "predictive_report", forbidden)
+    assert run(workspace, "evaluate", "--model", "fit/model.json", "--test",
+               "sim/events.csv", "--baseline", "--out-dir", "e10") == 2
+    assert "error: --baseline needs --train" in capsys.readouterr().err
+    assert not (workspace / "e10").exists()
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -214,15 +244,6 @@ def test_runtime_errors_exit_1(workspace, capsys):
     assert not (workspace / "e9").exists()
     assert run(workspace, "evaluate", "--model", "fit/model.json", "--data",
                "sim/events.csv", "--split", "1.5", "--out-dir", "e4") == 1
-    # grids need at least one point per dimension
-    for count in ("0", "-2"):
-        assert run(workspace, "fit", "--data", "sim/events.csv", "--domain", "0:3",
-                   "--inducing", count, "--out-dir", "f4") == 1
-    assert not (workspace / "f4").exists()
-    assert run(workspace, "predict", "--model", "fit/model.json", "--grid-res", "0",
-               "--out-dir", "p4") == 1
-    assert run(workspace, "simulate", "--domain", "0:3", "--grid-res", "0",
-               "--out-dir", "s4") == 1
 
 
 def test_help_exits_zero(workspace):

@@ -169,17 +169,16 @@ def test_elbo_homogeneous_single_point_sanity():
 
 
 def fit_gradient_and_fd(model, ev, optimize_z, step=1e-6):
-    """The gradient the fit's optimiser receives, and central finite
-    differences of the bound through a pack/unpack round trip."""
-    from vbpp.optimizer import FitConfig, _objective_factory, pack, unpack
+    """The gradient the fit's optimiser receives at the model, in the fit's
+    own coordinates, and central finite differences of the bound there."""
+    from vbpp.optimizer import FitConfig, _objective_factory, pack
     cfg = FitConfig(optimize_z=optimize_z)
-    y0 = pack(model, cfg)
-    M = model.num_inducing
-    fixed_z = None if optimize_z else model.inducing.Z
-    g = -_objective_factory(ev, model.domain, M, cfg, fixed_z)(y0)[1]
+    negative_bound, _, from_canonical = _objective_factory(ev, model, cfg)
+    y0 = from_canonical(pack(model, cfg))
+    g = -negative_bound(y0)[1]
 
     def value(y):
-        return elbo(unpack(y, model.domain, M, cfg, fixed_z=fixed_z), ev)
+        return -negative_bound(y)[0]
 
     fd = np.empty(y0.size)
     for i in range(y0.size):

@@ -24,7 +24,7 @@ from vbpp.optimizer import (
     regular_grid,
     unpack,
 )
-from vbpp.pointdata import Domain, EventSet, coal_style_dataset
+from vbpp.pointdata import Domain, EventSet, PointDataError, coal_style_dataset
 
 from test_pointdata import contains
 
@@ -202,6 +202,13 @@ def test_fit_elbo_is_the_elbo_of_a_2d_fitted_model():
     assert model.fit_metadata["elbo"] == elbo(model, ev)
 
 
+def test_fit_rejects_events_outside_the_domain():
+    d = Domain([0.0], [10.0])
+    for outside in (25.0, -3.0):
+        with pytest.raises(PointDataError, match="outside"):
+            fit(EventSet(np.array([[1.0], [outside]])), d, 5, FitConfig(max_iters=50))
+
+
 def test_fit_trace_costs_no_extra_evaluations(coal_fit):
     model, _, n_evals = coal_fit
     iterations = model.fit_metadata["iterations"]
@@ -209,15 +216,21 @@ def test_fit_trace_costs_no_extra_evaluations(coal_fit):
     assert n_evals <= 1.1 * iterations + 2, (n_evals, iterations)
 
 
-@pytest.mark.parametrize("index", [0, 1, 19])   # log gamma, log alpha, first log-diagonal of L
+def _coal_start_objective(cfg=FitConfig()):
+    """The coal fit's objective at M=16 and its starting point."""
+    ev, d = coal_style_dataset()
+    start = _initial_model(ev, d, regular_grid(d, 16))
+    negative_bound, _, from_canonical = _objective_factory(ev, start, cfg)
+    return negative_bound, from_canonical(pack(start, cfg))
+
+
+# log gamma, log alpha, and the first two log-diagonal entries of W
+@pytest.mark.parametrize("index", [0, 1, 19, 21])
 @pytest.mark.parametrize("value", [800.0, -800.0])
 def test_objective_rejects_steps_that_overflow(index, value):
-    ev, d = coal_style_dataset()
-    Z = regular_grid(d, 16)
-    cfg = FitConfig()
-    y = pack(_initial_model(ev, d, Z), cfg)
+    negative_bound, y = _coal_start_objective()
     y[index] = value
-    f, g = _objective_factory(ev, d, 16, cfg, Z)(y)
+    f, g = negative_bound(y)
     assert f == FAILED_OBJECTIVE
     assert not g.any()
 
@@ -232,11 +245,8 @@ def test_objective_rejects_a_non_finite_gradient(monkeypatch):
         return value, grads
 
     monkeypatch.setattr(optimizer, "elbo_and_gradient", nan_block)
-    ev, d = coal_style_dataset()
-    Z = regular_grid(d, 16)
-    cfg = FitConfig()
-    y = pack(_initial_model(ev, d, Z), cfg)
-    f, g = _objective_factory(ev, d, 16, cfg, Z)(y)
+    negative_bound, y = _coal_start_objective()
+    f, g = negative_bound(y)
     assert f == FAILED_OBJECTIVE
     assert not g.any()
 
@@ -251,6 +261,8 @@ def test_objective_avoids_scipy_linalg_wrappers_and_z_partials(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("reached a code path the objective must not take")
 
+    negative_bound, y = _coal_start_objective()
+
     modules = [scipy.linalg] + [getattr(vbpp, m) for m in dir(vbpp)
                                 if type(getattr(vbpp, m)) is type(vbpp)]
     for name in ("cholesky", "cho_solve", "solve_triangular"):
@@ -259,11 +271,7 @@ def test_objective_avoids_scipy_linalg_wrappers_and_z_partials(monkeypatch):
             if getattr(module, name, None) is wrapper:
                 monkeypatch.setattr(module, name, forbidden)
     monkeypatch.setattr(kernel, "_dfac_dzi", forbidden)
-    ev, d = coal_style_dataset()
-    Z = regular_grid(d, 16)
-    cfg = FitConfig()
-    y = pack(_initial_model(ev, d, Z), cfg)
-    f, g = _objective_factory(ev, d, 16, cfg, Z)(y)
+    f, g = negative_bound(y)
     assert f != FAILED_OBJECTIVE and np.isfinite(g).all()
 
 
@@ -292,14 +300,6 @@ def test_fit_optimize_z_is_no_worse_than_the_grid_on_coal():
     assert contains(d, moved.inducing.Z).all()
 
 
-FIXED_Z_BLOCKS = ("log_gamma", "log_alpha", "u_bar", "m", "L")
-
-
-def _flat_negated(value, grads, wrt):
-    """negative_bound's (value, gradient vector) from a bound evaluation."""
-    return -value, -np.concatenate([np.atleast_1d(grads[b]).reshape(-1) for b in wrt])
-
-
 @pytest.fixture(scope="module")
 def grid_2d_fit():
     """A 6 x 6 inducing grid fitted to a simulated 2-D data set."""
@@ -311,7 +311,8 @@ def grid_2d_fit():
 
 
 @pytest.mark.parametrize("case", ["coal-start", "coal-fitted", "2d-start", "2d-fitted"])
-def test_objective_with_cached_squares_is_bit_identical_to_the_bound(case, request):
+def test_objective_with_cached_squares_is_bit_identical_to_the_bound(case, request,
+                                                                     monkeypatch):
     # a fixed-grid fit forms the events' squared differences to Z once; every
     # evaluation must round as if the bound had formed them itself
     if case.startswith("coal"):
@@ -323,13 +324,15 @@ def test_objective_with_cached_squares_is_bit_identical_to_the_bound(case, reque
     M = Z.shape[0]
     model = fitted if case.endswith("fitted") else _initial_model(ev, d, Z)
     cfg = FitConfig()
-    y = pack(model, cfg)
-    at_y = unpack(y, d, M, cfg, fixed_z=Z)
-    f, g = _objective_factory(ev, d, M, cfg, Z)(y)
-    want_f, want_g = _flat_negated(*elbo_and_gradient(at_y, ev, wrt=FIXED_Z_BLOCKS),
-                                   FIXED_Z_BLOCKS)
+    negative_bound, _, from_canonical = _objective_factory(ev, model, cfg)
+    y = from_canonical(pack(model, cfg))
+    f, g = negative_bound(y)
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizer, "xz_sq_diffs", lambda events, Z: None)
+        want_f, want_g = _objective_factory(ev, model, cfg)[0](y)
     assert f == want_f
     assert np.array_equal(g, want_g)
+    at_y = unpack(pack(model, cfg), d, M, cfg, fixed_z=Z)
     value, grads = elbo_and_gradient(at_y, ev, GRAD_BLOCKS)
     cached_value, cached_grads = elbo_and_gradient(at_y, ev, GRAD_BLOCKS,
                                                    _xz_sq=xz_sq_diffs(ev, Z))
@@ -339,19 +342,14 @@ def test_objective_with_cached_squares_is_bit_identical_to_the_bound(case, reque
 
 
 def test_optimize_z_objective_never_reuses_squares_of_another_z():
-    ev, d = coal_style_dataset()
-    M = 16
     cfg = FitConfig(optimize_z=True)
-    wrt = FIXED_Z_BLOCKS + ("Z",)
-    objective = _objective_factory(ev, d, M, cfg, None)
-    y1 = pack(_initial_model(ev, d, regular_grid(d, M)), cfg)
+    objective, y1 = _coal_start_objective(cfg)
     y2 = y1.copy()
-    y2[-M:] += np.linspace(-2.0, 2.0, M)        # every inducing point moves
+    y2[-16:] += np.linspace(-2.0, 2.0, 16)      # every inducing point moves
     seen = []
     for y in (y1, y2, y1):
         f, g = objective(y)
-        want_f, want_g = _flat_negated(*elbo_and_gradient(unpack(y, d, M, cfg), ev, wrt=wrt),
-                                       wrt)
+        want_f, want_g = _coal_start_objective(cfg)[0](y)    # a fresh objective
         assert f == want_f
         assert np.array_equal(g, want_g)
         seen.append(f)
