@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .pointdata import Domain, EventSet, as_points, write_json
+from .pointdata import Domain, EventSet, as_points, check_in_domain, write_json
 
 SIGMA_FLOOR_FRAC = 1e-3   # of the domain extent; guards the duplicate-point collapse
 SIGMA_CEIL_FRAC = 10.0
@@ -71,6 +71,7 @@ def _log_kernel_sums(query: np.ndarray, centres: np.ndarray, d: Domain,
     ((q_ir - c_jr)^2 / sigma_r^2 - 1 - d log mass_jr / d log sigma_r), where
     mass_jr is centre j's kernel mass inside the domain.
     """
+    query, centres = as_points(query, d.dims), as_points(centres, d.dims)
     half_sq = np.empty((d.dims, query.shape[0], centres.shape[0]))
     for r in range(d.dims):
         np.subtract.outer(query[:, r], centres[:, r], out=half_sq[r])
@@ -128,11 +129,13 @@ def fit_bandwidth(train: EventSet, d: Domain) -> KsModel:
     raw objective is unbounded.  In 1-D it is one bounded scalar search over
     the band.  In two or more dimensions the objective has several basins,
     so L-BFGS-B on the analytic gradient runs from eight fixed starts
-    (log-uniform in the band) and the best end point is kept.
+    (log-uniform in the band) and the best end point is kept.  A training
+    event outside ``d`` raises PointDataError.
     """
     from scipy.optimize import minimize, minimize_scalar   # here, so `import vbpp` skips it
     if train.n < 2:
         raise InsufficientDataError("leave-one-out bandwidth selection needs N >= 2")
+    check_in_domain(train.points, d, origin="training event")
     lo = np.log(SIGMA_FLOOR_FRAC * d.extent)
     hi = np.log(SIGMA_CEIL_FRAC * d.extent)
     sums = _log_kernel_sums(train.points, train.points, d, leave_one_out=True)
@@ -154,7 +157,7 @@ def fit_bandwidth(train: EventSet, d: Domain) -> KsModel:
 
 def ks_intensity(model: KsModel, query, d: Domain) -> np.ndarray:
     """Smoothed intensity lambda(x) = sum_n N_T(x; x_n, Sigma) at each query point."""
-    peak, row = _log_kernel_sums(as_points(query, d.dims), model.train.points, d)(model.sigma)
+    peak, row = _log_kernel_sums(query, model.train.points, d)(model.sigma)
     return np.exp(peak) * row
 
 
@@ -165,8 +168,9 @@ def ks_log_predictive(model: KsModel, test: EventSet, d: Domain) -> float:
     (1/N) lambda reduces to sum_k log lambda(x_k) - N, summed in log space, so
     it stays finite where a test point is far from every training point.  The
     K! permutation factor cancels, and the domain integral of the intensity
-    is exactly N.
+    is exactly N.  A test event outside ``d`` raises PointDataError.
     """
+    check_in_domain(test.points, d, origin="test event")
     peak, row = _log_kernel_sums(test.points, model.train.points, d)(model.sigma)
     return _total(peak, row) - model.train.n
 

@@ -259,16 +259,12 @@ def elbo_and_gradient(model: Model, events: EventSet, wrt=GRAD_BLOCKS, _xz_sq=No
     return terms.elbo, terms.grads
 
 
-def _event_points(events: EventSet | None, R: int) -> np.ndarray:
-    return events.points if events is not None and events.n else np.empty((0, R))
-
-
-def xz_sq_diffs(events: EventSet | None, Z: np.ndarray) -> np.ndarray:
+def xz_sq_diffs(events: EventSet, Z: np.ndarray) -> np.ndarray:
     """The events' squared differences to Z per dimension, R x N x M."""
-    return sq_diffs(_event_points(events, Z.shape[1]), Z)
+    return sq_diffs(as_points(events.points, Z.shape[1]), Z)
 
 
-def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
+def _evaluate(model: Model, events: EventSet = EventSet(), wrt=(),
               collapse_s: bool = False, xz_sq: np.ndarray | None = None) -> BoundTerms:
     """The one evaluation of the bound: every function above is a view of it.
 
@@ -283,12 +279,12 @@ def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
     every product below goes through it; the fit's iterates depend on this
     arithmetic bit for bit.  The gradient's N x M products are formed in
     place in two scratch buffers, in the same order of operations.  The data
-    term goes through :func:`expected_log_f_sq`, and no events (``events``
-    None or empty) run the same code with N = 0.  K(X, Z) and the log-alpha
-    block read ``xz_sq``, the events' :func:`xz_sq_diffs`, made here unless
-    given.  ``collapse_s`` sets S to zero in the expectations of f, not in
-    the KL; that variant is a value only, and asking for its gradient raises
-    ValueError.  ``wrt`` is as in :func:`elbo_and_gradient`.
+    term goes through :func:`expected_log_f_sq`, and no events run the same
+    code with N = 0.  K(X, Z) and the log-alpha block read ``xz_sq``, the
+    events' :func:`xz_sq_diffs`, made here unless given.  ``collapse_s`` sets
+    S to zero in the expectations of f, not in the KL; that variant is a
+    value only, and asking for its gradient raises ValueError.  ``wrt`` is as
+    in :func:`elbo_and_gradient`.
     """
     wrt = tuple(wrt)
     unknown = set(wrt) - set(GRAD_BLOCKS)
@@ -337,8 +333,8 @@ def _evaluate(model: Model, events: EventSet | None = None, wrt=(),
     logdet_s = 2.0 * float(np.log(Lc.diagonal()).sum())
     kl = 0.5 * (float((Kinv * S).sum()) + model.kzz_logdet - logdet_s - M + float(d @ q))
 
-    X = _event_points(events, R)
-    xz_sq = xz_sq_diffs(events, Z) if xz_sq is None else xz_sq
+    X = as_points(events.points, R)
+    xz_sq = sq_diffs(X, Z) if xz_sq is None else xz_sq
     A = kernel_from_sq(xz_sq, h)             # N x M, as gram(X, Z, h)
     Abar = A @ Kinv
     mu = Abar @ m

@@ -228,7 +228,7 @@ def fit(events: EventSet, d: Domain, inducing, cfg: FitConfig | None = None) -> 
     d : Domain
     inducing : int or array
         Per-dimension grid count (total M = count^R) or explicit M x R
-        locations.
+        locations, which must lie in the domain like the events.
     cfg : FitConfig
 
     Returns a model whose ``fit_metadata`` records the objective trace
@@ -238,8 +238,8 @@ def fit(events: EventSet, d: Domain, inducing, cfg: FitConfig | None = None) -> 
     from scipy.optimize import Bounds, minimize   # here, so `import vbpp` skips it
     cfg = cfg or FitConfig()
     Z = regular_grid(d, int(inducing)) if np.isscalar(inducing) else as_points(inducing, d.dims)
-    if events.n:
-        check_in_domain(events.points, d, origin="event")   # also their dimensionality
+    check_in_domain(events.points, d, origin="event")   # also their dimensionality
+    check_in_domain(Z, d, origin="inducing point")
 
     init = _initial_model(events, d, Z)
     M = Z.shape[0]

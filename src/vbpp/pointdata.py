@@ -2,8 +2,9 @@
 
 Points are N x R rows.  :func:`as_points` is the one rule for shaping a point
 set given R: a flat array is one point when its length is R and otherwise N
-one-dimensional points.  Grids are Cartesian products with the last
-dimension varying fastest (:func:`tensor_grid`).
+one-dimensional points, and an array with no rows is the empty set.  Grids
+are Cartesian products with the last dimension varying fastest
+(:func:`tensor_grid`).
 """
 
 from __future__ import annotations
@@ -19,10 +20,15 @@ class PointDataError(ValueError):
 
 
 def as_points(x, dims: int) -> np.ndarray:
-    """``x`` as an N x ``dims`` float array of points, one per row."""
+    """``x`` as an N x ``dims`` float array of points, one per row, by the
+    module's rule.  An array with no rows, ``EventSet()``'s (0, 1) included,
+    is the empty set of shape (0, ``dims``); a (3, 0) array, three points
+    without coordinates, raises.  A float N x ``dims`` array is not copied."""
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :] if pts.shape[0] == dims else pts[:, None]
+    if pts.ndim == 2 and not pts.shape[0]:
+        return pts.reshape(0, dims)
     if pts.ndim != 2 or pts.shape[1] != dims:
         raise ValueError(f"points must have {dims} coordinates, got shape {pts.shape}")
     return pts
@@ -83,7 +89,7 @@ class EventSet:
             pts = pts[:, None]
         if pts.ndim != 2:
             raise PointDataError("event points must form an N x R matrix")
-        if pts.size and not np.isfinite(pts).all():
+        if not np.isfinite(pts).all():
             raise PointDataError("event coordinates must be finite")
         object.__setattr__(self, "points", pts)
         self.points.setflags(write=False)
@@ -112,11 +118,10 @@ def regular_grid(d: Domain, per_dim: int | list[int]) -> np.ndarray:
 
 
 def check_in_domain(points: np.ndarray, d: Domain, origin: str = "point") -> None:
-    """Raise PointDataError naming the first point outside ``d``."""
+    """Raise PointDataError naming the first point outside ``d``, boundaries
+    inclusive.  A non-finite coordinate lies outside; an empty set passes."""
     pts = as_points(points, d.dims)
-    below = pts < d.lo
-    above = pts > d.hi
-    bad = below | above
+    bad = ~((pts >= d.lo) & (pts <= d.hi))
     if bad.any():
         i, r = np.argwhere(bad)[0]
         raise PointDataError(
@@ -149,9 +154,8 @@ def load_events(path, d: Domain) -> EventSet:
                     f"{path}: row {lineno} has {len(vals)} columns, expected {d.dims}"
                 )
             rows.append(vals)
-    pts = np.asarray(rows, dtype=float) if rows else np.empty((0, d.dims))
-    if pts.size:
-        check_in_domain(pts, d, origin=f"{path}: row")
+    pts = as_points(rows, d.dims)
+    check_in_domain(pts, d, origin=f"{path}: row")
     return EventSet(pts)
 
 

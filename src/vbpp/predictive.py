@@ -32,7 +32,7 @@ from scipy.special import ndtri, roots_legendre
 
 from .core import Model, cholesky, predictive_bound_l0, predictive_bound_lp, qf_marginals
 from .kernel import gram
-from .pointdata import Domain, EventSet, check_in_domain, tensor_grid
+from .pointdata import Domain, EventSet, as_points, check_in_domain, tensor_grid
 
 DEFENSIVE_SHARE = 0.05   # of the draws, from the defensive component
 MAX_COMPONENTS = 8       # Laplace fits in one mixture
@@ -353,6 +353,7 @@ def _mc_estimates(model: Model, test: EventSet, n_samples: int, grid_res,
     q*(f) (mode "Mp") and H = G from q(f | u = m) (mode "M0").  Each mode
     draws from its own Philox stream, keyed by ``seed`` and the mode's name,
     so its estimate is the same whether or not the other mode is computed.
+    A test event outside the domain raises PointDataError.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -360,8 +361,9 @@ def _mc_estimates(model: Model, test: EventSet, n_samples: int, grid_res,
     res = np.broadcast_to(np.asarray(grid_res, dtype=int), (d.dims,))
     if (res < 8).any():
         raise ValueError("at least 8 quadrature nodes per dimension are required")
+    check_in_domain(test.points, d, origin="test event")
     nodes, weights = _gauss_legendre(d, res)
-    points = np.vstack([test.points, nodes]) if test.n else nodes
+    points = np.vstack([as_points(test.points, d.dims), nodes])
 
     mean, cov, AbarL = _joint_qf(model, points)
     c, rank, order = _pivoted_cholesky(cov)
@@ -394,8 +396,6 @@ def predictive_report(model: Model, test: EventSet, n_samples: int = 1_000,
     quadrature's node count (``grid_resolution``) chosen by ``_node_count``,
     the rank of the joint covariance's factor (``mc_rank``), each mode's
     effective sample size and the Mp mixture's component count."""
-    if test.n:
-        check_in_domain(test.points, model.domain, origin="test event")
     res = [_node_count(model)] * model.domain.dims
     estimates, rank = _mc_estimates(model, test, n_samples, res, seed)
     mp, m0 = estimates["Mp"], estimates["M0"]

@@ -17,7 +17,7 @@ from vbpp.baseline import (
     loo_objective,
 )
 from vbpp.kernel import HyperParams
-from vbpp.pointdata import Domain, EventSet, split_events
+from vbpp.pointdata import Domain, EventSet, PointDataError, split_events
 from vbpp.simulate import ground_truth, thin_sample
 
 from test_pointdata import poisson_log_likelihood
@@ -402,6 +402,24 @@ def test_log_predictive_empty_test():
     model = KsModel(train, np.array([0.2]))
     d = Domain([0.0], [1.0])
     assert ks_log_predictive(model, EventSet(np.empty((0, 1))), d) == -7.0
+
+
+def test_log_predictive_of_the_empty_set_in_2d():
+    rng = np.random.default_rng(4)
+    model = KsModel(EventSet(rng.uniform(0, 1, (7, 2))), np.array([0.2, 0.3]))
+    assert ks_log_predictive(model, EventSet(), Domain([0.0, 0.0], [1.0, 1.0])) == -7.0
+
+
+def test_the_baseline_rejects_events_outside_the_domain():
+    # the truncated kernels put no mass outside the window, and a training
+    # event there makes an end-correction weight divide by zero
+    d = Domain([0.0], [10.0])
+    train = EventSet(np.random.default_rng(0).uniform(0, 10, 40)[:, None])
+    model = fit_bandwidth(train, d)
+    with pytest.raises(PointDataError, match="test event 1: .* outside"):
+        ks_log_predictive(model, EventSet(np.array([[5.0], [55.0]])), d)
+    with pytest.raises(PointDataError, match="training event 40: .* outside"):
+        fit_bandwidth(EventSet(np.vstack([train.points, [[25.0]]])), d)
 
 
 def test_better_bandwidth_scores_better():

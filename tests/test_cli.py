@@ -10,7 +10,7 @@ import pytest
 
 from vbpp import cli
 from vbpp.cli import build_parser, main, parse_domain
-from vbpp.pointdata import load_events, save_events
+from vbpp.pointdata import coal_style_dataset, load_events, save_events, split_events
 
 from test_baseline import lone_event_data
 
@@ -111,6 +111,24 @@ def test_evaluate_with_split_and_baseline(workspace):
     assert doc["m_p_components"] >= 2
     assert not (workspace / "eval" / "intensity.csv").exists()    # predict draws the map
     assert (workspace / "eval" / "evaluate_manifest.json").exists()
+
+
+def test_evaluate_reads_a_test_and_a_training_file_as_it_splits_one(tmp_path):
+    events, _ = coal_style_dataset()
+    save_events(events, tmp_path / "coal.csv")
+    train, test = split_events(events, 0.5, 0)
+    save_events(train, tmp_path / "tr.csv")
+    save_events(test, tmp_path / "te.csv")
+    assert run(tmp_path, "fit", "--data", "coal.csv", "--domain", "1851:1962",
+               "--inducing", "8", "--max-iters", "60", "--out-dir", "fit") == 0
+    common = ("evaluate", "--model", "fit/model.json", "--samples", "300", "--baseline")
+    assert run(tmp_path, *common, "--data", "coal.csv", "--split", "0.5",
+               "--split-seed", "0", "--out-dir", "split") == 0
+    assert run(tmp_path, *common, "--test", "te.csv", "--train", "tr.csv",
+               "--out-dir", "files") == 0
+    report = (tmp_path / "split" / "report.json").read_bytes()
+    assert (tmp_path / "files" / "report.json").read_bytes() == report
+    assert json.loads(report)["n_test"] == test.n
 
 
 def test_evaluate_samples_must_be_a_positive_integer(workspace, capsys):

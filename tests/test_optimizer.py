@@ -209,6 +209,18 @@ def test_fit_rejects_events_outside_the_domain():
             fit(EventSet(np.array([[1.0], [outside]])), d, 5, FitConfig(max_iters=50))
 
 
+@pytest.mark.parametrize("Z, optimize_z", [
+    ([-5.0, 3.0, 20.0], False),    # would fit at that Z
+    ([-5.0, 3.0, 20.0], True),     # L-BFGS-B would clip the start into its box
+    ([1.0, np.nan, 5.0], False),   # would fail in the Cholesky, naming no input
+])
+def test_fit_rejects_inducing_points_outside_the_domain(Z, optimize_z):
+    ev = EventSet(np.array([[1.0], [4.0], [8.0]]))
+    with pytest.raises(PointDataError, match=r"inducing point \d: .* outside"):
+        fit(ev, Domain([0.0], [10.0]), np.array(Z)[:, None],
+            FitConfig(max_iters=50, optimize_z=optimize_z))
+
+
 def test_fit_trace_costs_no_extra_evaluations(coal_fit):
     model, _, n_evals = coal_fit
     iterations = model.fit_metadata["iterations"]

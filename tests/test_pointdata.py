@@ -7,6 +7,7 @@ from vbpp.pointdata import (
     Domain,
     EventSet,
     PointDataError,
+    check_in_domain,
     coal_style_dataset,
     domain_measure,
     as_points,
@@ -69,6 +70,30 @@ def test_eventset_empty_is_valid():
     assert ev.n == 0
     ev2 = EventSet(np.empty((0, 3)))
     assert ev2.n == 0 and ev2.points.shape[1] == 3
+
+
+def test_as_points_takes_an_array_with_no_rows_as_the_empty_set():
+    for empty in (EventSet().points, np.empty((0, 3)), [], np.empty(0)):
+        assert as_points(empty, 2).shape == (0, 2)
+    with pytest.raises(ValueError, match="2 coordinates"):
+        as_points(np.empty((3, 0)), 2)        # three points without coordinates
+    pts = np.array([[0.5, 1.0], [2.0, 3.0]])
+    assert as_points(pts, 2) is pts
+
+
+def test_check_in_domain_takes_a_non_finite_coordinate_as_outside():
+    d = Domain([0.0, 0.0], [1.0, 1.0])
+    check_in_domain(EventSet().points, d)
+    check_in_domain(np.array([[0.0, 1.0], [0.5, 0.5]]), d)   # boundaries inclusive
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(PointDataError, match="point 1: coordinate 1 = .* outside"):
+            check_in_domain(np.array([[0.5, 0.5], [0.5, bad]]), d)
+
+
+def test_load_events_of_an_empty_file_has_the_domain_dims(tmp_path):
+    path = tmp_path / "ev.csv"
+    path.write_text("x0,x1\n")
+    assert load_events(path, Domain([0.0, 0.0], [1.0, 1.0])).points.shape == (0, 2)
 
 
 def test_eventset_promotes_1d_to_column():

@@ -471,8 +471,23 @@ def test_predictive_report_fields(fitted):
 
 def test_predictive_report_rejects_test_events_outside_the_domain(fitted):
     model, _, d = fitted
+    test = EventSet(np.array([[1.0], [d.hi[0] + 45.0]]))
     with pytest.raises(PointDataError, match="outside"):
-        predictive_report(model, EventSet(np.array([[1.0], [d.hi[0] + 45.0]])), n_samples=50)
+        predictive_report(model, test, n_samples=50)
+    with pytest.raises(PointDataError, match="test event 1: .* outside"):
+        mc_predictive(model, test, "M0", 50, 16)
+
+
+def test_the_empty_set_in_2d_fits_and_scores():
+    d = Domain([0.0, 0.0], [2.0, 3.0])
+    model = fit(EventSet(), d, 3, FitConfig(max_iters=100))
+    assert model.fit_metadata["elbo"] == elbo(model, EventSet()) <= 0.0
+    rep = predictive_report(model, EventSet(), n_samples=50)
+    assert rep.l_p == predictive_bound_lp(model, EventSet(np.empty((0, 2)))) < 0.0
+    assert rep.l_0 >= rep.l_p
+    # no test events: each estimate is the tilt's normaliser, with no draws
+    assert (rep.m_p_stderr, rep.m_0_stderr, rep.m_p_ess, rep.m_0_ess) == (0.0,) * 4
+    assert rep.m_p_components == 0
 
 
 def test_predictive_report_records_the_factor_rank(fitted):
