@@ -95,8 +95,9 @@ def cmd_fit(args) -> int:
               [[i, float(val)] for i, val in enumerate(meta["trace"])],
               header=["iteration", "objective"])
     _write_manifest(args)
-    print(f"fit: N={events.n}, M={model.num_inducing}, "
-          f"elbo={meta['elbo']:.4f}, iterations={meta['iterations']}")
+    print(f"fit: N={events.n}, M={model.num_inducing}, elbo={meta['elbo']:.4f}, "
+          f"iterations={meta['iterations']}, evaluations={meta['evaluations']}, "
+          f"inner steps={meta['inner_steps']}")
     return 0
 
 

@@ -13,17 +13,17 @@ per-event expectations go through the tabulated special function in
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
+from scipy.special import roots_legendre
 
 from . import specfun
 from .kernel import HyperParams, gram, kernel_from_sq, psi_with_partials, sq_diffs
-from .pointdata import Domain, EventSet, as_points, domain_measure, write_json
+from .pointdata import Domain, EventSet, as_points, domain_measure, tensor_grid, write_json
 
 JITTER_SCALE = 1e-8
 VAR_FLOOR = 1e-12
@@ -72,15 +72,6 @@ class InducingPoints:
             Z = Z[:, None]
         object.__setattr__(self, "Z", Z)
         self.Z.setflags(write=False)
-
-
-@functools.cache
-def eye_and_vech_mask(M: int) -> tuple[np.ndarray, np.ndarray]:
-    """The M x M identity and the lower-triangle (vech) mask, read-only."""
-    consts = np.eye(M), np.tri(M, dtype=bool)
-    for arr in consts:
-        arr.setflags(write=False)
-    return consts
 
 
 def cholesky(K: np.ndarray) -> np.ndarray:
@@ -151,10 +142,6 @@ class Model:
     def kzz(self) -> np.ndarray:
         return self._kzz[0]
 
-    @property
-    def kzz_chol(self) -> np.ndarray:
-        return self._kzz[1]
-
     def kzz_solve(self, rhs: np.ndarray) -> np.ndarray:
         """(K_zz + jitter)^-1 rhs for an M x k ``rhs``, by LAPACK's dpotrs on
         the model's factor: bit-identical to ``scipy.linalg.cho_solve``
@@ -178,18 +165,49 @@ class Model:
 # q(f) marginals
 # ----------------------------------------------------------------------
 
-def qf_marginals(X, model: Model):
-    """Marginal mean and variance of q(f) at each row of X.
+def qf_marginals(X, model: Model, collapse_s: bool = False):
+    """Marginal mean and variance of q(f) at each row of X, or of
+    q(f | u = m) with ``collapse_s``.
 
     Variances are floored at 1e-12.
     """
     A = gram(X, model.inducing.Z, model.hyper)        # N x M
     Abar = model.kzz_solve(A.T).T                     # rows a_n^T = k_n^T K^-1
     mu = Abar @ model.var_state.m
-    AbarL = Abar @ model.var_state.L
-    var = model.hyper.gamma - np.einsum("nm,nm->n", Abar, A) \
-        + np.einsum("nm,nm->n", AbarL, AbarL)
+    var = model.hyper.gamma - np.einsum("nm,nm->n", Abar, A)
+    if not collapse_s:
+        AbarL = Abar @ model.var_state.L
+        var += np.einsum("nm,nm->n", AbarL, AbarL)
     return mu, np.maximum(var, VAR_FLOOR)
+
+
+def gauss_legendre(d: Domain, res) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor-product Gauss-Legendre nodes and weights over the domain,
+    ``res[r]`` of them along dimension r."""
+    half = 0.5 * d.extent
+    rules = [roots_legendre(int(n)) for n in res]
+    nodes = tensor_grid([lo + h * (x + 1.0) for lo, h, (x, _) in zip(d.lo, half, rules)])
+    weights = tensor_grid([h * w for h, (_, w) in zip(half, rules)]).prod(axis=1)
+    return nodes, weights
+
+
+def node_count(model: Model) -> int:
+    """Gauss-Legendre nodes per dimension for the domain integral of f^2 in
+    the Monte Carlo and in :func:`predictive_bound_l0`: from n = 8, doubled
+    until the rule's integral of E_q*[f^2] = mu^2 + sigma^2 agrees at n and
+    2n to 1e-9 relative, or until 2n would exceed 4096 nodes in all."""
+    def integral(n):
+        nodes, weights = gauss_legendre(model.domain, [n] * model.domain.dims)
+        mu, var = qf_marginals(nodes, model)
+        return weights @ (mu**2 + var)
+
+    n, value = 8, integral(8)
+    while (2 * n) ** model.domain.dims <= 4096:
+        finer = integral(2 * n)
+        if abs(finer - value) <= 1e-9 * abs(finer):
+            break
+        n, value = 2 * n, finer
+    return n
 
 
 def expected_log_f_sq(mu, var):
@@ -237,25 +255,31 @@ def predictive_bound_lp(model: Model, test: EventSet) -> float:
 
 
 def predictive_bound_l0(model: Model, test: EventSet) -> float:
-    """Tightened bound with the variational covariance collapsed to zero."""
-    return _evaluate(model, test, collapse_s=True).expected_log_lik
+    """Tightened bound with the variational covariance collapsed to zero,
+    taken in the Monte Carlo's arithmetic (q(f | u = m) from
+    :func:`qf_marginals`, f^2 integrated at :func:`node_count`'s nodes), so
+    that M_0 >= l_0 holds by Jensen's inequality.  Through Psi and the
+    explicit K^-1 it would round 1.4e-6 nats high, above M_0, on the coal
+    data's training half at M = 20 (cond K_zz 1.5e9)."""
+    nodes, weights = gauss_legendre(model.domain, [node_count(model)] * model.domain.dims)
+    mu, var = qf_marginals(np.vstack([as_points(test.points, model.domain.dims), nodes]),
+                           model, collapse_s=True)
+    ell, _ = expected_log_f_sq(mu[:test.n], var[:test.n])
+    return float(ell.sum()) - float(weights @ (mu[test.n:] ** 2 + var[test.n:]))
 
 
-def elbo_and_gradient(model: Model, events: EventSet, wrt=GRAD_BLOCKS, _xz_sq=None):
+def elbo_and_gradient(model: Model, events: EventSet, wrt=GRAD_BLOCKS, _stage=None):
     """Bound value and its analytic gradient, returned for the blocks in ``wrt``.
 
     ``wrt`` names blocks of ("log_gamma", "log_alpha", "u_bar", "m", "L",
-    "Z"); it only chooses what is returned, as every block but Z is computed
-    for any request, and Z when named.  Positive parameters are
-    differentiated in log space; the diagonal of L likewise.  The "L" block
-    is returned as vech order (rows of the lower triangle), the "Z" block as
-    an M x R array, the gradient with respect to the inducing locations
-    themselves.  A fit with fixed Z passes ``_xz_sq``, the events'
-    :func:`xz_sq_diffs`, once made for all its calls.
-
-    Returns (value, dict of gradient blocks).
+    "Z").  Positive parameters are differentiated in log space.  The "L"
+    block is q(u)'s covariance relative to its factor L: L^T (dL/dS) L, the
+    gradient in a symmetric Y at 0 for S = L (I + Y) L^T.  The "Z" block is
+    M x R, the gradient in the inducing locations.  A fit passes ``_stage``,
+    this model's :func:`theta_stage` for these events and blocks, made once
+    per theta.  Returns (value, dict of gradient blocks).
     """
-    terms = _evaluate(model, events, wrt, xz_sq=_xz_sq)
+    terms = _evaluate(model, events, wrt, stage=_stage)
     return terms.elbo, terms.grads
 
 
@@ -264,116 +288,111 @@ def xz_sq_diffs(events: EventSet, Z: np.ndarray) -> np.ndarray:
     return sq_diffs(as_points(events.points, Z.shape[1]), Z)
 
 
-def _evaluate(model: Model, events: EventSet = EventSet(), wrt=(),
-              collapse_s: bool = False, xz_sq: np.ndarray | None = None) -> BoundTerms:
-    """The one evaluation of the bound: every function above is a view of it.
+class ThetaStage(NamedTuple):
+    """The bound's factors that q(u) does not enter (see :func:`theta_stage`)."""
 
-    It takes one of three paths: the value alone (``wrt`` empty), the value
-    and every gradient block but Z, or the value and every block (``wrt``
-    names "Z"); ``wrt`` only chooses the blocks returned.  K_zz and its
-    Cholesky factor come from the model.  Psi comes from
-    :func:`psi_with_partials` with the partials the path needs: none, the
-    log-alpha ones, or those and the Z ones.  No term of the value depends on
-    the path, so the four terms are bit-identical whichever blocks are
-    requested.  K^-1 is formed once from the model's Cholesky factor and
-    every product below goes through it; the fit's iterates depend on this
-    arithmetic bit for bit.  The gradient's N x M products are formed in
-    place in two scratch buffers, in the same order of operations.  The data
-    term goes through :func:`expected_log_f_sq`, and no events run the same
-    code with N = 0.  K(X, Z) and the log-alpha block read ``xz_sq``, the
-    events' :func:`xz_sq_diffs`, made here unless given.  ``collapse_s`` sets
-    S to zero in the expectations of f, not in the KL; that variant is a
-    value only, and asking for its gradient raises ValueError.  ``wrt`` is as
-    in :func:`elbo_and_gradient`.
-    """
+    model: Model
+    X: np.ndarray                # the events, N x R
+    xz_sq: np.ndarray            # their squared differences to Z, R x N x M
+    Kinv: np.ndarray
+    psi: tuple                   # Psi and its partials, as psi_with_partials returns them
+    B: np.ndarray                # K^-1 Psi K^-1
+    A: np.ndarray                # K(X, Z)
+    Abar: np.ndarray             # rows a_n^T = k_n^T K^-1
+    int_var_prior: float         # gamma |T| - tr(K^-1 Psi)
+    var_prior: np.ndarray        # gamma - a_n^T k_n
+
+
+def theta_stage(model: Model, events: EventSet = EventSet(), wrt=(),
+                xz_sq: np.ndarray | None = None) -> ThetaStage:
+    """The part of :func:`_evaluate` that q(u) does not enter, made once per
+    theta.  K^-1 is formed once from the model's Cholesky factor, and every
+    product of the bound goes through it; the fit's iterates depend on this
+    arithmetic bit for bit.  Psi comes with the partials the blocks in
+    ``wrt`` need: none for a value, the log-alpha ones for any gradient, and
+    the Z ones too for "Z".  K(X, Z) reads ``xz_sq``, the events'
+    :func:`xz_sq_diffs`, made here unless given."""
+    h, Z = model.hyper, model.inducing.Z
+    partials = (("log_alpha", "Z") if "Z" in wrt else ("log_alpha",)) if wrt else ()
+    Kinv = model.kzz_solve(np.eye(Z.shape[0]))
+    psi = psi_with_partials(Z, h, model.domain, partials)
+    kinv_psi = Kinv @ psi[0]
+    X = as_points(events.points, Z.shape[1])
+    xz_sq = sq_diffs(X, Z) if xz_sq is None else xz_sq
+    A = kernel_from_sq(xz_sq, h)             # N x M, as gram(X, Z, h)
+    Abar = A @ Kinv
+    return ThetaStage(model, X, xz_sq, Kinv, psi, kinv_psi @ Kinv, A, Abar,
+                      h.gamma * domain_measure(model.domain) - float(kinv_psi.trace()),
+                      h.gamma - np.einsum("nm,nm->n", Abar, A))
+
+
+def _evaluate(model: Model, events: EventSet = EventSet(), wrt=(),
+              stage: ThetaStage | None = None) -> BoundTerms:
+    """The one evaluation of the bound: every function above is a view of it.
+    It is :func:`q_terms` at the model's q(u) on the model's
+    :func:`theta_stage`, made here unless given."""
+    return q_terms(stage or theta_stage(model, events, wrt), model.var_state, wrt)
+
+
+def q_terms(stage: ThetaStage, var_state: VariationalState, wrt=()) -> BoundTerms:
+    """The bound's four terms at q(u) = ``var_state`` on ``stage``, with the
+    gradient blocks in ``wrt`` (as in :func:`elbo_and_gradient`), by one of
+    four paths: the value alone, with q(u)'s "m" and "L" blocks, with every
+    block but Z, or with every block.  No term of the value depends on the
+    path, so the four terms are bit-identical whichever blocks are requested.
+    The gradient's N x M products are formed in place in two scratch buffers;
+    no events run the same code with N = 0."""
     wrt = tuple(wrt)
     unknown = set(wrt) - set(GRAD_BLOCKS)
     if unknown:
         raise ValueError(f"unknown gradient blocks: {sorted(unknown)}")
-    if collapse_s and wrt:
-        raise ValueError("the bound with S collapsed is not differentiated")
-    partials = ()
-    if wrt:
-        partials = ("log_alpha", "Z") if "Z" in wrt else ("log_alpha",)
 
-    h = model.hyper
-    Z = model.inducing.Z
+    model, h, Z = stage.model, stage.model.hyper, stage.model.inducing.Z
     M, R = Z.shape
-    m = model.var_state.m
-    Lc = model.var_state.L
-    S = model.var_state.S
-    gamma = h.gamma
-    measure = domain_measure(model.domain)
-
-    eye, vech_mask = eye_and_vech_mask(M)
-    Kinv = model.kzz_solve(eye)
-    K = model.kzz
-    psi, dpsi_dlog_alpha, dpsi_dzi = psi_with_partials(Z, h, model.domain, partials)
+    m, S = var_state.m, var_state.S
+    Kinv, psi, B, A, Abar = stage.Kinv, stage.psi[0], stage.B, stage.A, stage.Abar
 
     c = Kinv @ m
-    kinv_psi = Kinv @ psi
     int_mean_sq = float(c @ psi @ c)
-    int_var = gamma * measure - float(kinv_psi.trace())
-    if not collapse_s:
-        W = Kinv @ S @ Kinv
-        int_var += float((W * psi).sum())
-    else:
-        # The collapsed bound is a value only, which the fit never takes, so
-        # its integrals can be exact to rounding without moving the fit.
-        # There the squared-mean integral takes K^-1 m from the Cholesky
-        # solve (through the explicit inverse it fell 2.7e-6 short on coal at
-        # M = 20, cond K_zz 1.4e9), and int Var, the conditional GP variance,
-        # is >= 0 although its closed form read -2.5e-6 there.
-        c_solved = model.kzz_solve(m)
-        int_mean_sq = float(c_solved @ psi @ c_solved)
-        int_var = max(int_var, 0.0)
+    W = Kinv @ S @ Kinv
+    int_var = stage.int_var_prior + float((W * psi).sum())
 
     d = h.u_bar - m
     q = Kinv @ d
-    logdet_s = 2.0 * float(np.log(Lc.diagonal()).sum())
+    logdet_s = 2.0 * float(np.log(var_state.L.diagonal()).sum())
     kl = 0.5 * (float((Kinv * S).sum()) + model.kzz_logdet - logdet_s - M + float(d @ q))
 
-    X = as_points(events.points, R)
-    xz_sq = sq_diffs(X, Z) if xz_sq is None else xz_sq
-    A = kernel_from_sq(xz_sq, h)             # N x M, as gram(X, Z, h)
-    Abar = A @ Kinv
     mu = Abar @ m
-    var_raw = gamma - np.einsum("nm,nm->n", Abar, A)
-    if not collapse_s:
-        var_raw += np.einsum("nm,nm->n", Abar @ S, Abar)
+    var_raw = stage.var_prior + np.einsum("nm,nm->n", Abar @ S, Abar)
     clamped = var_raw < VAR_FLOOR
     var = np.maximum(var_raw, VAR_FLOOR)
     ell, gslope = expected_log_f_sq(mu, var)
     data = float(ell.sum())
 
-    if not partials:
-        return BoundTerms(int_mean_sq, int_var, data, kl, {})
-
-    B = kinv_psi @ Kinv
-    e_mu = gslope * mu / var
-    e_s = 1.0 / var - gslope * mu**2 / (2.0 * var**2)
-    e_s = np.where(clamped, 0.0, e_s)        # floored variance is locally constant
-    Amu = Abar.T @ e_mu                      # sum_n e_mu_n a_n
-    work = np.empty_like(A)                  # N x M scratch
-    AsA = Abar.T @ np.multiply(Abar, e_s[:, None], out=work)
     grads: dict[str, np.ndarray | float] = {}
-    grads["m"] = -2.0 * (B @ m) + q + Amu
-
-    # Lc is C-ordered (np.tril's output), so this is the LAPACK call that
-    # scipy.linalg.solve_triangular(Lc, eye, lower=True) makes.
-    Linv, info = lapack.dtrtrs(Lc.T, eye, lower=False, trans=1)
-    if info:
-        raise np.linalg.LinAlgError(f"L is singular at diagonal {info - 1}")
-    Sinv = Linv.T @ Linv
-    Gs = -B - 0.5 * Kinv + 0.5 * Sinv + AsA
-    gl = (Gs + Gs.T) @ Lc
-    np.fill_diagonal(gl, gl.diagonal() * Lc.diagonal())   # log-diagonal parameterisation
-    grads["L"] = gl[vech_mask]
+    if wrt:
+        e_mu = gslope * mu / var
+        e_s = 1.0 / var - gslope * mu**2 / (2.0 * var**2)
+        e_s = np.where(clamped, 0.0, e_s)        # floored variance is locally constant
+        Amu = Abar.T @ e_mu                      # sum_n e_mu_n a_n
+        work = np.empty_like(A)                  # N x M scratch
+        AsA = Abar.T @ np.multiply(Abar, e_s[:, None], out=work)
+        grads["m"] = -2.0 * (B @ m) + q + Amu
+        # dL/dS = (S^-1 - K^-1 - 2 B + 2 AsA) / 2.  As L^T dL/dS L, its S^-1
+        # is the identity exactly; formed itself, S^-1 would cancel against
+        # K^-1 and lose eps cond(S) (1e-6 of S at the coal fit's start).
+        if "L" in wrt:
+            Lc = var_state.L
+            grads["L"] = 0.5 * (np.eye(M) - Lc.T @ (Kinv + 2.0 * B - 2.0 * AsA) @ Lc)
+    if set(wrt) <= {"m", "L"}:
+        return BoundTerms(int_mean_sq, int_var, data, kl, {b: grads[b] for b in wrt})
 
     grads["u_bar"] = -float(q.sum())
 
     # Raw partials of the bound w.r.t. the kernel structures.
-    v = kinv_psi @ c
+    K = model.kzz
+    xz_sq = stage.xz_sq
+    v = B @ m                                   # K^-1 Psi c
     g_psi = -np.multiply.outer(c, c) + Kinv - W
     M1 = W @ psi @ Kinv
     Gk = (np.multiply.outer(v, c) + np.multiply.outer(c, v)) - B + (M1 + M1.T) \
@@ -388,14 +407,14 @@ def _evaluate(model: Model, events: EventSet = EventSet(), wrt=(),
     GA *= e_s[:, None]
     GA += np.multiply.outer(e_mu, c, out=work)
     GA_A = np.multiply(GA, A, out=What)         # What is spent
-    g_gamma_direct = -measure + float(e_s.sum())
+    g_gamma_direct = -domain_measure(model.domain) + float(e_s.sum())
     grads["log_gamma"] = float((Gk * K).sum()) + 2.0 * float((g_psi * psi).sum()) \
-        + g_gamma_direct * gamma + float(GA_A.sum())
+        + g_gamma_direct * h.gamma + float(GA_A.sum())
 
     # One pass over the dimensions forms the Z-Z differences once for both
     # blocks; the X-Z ones only for the Z block.
     grads["log_alpha"] = np.empty(R)
-    with_z = dpsi_dzi is not None
+    with_z = "Z" in wrt
     if with_z:
         grads["Z"] = np.empty((M, R))
         Gk_sym = Gk + Gk.T
@@ -408,13 +427,13 @@ def _evaluate(model: Model, events: EventSet = EventSet(), wrt=(),
         work *= GA
         grads["log_alpha"][r] = \
             float((Gk * (K * delta_zz**2 / (2.0 * h.alpha[r]))).sum()) \
-            + float((g_psi * dpsi_dlog_alpha[r]).sum()) + float(work.sum())
+            + float((g_psi * stage.psi[1][r]).sum()) + float(work.sum())
         if with_z:
-            np.subtract.outer(X[:, r], Z[:, r], out=delta_xz)
+            np.subtract.outer(stage.X[:, r], Z[:, r], out=delta_xz)
             np.multiply(GA_A, delta_xz, out=work)    # GA A delta / alpha_r
             work /= h.alpha[r]
             grads["Z"][:, r] = (Gk_sym * K * (-delta_zz / h.alpha[r])).sum(axis=1) \
-                + (g_psi_sym * dpsi_dzi[r]).sum(axis=1) + work.sum(axis=0)
+                + (g_psi_sym * stage.psi[2][r]).sum(axis=1) + work.sum(axis=0)
 
     return BoundTerms(int_mean_sq, int_var, data, kl, {b: grads[b] for b in wrt})
 

@@ -28,11 +28,12 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import blas, lapack
-from scipy.special import ndtri, roots_legendre
+from scipy.special import ndtri
 
-from .core import Model, cholesky, predictive_bound_l0, predictive_bound_lp, qf_marginals
+from .core import (Model, cholesky, gauss_legendre, node_count, predictive_bound_l0,
+                   predictive_bound_lp, qf_marginals)
 from .kernel import gram
-from .pointdata import Domain, EventSet, as_points, check_in_domain, tensor_grid
+from .pointdata import EventSet, as_points, check_in_domain
 
 DEFENSIVE_SHARE = 0.05   # of the draws, from the defensive component
 MAX_COMPONENTS = 8       # Laplace fits in one mixture
@@ -86,35 +87,6 @@ def _joint_qf(model: Model, points: np.ndarray):
     cov = blas.dgemm(-1.0, Abar.T, A.T, beta=1.0, c=gram(points, points, model.hyper).T,
                      trans_a=1, overwrite_c=1)
     return Abar @ model.var_state.m, cov, Abar @ model.var_state.L
-
-
-def _gauss_legendre(d: Domain, res) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor-product Gauss-Legendre nodes and weights over the domain,
-    ``res[r]`` of them along dimension r."""
-    half = 0.5 * d.extent
-    rules = [roots_legendre(int(n)) for n in res]
-    nodes = tensor_grid([lo + h * (x + 1.0) for lo, h, (x, _) in zip(d.lo, half, rules)])
-    weights = tensor_grid([h * w for h, (_, w) in zip(half, rules)]).prod(axis=1)
-    return nodes, weights
-
-
-def _node_count(model: Model) -> int:
-    """Gauss-Legendre nodes per dimension for the Monte-Carlo quadrature:
-    from n = 8, doubled until the rule's integral of E_q*[f^2] = mu^2 +
-    sigma^2 agrees at n and 2n to 1e-9 relative, or until 2n would exceed
-    4096 nodes in all."""
-    def integral(n):
-        nodes, weights = _gauss_legendre(model.domain, [n] * model.domain.dims)
-        mu, var = qf_marginals(nodes, model)
-        return weights @ (mu**2 + var)
-
-    n, value = 8, integral(8)
-    while (2 * n) ** model.domain.dims <= 4096:
-        finer = integral(2 * n)
-        if abs(finer - value) <= 1e-9 * abs(finer):
-            break
-        n, value = 2 * n, finer
-    return n
 
 
 def _pivoted_cholesky(cov: np.ndarray):
@@ -362,7 +334,7 @@ def _mc_estimates(model: Model, test: EventSet, n_samples: int, grid_res,
     if (res < 8).any():
         raise ValueError("at least 8 quadrature nodes per dimension are required")
     check_in_domain(test.points, d, origin="test event")
-    nodes, weights = _gauss_legendre(d, res)
+    nodes, weights = gauss_legendre(d, res)
     points = np.vstack([as_points(test.points, d.dims), nodes])
 
     mean, cov, AbarL = _joint_qf(model, points)
@@ -393,10 +365,10 @@ def mc_predictive(model: Model, test: EventSet, mode: str, n_samples: int,
 def predictive_report(model: Model, test: EventSet, n_samples: int = 1_000,
                       seed: int = 0) -> PredictiveReport:
     """Bundle both bounds and both MC estimates for a test set, with the
-    quadrature's node count (``grid_resolution``) chosen by ``_node_count``,
+    quadrature's node count (``grid_resolution``) chosen by ``node_count``,
     the rank of the joint covariance's factor (``mc_rank``), each mode's
     effective sample size and the Mp mixture's component count."""
-    res = [_node_count(model)] * model.domain.dims
+    res = [node_count(model)] * model.domain.dims
     estimates, rank = _mc_estimates(model, test, n_samples, res, seed)
     mp, m0 = estimates["Mp"], estimates["M0"]
     return PredictiveReport(

@@ -30,21 +30,19 @@ from vbpp.core import (
     elbo,
     elbo_and_gradient,
     expected_log_f_sq,
+    node_count,
     qf_marginals,
 )
 from vbpp.kernel import HyperParams, gram, psi_with_partials
 from vbpp.optimizer import (
     FitConfig,
     _initial_model,
-    _objective_factory,
     fit,
-    pack,
     regular_grid,
-    unpack,
+    theta_blocks,
 )
 from vbpp.pointdata import Domain, EventSet, coal_style_dataset, split_events
 from vbpp.predictive import (
-    _node_count,
     mc_predictive,
     posterior_intensity,
     predictive_bound_l0,
@@ -55,6 +53,7 @@ from vbpp.specfun import g_tilde_batch, g_tilde_series
 from vbpp.threads import pool_threads
 
 from test_baseline import ks_log_predictive_rate_form, truncnorm_pdf
+from test_core import bound_in_coordinates
 from test_kernel import kernel_eval
 from test_predictive import jittered_cholesky
 
@@ -147,24 +146,17 @@ def _random_model(rng, M, dims):
 
 def test_analytic_gradient_matches_finite_differences():
     # 25 random models covering M in {2, 8} and N in {0, 5, 50}; every
-    # coordinate (hyperparameters, whitened variational state, inducing
-    # locations) of the gradient the fit's optimiser receives within relative
-    # 1e-5 of a central difference of the function it minimises
+    # coordinate (hyperparameters, inducing locations, m and S) of the
+    # bound's analytic gradient within relative 1e-5 of a central difference
+    # of the bound
     rng = np.random.default_rng(3)
-    cfg = FitConfig(optimize_z=True)
     for case in range(25):
         M = int(rng.choice([2, 8]))
         dims = int(rng.choice([1, 2]))
         N = int(rng.choice([0, 5, 50]))
         model = _random_model(rng, M, dims)
         pts = model.domain.lo + rng.random((N, dims)) * model.domain.extent
-        ev = EventSet(pts)
-        negative_bound, _, from_canonical = _objective_factory(ev, model, cfg)
-        y0 = from_canonical(pack(model, cfg))
-        g = -negative_bound(y0)[1]
-
-        def value(y):
-            return -negative_bound(y)[0]
+        value, g, y0 = bound_in_coordinates(model, EventSet(pts), optimize_z=True)
 
         scale = max(1.0, np.abs(g).max())
         for i in range(y0.size):
@@ -192,24 +184,19 @@ _ILL_CONDITIONED = pytest.mark.xfail(
 def test_gradient_blocks_match_finite_differences_at_coal_start(M, optimize_z):
     # the fit's own starting point on the bundled data: each block's analytic
     # directional derivative along its unit gradient within relative 1e-4 of a
-    # central difference through pack / unpack
+    # central difference of the bound, in theta as the fit packs it and in m
+    # and S
     events, d = coal_style_dataset()
-    cfg = FitConfig(optimize_z=optimize_z)
-    Z = regular_grid(d, M)
-    model = _initial_model(events, d, Z)
-    wrt = ("log_gamma", "log_alpha", "u_bar", "m", "L") + (("Z",) if optimize_z else ())
-    _, grads = elbo_and_gradient(model, events, wrt=wrt)
-    y0 = pack(model, cfg)
-
-    def value(y):
-        return elbo(unpack(y, d, M, cfg, fixed_z=None if optimize_z else Z), events)
-
+    model = _initial_model(events, d, regular_grid(d, M))
+    value, g, y0 = bound_in_coordinates(model, events, optimize_z)
+    sizes = {"log_gamma": 1, "log_alpha": 1, "u_bar": 1, "Z": M, "m": M,
+             "L": M * (M + 1) // 2}
+    blocks = theta_blocks(FitConfig(optimize_z=optimize_z)) + ("m", "L")
     start = 0
-    for name in wrt:
-        g = np.ravel(grads[name])
+    for name in blocks:
         v = np.zeros(y0.size)
-        v[start:start + g.size] = g
-        start += g.size
+        v[start:start + sizes[name]] = g[start:start + sizes[name]]
+        start += sizes[name]
         norm = np.linalg.norm(v)
         if norm == 0.0:          # u_bar's gradient vanishes at this point
             continue
@@ -281,7 +268,7 @@ def test_training_bound_sits_below_monte_carlo_evidence():
         n = int(rng.integers(2, 6))
         ev = EventSet(np.sort(rng.uniform(0, extent, n))[:, None])
         model = fit(ev, d, 5, FitConfig())
-        log_z, se = _mc_log_evidence(model, ev, _node_count(model), 100_000,
+        log_z, se = _mc_log_evidence(model, ev, node_count(model), 100_000,
                                      seed=1000 + case)
         bound = elbo(model, ev)
         assert bound <= log_z + 3 * se, (case, bound, log_z, se)
@@ -297,7 +284,7 @@ def test_predictive_bounds_hold_and_collapsed_gap_is_tighter():
         model = fit(train, d, M, FitConfig())
         lp = predictive_bound_lp(model, test)
         l0 = predictive_bound_l0(model, test)
-        nodes = _node_count(model)
+        nodes = node_count(model)
         mp, mp_se = mc_predictive(model, test, "Mp", 4000, nodes, seed=1)
         m0, m0_se = mc_predictive(model, test, "M0", 4000, nodes, seed=1)
         assert lp <= mp + 3 * mp_se, M

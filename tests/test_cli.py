@@ -73,6 +73,16 @@ def test_fit_outputs(workspace):
     assert manifest["config"]["inducing"] == 5
 
 
+def test_fit_prints_its_search_counts(workspace, capsys):
+    # outer iterations, objective evaluations and the inner solves' steps
+    assert run(workspace, "fit", "--data", "sim/events.csv", "--domain", "0:3",
+               "--inducing", "5", "--out-dir", "fit_counts") == 0
+    meta = json.loads((workspace / "fit_counts" / "model.json").read_text())["fit_metadata"]
+    assert (f"iterations={meta['iterations']}, evaluations={meta['evaluations']}, "
+            f"inner steps={meta['inner_steps']}") in capsys.readouterr().out
+    assert meta["evaluations"] > meta["iterations"] > 0 and meta["inner_steps"] > 0
+
+
 def test_inducing_per_dim_is_the_inducing_count(tmp_path):
     rng = np.random.default_rng(0)
     np.savetxt(tmp_path / "events.csv", rng.uniform(0.0, 2.0, (30, 2)), delimiter=",")

@@ -15,8 +15,11 @@ from vbpp.core import (
     elbo,
     elbo_and_gradient,
     expected_log_f_sq,
+    gauss_legendre,
+    kzz_factor,
     load_model,
     model_to_dict,
+    node_count,
     predictive_bound_l0,
     predictive_bound_lp,
     qf_marginals,
@@ -168,18 +171,44 @@ def test_elbo_homogeneous_single_point_sanity():
     assert elbo(good, ev) > elbo(bad, ev)
 
 
-def fit_gradient_and_fd(model, ev, optimize_z, step=1e-6):
-    """The gradient the fit's optimiser receives at the model, in the fit's
-    own coordinates, and central finite differences of the bound there."""
-    from vbpp.optimizer import FitConfig, _objective_factory, pack
+def bound_in_coordinates(model, ev, optimize_z):
+    """The bound as a function of one flat vector, its analytic gradient
+    there and that vector: [theta as the fit packs it, m, Y's lower
+    triangle], with S = L (I + Y) L^T for the model's L and a symmetric Y,
+    0 at the model.  A coordinate of Y's lower triangle off the diagonal
+    moves Y_ij and Y_ji together.  A small Y keeps S positive definite
+    however ill-conditioned the model's S is."""
+    from vbpp.optimizer import FitConfig, pack, theta_blocks, unpack
     cfg = FitConfig(optimize_z=optimize_z)
-    negative_bound, _, from_canonical = _objective_factory(ev, model, cfg)
-    y0 = from_canonical(pack(model, cfg))
-    g = -negative_bound(y0)[1]
+    d, Z, M = model.domain, model.inducing.Z, model.num_inducing
+    L = model.var_state.L
+    theta = pack(model, cfg)
+    n = theta.size
+    tril = np.tril_indices(M)
+    y0 = np.concatenate([theta, model.var_state.m, np.zeros(tril[0].size)])
 
     def value(y):
-        return -negative_bound(y)[0]
+        Y = np.zeros((M, M))
+        Y[tril] = y[n + M:]
+        Y += np.tril(Y, -1).T
+        S = L @ (np.eye(M) + Y) @ L.T
+        q = VariationalState(y[n:n + M], np.linalg.cholesky(S))
+        return elbo(unpack(y[:n], d, M, cfg, fixed_z=None if optimize_z else Z,
+                           var_state=q), ev)
 
+    blocks = theta_blocks(cfg) + ("m",)
+    _, grads = elbo_and_gradient(model, ev, wrt=blocks + ("L",))
+    G = grads["L"]             # L^T (dL/dS) L, the gradient in Y
+    g_y = (G + G.T)[tril]
+    g_y[tril[0] == tril[1]] /= 2.0
+    g = np.concatenate([np.ravel(grads[b]) for b in blocks] + [g_y])
+    return value, g, y0
+
+
+def gradient_and_fd(model, ev, optimize_z, step=1e-6):
+    """The bound's analytic gradient in :func:`bound_in_coordinates`'s
+    coordinates, and central finite differences of the bound there."""
+    value, g, y0 = bound_in_coordinates(model, ev, optimize_z)
     fd = np.empty(y0.size)
     for i in range(y0.size):
         e = np.zeros(y0.size); e[i] = step
@@ -190,15 +219,15 @@ def fit_gradient_and_fd(model, ev, optimize_z, step=1e-6):
 def test_gradient_matches_fd_fixed_z():
     model = make_model(M=3, seed=8)
     ev = EventSet(np.array([[0.5], [1.7], [3.2]]))
-    g, fd = fit_gradient_and_fd(model, ev, optimize_z=False)
+    g, fd = gradient_and_fd(model, ev, optimize_z=False)
     assert np.allclose(g, fd, rtol=1e-5, atol=1e-7)
 
 
 def test_gradient_matches_fd_with_z():
-    # every block, the inducing locations' "Z" last
+    # every block, the inducing locations' "Z" after theta's others
     model = make_model(M=3, seed=9)
     ev = EventSet(np.array([[0.2], [2.0], [3.8]]))
-    g, fd = fit_gradient_and_fd(model, ev, optimize_z=True)
+    g, fd = gradient_and_fd(model, ev, optimize_z=True)
     assert np.allclose(g, fd, rtol=1e-4, atol=1e-7)
 
 
@@ -226,9 +255,10 @@ def _two_d_model():
 
 @pytest.mark.parametrize("build", [_coal_start, _two_d_model], ids=["coal-start", "2d"])
 def test_bound_is_bit_identical_whatever_blocks_are_requested(build, monkeypatch):
-    # the bound takes one of three paths, the value alone, every block but Z,
-    # or every block, and wrt only chooses which blocks are returned; so a
-    # value, any request and any order of blocks must round identically
+    # the bound takes one of four paths, the value alone, the value with the
+    # q(u) blocks m and L, every block but Z, or every block, and wrt only
+    # chooses which blocks are returned; so a value, any request and any
+    # order of blocks must round identically
     model, ev = build()
     seen = []
 
@@ -240,7 +270,8 @@ def test_bound_is_bit_identical_whatever_blocks_are_requested(build, monkeypatch
     full = _evaluate(model, ev, GRAD_BLOCKS)
     fit_fixed_z = tuple(b for b in GRAD_BLOCKS if b != "Z")
     shuffled = ("L", "Z", "log_gamma", "m", "u_bar", "log_alpha")
-    requests = [(), *[(b,) for b in GRAD_BLOCKS], fit_fixed_z, GRAD_BLOCKS, shuffled]
+    requests = [(), *[(b,) for b in GRAD_BLOCKS], ("m", "L"), fit_fixed_z, GRAD_BLOCKS,
+                shuffled]
     for wrt in requests:
         part = _evaluate(model, ev, wrt)
         assert part[:4] == full[:4], wrt
@@ -249,23 +280,16 @@ def test_bound_is_bit_identical_whatever_blocks_are_requested(build, monkeypatch
             assert np.array_equal(part.grads[b], full.grads[b]), b
     # Psi's partials: none for a value, log-alpha ones without Z, and both with Z
     value, no_z, with_z = (), ("log_alpha",), ("log_alpha", "Z")
-    assert seen == [with_z, value, *[no_z] * 5, with_z, no_z, with_z, with_z]
+    assert seen == [with_z, value, *[no_z] * 5, with_z, no_z, no_z, with_z, with_z]
     assert elbo(model, ev) == full.elbo
     assert predictive_bound_lp(model, ev) == full.expected_log_lik
-    # collapsing S leaves the KL as it is; the collapsed value takes its
-    # squared-mean integral through the Cholesky solve K^-1 m, which the
-    # fit's path, through the explicit inverse, matches only to rounding,
-    # and floors its integrated variance at 0
-    collapsed = _evaluate(model, ev, collapse_s=True)
-    c = model.kzz_solve(model.var_state.m)
-    psi = psi_with_partials(model.inducing.Z, model.hyper, model.domain, ())[0]
-    assert collapsed.kl == full.kl
-    assert collapsed.int_mean_sq == float(c @ psi @ c)
-    assert collapsed.int_mean_sq == pytest.approx(full.int_mean_sq, rel=1e-6)
-    assert collapsed.int_var >= 0
-    assert predictive_bound_l0(model, ev) == collapsed.expected_log_lik
-    with pytest.raises(ValueError):
-        _evaluate(model, ev, ("m",), collapse_s=True)
+    # l_0 is taken in the Monte Carlo's arithmetic: q(f | u = m) at the
+    # events and at the quadrature's nodes, which integrate f^2
+    nodes, weights = gauss_legendre(model.domain, [node_count(model)] * model.domain.dims)
+    mu, var = qf_marginals(np.vstack([ev.points, nodes]), model, collapse_s=True)
+    ell = expected_log_f_sq(mu[:ev.n], var[:ev.n])[0]
+    l0 = predictive_bound_l0(model, ev)
+    assert l0 == float(ell.sum()) - float(weights @ (mu[ev.n:] ** 2 + var[ev.n:]))
 
 
 def test_cholesky_matches_scipy_bit_for_bit():
@@ -291,7 +315,7 @@ def test_cholesky_matches_scipy_bit_for_bit():
 
 def test_kzz_solve_matches_cho_solve_bit_for_bit():
     model, ev = _coal_start()
-    ref = (model.kzz_chol, True)
+    ref = (kzz_factor(model.inducing.Z, model.hyper)[1], True)
     for rhs in (np.eye(model.num_inducing), gram(ev.points, model.inducing.Z, model.hyper).T):
         assert np.array_equal(model.kzz_solve(rhs), scipy.linalg.cho_solve(ref, rhs))
 

@@ -9,6 +9,9 @@ from vbpp.core import (
     _evaluate,
     elbo,
     elbo_and_gradient,
+    kzz_factor,
+    q_terms,
+    theta_stage,
     xz_sq_diffs,
 )
 from vbpp.kernel import HyperParams
@@ -18,10 +21,11 @@ from vbpp.optimizer import (
     FitConfig,
     FitError,
     _initial_model,
-    _objective_factory,
+    _ProfiledBound,
     fit,
     pack,
     regular_grid,
+    solve_q,
     unpack,
 )
 from vbpp.pointdata import Domain, EventSet, PointDataError, coal_style_dataset
@@ -50,9 +54,9 @@ def test_pack_lengths():
     Z = np.array([[0.25], [0.75]])
     vs = VariationalState(np.zeros(2), np.eye(2))
     model = Model(h, InducingPoints(Z), vs, d)
-    # 1 + R + 1 + M + M(M+1)/2 = 1 + 1 + 1 + 2 + 3 = 8
-    assert pack(model, FitConfig()).size == 8
-    assert pack(model, FitConfig(optimize_z=True)).size == 10
+    # theta alone: 1 + R + 1, and M x R more with the inducing points
+    assert pack(model, FitConfig()).size == 3
+    assert pack(model, FitConfig(optimize_z=True)).size == 5
 
 
 def test_pack_unpack_roundtrip():
@@ -60,17 +64,22 @@ def test_pack_unpack_roundtrip():
     h = HyperParams(gamma=2.5, alpha=np.array([0.4]), u_bar=-0.3)
     Z = np.array([[0.5], [1.5], [2.5]])
     L = np.array([[0.7, 0, 0], [0.1, 0.5, 0], [-0.2, 0.3, 0.9]])
-    model = Model(h, InducingPoints(Z),
-                  VariationalState(np.array([1.0, -2.0, 0.5]), L), d)
+    vs = VariationalState(np.array([1.0, -2.0, 0.5]), L)
+    model = Model(h, InducingPoints(Z), vs, d)
     for cfg in (FitConfig(), FitConfig(optimize_z=True)):
         y = pack(model, cfg)
-        back = unpack(y, d, 3, cfg, fixed_z=None if cfg.optimize_z else Z)
+        fixed_z = None if cfg.optimize_z else Z
+        back = unpack(y, d, 3, cfg, fixed_z=fixed_z, var_state=vs)
         assert back.hyper.gamma == pytest.approx(2.5, rel=1e-14)
         assert np.allclose(back.hyper.alpha, [0.4])
         assert back.hyper.u_bar == pytest.approx(-0.3)
-        assert np.allclose(back.var_state.m, model.var_state.m)
-        assert np.allclose(back.var_state.L, L, atol=1e-14)
+        assert back.var_state is vs
         assert np.array_equal(back.inducing.Z, Z)
+        # without a q(u), unpack gives the prior, where the KL vanishes
+        prior = unpack(y, d, 3, cfg, fixed_z=fixed_z)
+        assert np.array_equal(prior.var_state.m, np.full(3, back.hyper.u_bar))
+        assert np.array_equal(prior.var_state.L, kzz_factor(Z, prior.hyper)[1])
+        assert _evaluate(prior).kl == pytest.approx(0.0, abs=1e-9)
 
 
 def test_unpack_length_check():
@@ -222,22 +231,66 @@ def test_fit_rejects_inducing_points_outside_the_domain(Z, optimize_z):
 
 
 def test_fit_trace_costs_no_extra_evaluations(coal_fit):
+    # each evaluation of the objective takes the bound's gradient in theta
+    # once, and recording the trace adds no evaluation
     model, _, n_evals = coal_fit
-    iterations = model.fit_metadata["iterations"]
-    assert len(model.fit_metadata["trace"]) == iterations + 1
-    assert n_evals <= 1.1 * iterations + 2, (n_evals, iterations)
+    meta = model.fit_metadata
+    assert len(meta["trace"]) == meta["iterations"] + 1
+    assert n_evals == meta["evaluations"]
+    assert meta["inner_steps"] > 0
+
+
+def test_fit_rejects_an_empty_inducing_array():
+    with pytest.raises(PointDataError, match="inducing points"):
+        fit(EventSet(np.array([[1.0], [4.0]])), Domain([0.0], [10.0]), np.empty((0, 1)))
+
+
+@pytest.mark.parametrize("M", [5, 10, 16, 32])
+def test_default_fits_converge_on_coal(M):
+    ev, d = coal_style_dataset()
+    meta = fit(ev, d, M).fit_metadata
+    assert meta["converged"], (meta["message"], meta["iterations"])
+    assert meta["iterations"] < FitConfig().max_iters
 
 
 def _coal_start_objective(cfg=FitConfig()):
     """The coal fit's objective at M=16 and its starting point."""
     ev, d = coal_style_dataset()
     start = _initial_model(ev, d, regular_grid(d, 16))
-    negative_bound, _, from_canonical = _objective_factory(ev, start, cfg)
-    return negative_bound, from_canonical(pack(start, cfg))
+    return _ProfiledBound(ev, start, cfg), pack(start, cfg)
 
 
-# log gamma, log alpha, and the first two log-diagonal entries of W
-@pytest.mark.parametrize("index", [0, 1, 19, 21])
+def test_profiled_gradient_matches_finite_differences_at_coal_start():
+    # the envelope theorem: at the q solved at theta the bound's partial
+    # gradient in theta is the gradient of the profiled bound.  The solve
+    # stops within rounding noise of about 1e-6 nats here, so the steps are
+    # 1e-3 and 1e-2, where that noise is negligible
+    objective, y0 = _coal_start_objective()
+    f0, g = objective(y0)      # the first evaluation is the start every solve begins from
+    for i in range(y0.size):
+        best = np.inf
+        for step in (1e-3, 1e-2):
+            e = np.zeros(y0.size)
+            e[i] = step
+            fd = (objective(y0 + e)[0] - objective(y0 - e)[0]) / (2 * step)
+            best = min(best, abs(fd - g[i]) / max(abs(g[i]), 1e-3 * np.abs(g).max()))
+        assert best <= 1e-3, (i, g[i], best)
+    assert objective(y0)[0] == f0
+
+
+def test_solve_q_raises_the_bound_and_stops_at_its_own_answer():
+    objective, _ = _coal_start_objective()
+    stage = theta_stage(objective.start, objective.events, objective.wrt, objective.xz_sq)
+    q0 = objective.start.var_state
+    q, steps = solve_q(stage, q0)
+    assert steps > 0
+    assert q_terms(stage, q).elbo > q_terms(stage, q0).elbo + 1.0
+    again, more = solve_q(stage, q)
+    assert q_terms(stage, again).elbo >= q_terms(stage, q).elbo
+    assert more < steps
+
+
+@pytest.mark.parametrize("index", [0, 1])        # log gamma, log alpha
 @pytest.mark.parametrize("value", [800.0, -800.0])
 def test_objective_rejects_steps_that_overflow(index, value):
     negative_bound, y = _coal_start_objective()
@@ -253,7 +306,7 @@ def test_objective_rejects_a_non_finite_gradient(monkeypatch):
 
     def nan_block(*args, **kwargs):
         value, grads = real(*args, **kwargs)
-        grads["m"] = np.full_like(grads["m"], np.nan)
+        grads["log_alpha"] = np.full_like(grads["log_alpha"], np.nan)
         return value, grads
 
     monkeypatch.setattr(optimizer, "elbo_and_gradient", nan_block)
@@ -264,8 +317,8 @@ def test_objective_rejects_a_non_finite_gradient(monkeypatch):
 
 
 def test_objective_avoids_scipy_linalg_wrappers_and_z_partials(monkeypatch):
-    # the bound calls LAPACK directly, and a fixed-grid fit never needs
-    # Psi's partials w.r.t. Z
+    # the bound and the solve of q(u) call LAPACK directly, and a fixed-grid
+    # fit never needs Psi's partials w.r.t. Z
     import scipy.linalg
     import vbpp
     from vbpp import kernel
@@ -333,21 +386,18 @@ def test_objective_with_cached_squares_is_bit_identical_to_the_bound(case, reque
     else:
         fitted, ev, d = request.getfixturevalue("grid_2d_fit")
     Z = fitted.inducing.Z
-    M = Z.shape[0]
     model = fitted if case.endswith("fitted") else _initial_model(ev, d, Z)
     cfg = FitConfig()
-    negative_bound, _, from_canonical = _objective_factory(ev, model, cfg)
-    y = from_canonical(pack(model, cfg))
-    f, g = negative_bound(y)
+    y = pack(model, cfg)
+    f, g = _ProfiledBound(ev, model, cfg)(y)
     with monkeypatch.context() as patch:
         patch.setattr(optimizer, "xz_sq_diffs", lambda events, Z: None)
-        want_f, want_g = _objective_factory(ev, model, cfg)[0](y)
+        want_f, want_g = _ProfiledBound(ev, model, cfg)(y)
     assert f == want_f
     assert np.array_equal(g, want_g)
-    at_y = unpack(pack(model, cfg), d, M, cfg, fixed_z=Z)
-    value, grads = elbo_and_gradient(at_y, ev, GRAD_BLOCKS)
-    cached_value, cached_grads = elbo_and_gradient(at_y, ev, GRAD_BLOCKS,
-                                                   _xz_sq=xz_sq_diffs(ev, Z))
+    stage = theta_stage(model, ev, ("log_alpha", "Z"), xz_sq_diffs(ev, Z))
+    value, grads = elbo_and_gradient(model, ev, GRAD_BLOCKS)
+    cached_value, cached_grads = elbo_and_gradient(model, ev, GRAD_BLOCKS, _stage=stage)
     assert cached_value == value
     for b in GRAD_BLOCKS:
         assert np.array_equal(cached_grads[b], grads[b]), b
@@ -361,7 +411,9 @@ def test_optimize_z_objective_never_reuses_squares_of_another_z():
     seen = []
     for y in (y1, y2, y1):
         f, g = objective(y)
-        want_f, want_g = _coal_start_objective(cfg)[0](y)    # a fresh objective
+        fresh = _coal_start_objective(cfg)[0]
+        fresh(y1)                               # the same accepted start
+        want_f, want_g = fresh(y)
         assert f == want_f
         assert np.array_equal(g, want_g)
         seen.append(f)

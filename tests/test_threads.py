@@ -4,7 +4,8 @@ Each case runs the ``vbpp`` command (simulate, fit, evaluate) in a fresh
 interpreter and reads the thread count of numpy's and scipy's bundled
 OpenBLAS through their own getters: before vbpp is imported, after, inside
 the joint covariance's pivoted Cholesky in ``predictive_report``, and at the end.  It
-also keeps evaluate's report.json.
+also keeps evaluate's report.json.  One more case fits the same data at one and at
+two threads.
 """
 
 import glob
@@ -121,3 +122,32 @@ def test_a_users_openblas_setting_is_left_in_place(tmp_path):
     seen = observe(tmp_path, OPENBLAS_NUM_THREADS=str(os.cpu_count()))
     assert seen["imported"] == seen["after"] == seen["before"]
     assert seen["inside"] == [seen["before"]]
+
+
+DENSE_FIT = r"""
+import json
+from vbpp.kernel import HyperParams
+from vbpp.optimizer import fit
+from vbpp.pointdata import Domain
+from vbpp.simulate import ground_truth, thin_sample
+
+d = Domain([0.0], [10.0])
+events = thin_sample(ground_truth(HyperParams(200.0, [1.0]), d, seed=3), d, seed=3)
+meta = fit(events, d, 32).fit_metadata
+print(json.dumps([meta["elbo"], meta["converged"], meta["blas_threads"]]))
+"""
+
+
+@needs_openblas
+def test_dense_fit_agrees_between_one_and_two_blas_threads():
+    # the dense 1-D configuration (simulate --gamma 200 --alpha 1 --seed 3 on
+    # 0:10, M = 32): another thread count sums in another order, and the fit
+    # must end at the same optimum
+    runs = []
+    for count in (1, 2):
+        proc = python(DENSE_FIT, OPENBLAS_NUM_THREADS=str(count))
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        elbo, converged, threads = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert converged and threads == {"numpy": count, "scipy": count}
+        runs.append(elbo)
+    assert abs(runs[0] - runs[1]) <= 1e-6 * abs(runs[0]), runs
