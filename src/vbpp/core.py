@@ -13,6 +13,7 @@ per-event expectations go through the tabulated special function in
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -137,6 +138,12 @@ class Model:
             arr.setflags(write=False)
         object.__setattr__(self, "_kzz", kzz)
 
+    def with_var_state(self, var_state: VariationalState) -> "Model":
+        """This model with an M-point q(u) = ``var_state``, sharing K_zz's factor."""
+        model = copy.copy(self)
+        object.__setattr__(model, "var_state", var_state)
+        return model
+
     # -- cached factors -------------------------------------------------
     @property
     def kzz(self) -> np.ndarray:
@@ -165,19 +172,17 @@ class Model:
 # q(f) marginals
 # ----------------------------------------------------------------------
 
-def qf_marginals(X, model: Model, collapse_s: bool = False):
-    """Marginal mean and variance of q(f) at each row of X, or of
-    q(f | u = m) with ``collapse_s``.
+def qf_marginals(X, model: Model):
+    """Marginal mean and variance of q(f) at each row of X.
 
     Variances are floored at 1e-12.
     """
     A = gram(X, model.inducing.Z, model.hyper)        # N x M
     Abar = model.kzz_solve(A.T).T                     # rows a_n^T = k_n^T K^-1
     mu = Abar @ model.var_state.m
-    var = model.hyper.gamma - np.einsum("nm,nm->n", Abar, A)
-    if not collapse_s:
-        AbarL = Abar @ model.var_state.L
-        var += np.einsum("nm,nm->n", AbarL, AbarL)
+    AbarL = Abar @ model.var_state.L
+    var = model.hyper.gamma - np.einsum("nm,nm->n", Abar, A) \
+        + np.einsum("nm,nm->n", AbarL, AbarL)
     return mu, np.maximum(var, VAR_FLOOR)
 
 
@@ -193,7 +198,7 @@ def gauss_legendre(d: Domain, res) -> tuple[np.ndarray, np.ndarray]:
 
 def node_count(model: Model) -> int:
     """Gauss-Legendre nodes per dimension for the domain integral of f^2 in
-    the Monte Carlo and in :func:`predictive_bound_l0`: from n = 8, doubled
+    the held-out scores of :mod:`vbpp.predictive`: from n = 8, doubled
     until the rule's integral of E_q*[f^2] = mu^2 + sigma^2 agrees at n and
     2n to 1e-9 relative, or until 2n would exceed 4096 nodes in all."""
     def integral(n):
@@ -254,20 +259,6 @@ def predictive_bound_lp(model: Model, test: EventSet) -> float:
     return _evaluate(model, test).expected_log_lik
 
 
-def predictive_bound_l0(model: Model, test: EventSet) -> float:
-    """Tightened bound with the variational covariance collapsed to zero,
-    taken in the Monte Carlo's arithmetic (q(f | u = m) from
-    :func:`qf_marginals`, f^2 integrated at :func:`node_count`'s nodes), so
-    that M_0 >= l_0 holds by Jensen's inequality.  Through Psi and the
-    explicit K^-1 it would round 1.4e-6 nats high, above M_0, on the coal
-    data's training half at M = 20 (cond K_zz 1.5e9)."""
-    nodes, weights = gauss_legendre(model.domain, [node_count(model)] * model.domain.dims)
-    mu, var = qf_marginals(np.vstack([as_points(test.points, model.domain.dims), nodes]),
-                           model, collapse_s=True)
-    ell, _ = expected_log_f_sq(mu[:test.n], var[:test.n])
-    return float(ell.sum()) - float(weights @ (mu[test.n:] ** 2 + var[test.n:]))
-
-
 def elbo_and_gradient(model: Model, events: EventSet, wrt=GRAD_BLOCKS, _stage=None):
     """Bound value and its analytic gradient, returned for the blocks in ``wrt``.
 
@@ -294,9 +285,7 @@ class ThetaStage(NamedTuple):
     model: Model
     X: np.ndarray                # the events, N x R
     xz_sq: np.ndarray            # their squared differences to Z, R x N x M
-    Kinv: np.ndarray
     psi: tuple                   # Psi and its partials, as psi_with_partials returns them
-    B: np.ndarray                # K^-1 Psi K^-1
     A: np.ndarray                # K(X, Z)
     Abar: np.ndarray             # rows a_n^T = k_n^T K^-1
     int_var_prior: float         # gamma |T| - tr(K^-1 Psi)
@@ -306,23 +295,21 @@ class ThetaStage(NamedTuple):
 def theta_stage(model: Model, events: EventSet = EventSet(), wrt=(),
                 xz_sq: np.ndarray | None = None) -> ThetaStage:
     """The part of :func:`_evaluate` that q(u) does not enter, made once per
-    theta.  K^-1 is formed once from the model's Cholesky factor, and every
-    product of the bound goes through it; the fit's iterates depend on this
-    arithmetic bit for bit.  Psi comes with the partials the blocks in
-    ``wrt`` need: none for a value, the log-alpha ones for any gradient, and
-    the Z ones too for "Z".  K(X, Z) reads ``xz_sq``, the events'
-    :func:`xz_sq_diffs`, made here unless given."""
+    theta, with K^-1 as solves with the model's Cholesky factor.  Psi comes
+    with the partials that ``wrt`` needs: none for a value or q(u)'s blocks,
+    the log-alpha ones for theta, the Z ones too for "Z".  K(X, Z) reads
+    ``xz_sq``, the events' :func:`xz_sq_diffs`, made here unless given."""
     h, Z = model.hyper, model.inducing.Z
-    partials = (("log_alpha", "Z") if "Z" in wrt else ("log_alpha",)) if wrt else ()
-    Kinv = model.kzz_solve(np.eye(Z.shape[0]))
+    partials = () if set(wrt) <= {"m", "L"} else ("log_alpha", "Z") if "Z" in wrt \
+        else ("log_alpha",)
     psi = psi_with_partials(Z, h, model.domain, partials)
-    kinv_psi = Kinv @ psi[0]
     X = as_points(events.points, Z.shape[1])
     xz_sq = sq_diffs(X, Z) if xz_sq is None else xz_sq
     A = kernel_from_sq(xz_sq, h)             # N x M, as gram(X, Z, h)
-    Abar = A @ Kinv
-    return ThetaStage(model, X, xz_sq, Kinv, psi, kinv_psi @ Kinv, A, Abar,
-                      h.gamma * domain_measure(model.domain) - float(kinv_psi.trace()),
+    Abar = np.ascontiguousarray(model.kzz_solve(A.T).T)
+    return ThetaStage(model, X, xz_sq, psi, A, Abar,
+                      h.gamma * domain_measure(model.domain)
+                      - float(model.kzz_solve(psi[0]).trace()),
                       h.gamma - np.einsum("nm,nm->n", Abar, A))
 
 
@@ -338,10 +325,10 @@ def q_terms(stage: ThetaStage, var_state: VariationalState, wrt=()) -> BoundTerm
     """The bound's four terms at q(u) = ``var_state`` on ``stage``, with the
     gradient blocks in ``wrt`` (as in :func:`elbo_and_gradient`), by one of
     four paths: the value alone, with q(u)'s "m" and "L" blocks, with every
-    block but Z, or with every block.  No term of the value depends on the
-    path, so the four terms are bit-identical whichever blocks are requested.
-    The gradient's N x M products are formed in place in two scratch buffers;
-    no events run the same code with N = 0."""
+    block but Z, or with every block; theta's blocks need a stage made for
+    them.  The value's products with K^-1 are the same Cholesky solves on
+    every path, so its four terms are bit-identical whichever blocks are
+    requested.  No events run the same code with N = 0."""
     wrt = tuple(wrt)
     unknown = set(wrt) - set(GRAD_BLOCKS)
     if unknown:
@@ -349,21 +336,22 @@ def q_terms(stage: ThetaStage, var_state: VariationalState, wrt=()) -> BoundTerm
 
     model, h, Z = stage.model, stage.model.hyper, stage.model.inducing.Z
     M, R = Z.shape
-    m, S = var_state.m, var_state.S
-    Kinv, psi, B, A, Abar = stage.Kinv, stage.psi[0], stage.B, stage.A, stage.Abar
-
-    c = Kinv @ m
-    int_mean_sq = float(c @ psi @ c)
-    W = Kinv @ S @ Kinv
-    int_var = stage.int_var_prior + float((W * psi).sum())
+    m, Lq = var_state.m, var_state.L
+    psi, A, Abar = stage.psi[0], stage.A, stage.Abar
 
     d = h.u_bar - m
-    q = Kinv @ d
-    logdet_s = 2.0 * float(np.log(var_state.L.diagonal()).sum())
-    kl = 0.5 * (float((Kinv * S).sum()) + model.kzz_logdet - logdet_s - M + float(d @ q))
+    solved = model.kzz_solve(np.column_stack([m, d, Lq]))
+    c, q, U = solved[:, 0], solved[:, 1], solved[:, 2:]       # U = K^-1 L
+    psi_c, psi_u = psi @ c, psi @ U
+    int_mean_sq = float(c @ psi_c)
+    int_var = stage.int_var_prior + float((U * psi_u).sum())   # + tr(K^-1 S K^-1 Psi)
+
+    logdet_s = 2.0 * float(np.log(Lq.diagonal()).sum())
+    kl = 0.5 * (float((Lq * U).sum()) + model.kzz_logdet - logdet_s - M + float(d @ q))
 
     mu = Abar @ m
-    var_raw = stage.var_prior + np.einsum("nm,nm->n", Abar @ S, Abar)
+    AbarL = Abar @ Lq
+    var_raw = stage.var_prior + np.einsum("nm,nm->n", AbarL, AbarL)
     clamped = var_raw < VAR_FLOOR
     var = np.maximum(var_raw, VAR_FLOOR)
     ell, gslope = expected_log_f_sq(mu, var)
@@ -375,26 +363,27 @@ def q_terms(stage: ThetaStage, var_state: VariationalState, wrt=()) -> BoundTerm
         e_s = 1.0 / var - gslope * mu**2 / (2.0 * var**2)
         e_s = np.where(clamped, 0.0, e_s)        # floored variance is locally constant
         Amu = Abar.T @ e_mu                      # sum_n e_mu_n a_n
-        work = np.empty_like(A)                  # N x M scratch
-        AsA = Abar.T @ np.multiply(Abar, e_s[:, None], out=work)
-        grads["m"] = -2.0 * (B @ m) + q + Amu
-        # dL/dS = (S^-1 - K^-1 - 2 B + 2 AsA) / 2.  As L^T dL/dS L, its S^-1
-        # is the identity exactly; formed itself, S^-1 would cancel against
-        # K^-1 and lose eps cond(S) (1e-6 of S at the coal fit's start).
+        v = model.kzz_solve(psi_c)               # K^-1 Psi c
+        grads["m"] = -2.0 * v + q + Amu
+        # L^T dL/dS L, whose S^-1 term is the identity exactly; formed itself,
+        # S^-1 would cancel against K^-1 and lose eps cond(S)
         if "L" in wrt:
-            Lc = var_state.L
-            grads["L"] = 0.5 * (np.eye(M) - Lc.T @ (Kinv + 2.0 * B - 2.0 * AsA) @ Lc)
+            AsL = AbarL.T @ (AbarL * e_s[:, None])
+            grads["L"] = 0.5 * np.eye(M) - 0.5 * (Lq.T @ U) - U.T @ psi_u + AsL
     if set(wrt) <= {"m", "L"}:
         return BoundTerms(int_mean_sq, int_var, data, kl, {b: grads[b] for b in wrt})
 
     grads["u_bar"] = -float(q.sum())
 
-    # Raw partials of the bound w.r.t. the kernel structures.
-    K = model.kzz
-    xz_sq = stage.xz_sq
-    v = B @ m                                   # K^-1 Psi c
+    # Raw partials of the bound w.r.t. the kernel structures, which still
+    # contract with an explicit K^-1 (ROADMAP item 1).
+    K, Kinv, xz_sq = model.kzz, model.kzz_solve(np.eye(M)), stage.xz_sq
+    B = model.kzz_solve(model.kzz_solve(psi).T)     # K^-1 Psi K^-1
+    W = U @ U.T                                     # K^-1 S K^-1
+    work = np.empty_like(A)                         # N x M scratch
+    AsA = Abar.T @ np.multiply(Abar, e_s[:, None], out=work)
     g_psi = -np.multiply.outer(c, c) + Kinv - W
-    M1 = W @ psi @ Kinv
+    M1 = U @ model.kzz_solve(psi_u).T               # K^-1 S K^-1 Psi K^-1
     Gk = (np.multiply.outer(v, c) + np.multiply.outer(c, v)) - B + (M1 + M1.T) \
         - 0.5 * (Kinv - W - np.multiply.outer(q, q))
     What = A @ W                                # rows w_n^T

@@ -2,14 +2,11 @@
 
 The fit maximises the variational bound, with no prior on the
 hyperparameters, over theta = [log gamma, log alpha_1..R, u_bar, (Z)] by
-limited-memory quasi-Newton (L-BFGS-B on the negated bound).  Each
-evaluation at theta first solves q(u) = N(m, S) by natural-gradient steps
-(:func:`solve_q`), warm-started from the q solved at the last accepted
-theta.  The objective is the negated bound at that q, and its gradient is
-the bound's partial gradient in theta: at the inner maximum the two agree
-(the envelope theorem), so the outer search needs no derivative of the solve.
-When the inducing points are optimised, L-BFGS-B's box bounds keep each
-coordinate of Z inside the domain.
+L-BFGS-B on the negated bound.  Each evaluation first solves q(u) = N(m, S)
+at theta (:func:`solve_q`), warm-started from the q of the last accepted
+theta; there the bound's partial gradient in theta is the gradient of the
+solved bound (the envelope theorem).  L-BFGS-B's box bounds keep optimised
+inducing points inside the domain.
 """
 
 from __future__ import annotations
@@ -31,10 +28,15 @@ from .threads import pool_threads
 # backtracks from it.  A fit that ends on it never evaluated the bound.
 FAILED_OBJECTIVE = 1e25
 
+# L-BFGS-B stops once an iteration gains no more than FTOL of the bound.  The
+# closed-form integrals round Psi's entries by eps |c|^T |Psi| |c|, c = K^-1 m,
+# 6e-9 of the bound on the bundled data at M = 16 (cond K_zz 7e8).
+FTOL = 1e-9
 # The inner solve's tolerance is INNER_RTOL of the bound (of one nat, if the
-# bound is smaller); it also stops when no step of size MIN_STEP or more
-# raises the bound by that, and after MAX_INNER_STEPS steps.
-INNER_RTOL = 1e-10
+# bound is smaller), below what the outer stop reads; it also stops when no
+# step of size MIN_STEP or more raises the bound by that, and after
+# MAX_INNER_STEPS steps.
+INNER_RTOL = FTOL / 10
 MIN_STEP = 2.0 ** -5
 MAX_INNER_STEPS = 500
 
@@ -117,25 +119,18 @@ def _usable(terms: BoundTerms) -> bool:
 
 
 def solve_q(stage, q0: VariationalState) -> tuple[VariationalState, int]:
-    """Maximise the bound in q(u) at the stage's theta, from ``q0``.
-
-    With precision Lambda = S^-1, a step of size rho is
-
-        Lambda <- Lambda - 2 rho dL/dS
-                = (1 - rho) Lambda + rho (K^-1 + 2 K^-1 Psi K^-1 - 2 sum_n e_n a_n a_n^T)
-        m      <- m + rho Lambda^-1 dL/dm
-
-    with e_n the slope of E[log f_n^2] in f_n's variance.  For S = L L^T and
-    the bound's "L" block G = L^T dL/dS L, the new S is L (I - 2 rho G)^-1
-    L^T: only I - 2 rho G is factored, never the ill-conditioned Lambda.
-    rho starts at 1 and halves until I - 2 rho G factors and the bound
-    (:func:`vbpp.core.q_terms`) is finite and higher by more than the
-    tolerance; it doubles, up to 1, after each accepted step.  A step that
-    moves the bound by no more than the tolerance ends the solve untaken, as
-    does a natural gradient that promises no more (dL/dm^T S dL/dm / 2 +
-    tr(G G), a full step's gain).  Returns (q, accepted steps); raises
-    FloatingPointError when the bound or its gradient at ``q0`` is not finite.
-    """
+    """Maximise the bound in q(u) at the stage's theta, from ``q0``, by
+    natural-gradient steps of size rho: S^-1 <- S^-1 - 2 rho dL/dS and
+    m <- m + rho S dL/dm.  With the bound's "L" block G = L^T dL/dS L the new
+    S is L (I - 2 rho G)^-1 L^T, so only I - 2 rho G is factored, never the
+    ill-conditioned S^-1.  rho starts at 1 and halves until I - 2 rho G
+    factors and the bound (:func:`vbpp.core.q_terms`) is finite and higher
+    by more than the tolerance; it doubles, up to 1, after each accepted
+    step.  A step that moves the bound by no more than the tolerance ends
+    the solve untaken, as does a natural gradient that promises no more (a
+    full step's gain, dL/dm^T S dL/dm / 2 + tr(G G)).  Returns (q, accepted
+    steps); raises FloatingPointError when the bound or its gradient at
+    ``q0`` is not finite."""
     q, terms = q0, q_terms(stage, q0, ("m", "L"))
     if not _usable(terms):
         raise FloatingPointError("the bound or its gradient in q(u) is not finite")
@@ -199,7 +194,7 @@ class _ProfiledBound:
             stage = theta_stage(model, self.events, self.wrt, self.xz_sq)
             q, steps = solve_q(stage, q0)
             self.inner_steps += steps
-            model = replace(model, var_state=q)
+            model = model.with_var_state(q)
             value, grads = elbo_and_gradient(model, self.events, self.wrt, _stage=stage)
         except (np.linalg.LinAlgError, FloatingPointError):
             return FAILED_OBJECTIVE, np.zeros_like(theta)
@@ -240,10 +235,9 @@ def fit(events: EventSet, d: Domain, inducing, cfg: FitConfig | None = None) -> 
     cfg : FitConfig
 
     Returns a model whose ``fit_metadata`` records the bound at each accepted
-    iteration (non-decreasing), the outer iterations, the objective
-    evaluations (failed ones included), the inner natural-gradient steps,
-    the config and the BLAS thread count of each bundled OpenBLAS pool
-    during the fit.
+    iteration (non-decreasing), the counts of outer iterations, objective
+    evaluations (failed ones included) and inner steps, the config and each
+    bundled OpenBLAS pool's thread count during the fit.
     """
     from scipy.optimize import Bounds, minimize   # here, so `import vbpp` skips it
     cfg = cfg or FitConfig()
@@ -260,15 +254,12 @@ def fit(events: EventSet, d: Domain, inducing, cfg: FitConfig | None = None) -> 
     bounds = Bounds(np.r_[-free, np.tile(d.lo, Z.shape[0])],
                     np.r_[free, np.tile(d.hi, Z.shape[0])]) if cfg.optimize_z else None
 
-    # Where K_zz is ill-conditioned (cond 7e8 on the bundled data at M = 16)
-    # the bound rounds to 1e-8 to 1e-7 of itself, so an iteration that gains
-    # less than ftol of the bound has stopped gaining.
     result = minimize(
         objective, y0, jac=True, method="L-BFGS-B", bounds=bounds,
         # this parameter name makes scipy pass the accepted point
         callback=lambda intermediate_result: objective.accept(intermediate_result.x),
         options={"maxiter": cfg.max_iters, "gtol": 1e-5,
-                 "ftol": 1e-8, "maxcor": 20, "maxls": 50},
+                 "ftol": FTOL, "maxcor": 20, "maxls": 50},
     )
     if result.fun == FAILED_OBJECTIVE:
         raise FitError(f"no evaluation of the bound succeeded ({result.message})")

@@ -3,8 +3,8 @@ intensity summaries.
 
 Given a fitted model, the predictive bound on a test set H is the training
 bound evaluated with the fitted (m*, S*, Theta*) and the test events, with no
-KL term.  The tightened variant collapses S to zero.  Both are views of the
-one bound evaluation in :mod:`vbpp.core`.
+KL term, a view of the one bound in :mod:`vbpp.core`.  The tightened
+variant collapses S to zero and is taken from the Monte Carlo's marginals.
 
 The corresponding true predictive likelihoods, p(H) = E[prod_k f(x_k)^2
 exp(-int f^2)] under q*(f) (mode "Mp") or q(f | u = m) (mode "M0"), are
@@ -30,7 +30,7 @@ import numpy as np
 from scipy.linalg import blas, lapack
 from scipy.special import ndtri
 
-from .core import (Model, cholesky, gauss_legendre, node_count, predictive_bound_l0,
+from .core import (VAR_FLOOR, Model, cholesky, expected_log_f_sq, gauss_legendre, node_count,
                    predictive_bound_lp, qf_marginals)
 from .kernel import gram
 from .pointdata import EventSet, as_points, check_in_domain
@@ -87,6 +87,15 @@ def _joint_qf(model: Model, points: np.ndarray):
     cov = blas.dgemm(-1.0, Abar.T, A.T, beta=1.0, c=gram(points, points, model.hyper).T,
                      trans_a=1, overwrite_c=1)
     return Abar @ model.var_state.m, cov, Abar @ model.var_state.L
+
+
+def _collapsed_bound(mean: np.ndarray, var: np.ndarray, n: int, weights: np.ndarray) -> float:
+    """l_0 from q(f | u = m)'s means and variances at ``n`` test events, then
+    the quadrature's nodes: sum_k E[log f_k^2] - sum_j w_j E[f_j^2].  From
+    the Monte Carlo's own marginals it sits below M_0 by Jensen's inequality."""
+    var = np.maximum(var, VAR_FLOOR)
+    ell, _ = expected_log_f_sq(mean[:n], var[:n])
+    return float(ell.sum()) - float(weights @ (mean[n:] ** 2 + var[n:]))
 
 
 def _pivoted_cholesky(cov: np.ndarray):
@@ -314,10 +323,10 @@ def _mixture_estimate(log_w: list[np.ndarray], shift: float) -> MCEstimate:
 
 
 def _mc_estimates(model: Model, test: EventSet, n_samples: int, grid_res,
-                  seed: int, modes=("Mp", "M0")) -> tuple[dict[str, MCEstimate], int]:
+                  seed: int, modes=("Mp", "M0")) -> tuple[dict[str, MCEstimate], int, float]:
     """Importance-sampling estimates of log p(H) for each Monte-Carlo mode in
-    ``modes``, keyed "Mp" and "M0", and the rank of the joint covariance's
-    factor.
+    ``modes``, keyed "Mp" and "M0", the rank of the joint covariance's
+    factor and l_0 from the same marginals (:func:`_collapsed_bound`).
 
     ``grid_res`` is the number of Gauss-Legendre nodes per dimension.  One
     factor G of the covariance of q(f | u = m) at the test events and the
@@ -338,6 +347,7 @@ def _mc_estimates(model: Model, test: EventSet, n_samples: int, grid_res,
     points = np.vstack([as_points(test.points, d.dims), nodes])
 
     mean, cov, AbarL = _joint_qf(model, points)
+    l_0 = _collapsed_bound(mean, cov.diagonal(), test.n, weights)   # before cov is factored
     c, rank, order = _pivoted_cholesky(cov)
     G = np.tril(c[:, :rank])[order]
     n = test.n
@@ -347,7 +357,7 @@ def _mc_estimates(model: Model, test: EventSet, n_samples: int, grid_res,
         stream = np.random.Philox(key=[seed, int.from_bytes(mode.encode(), "big")])
         estimates[mode] = _importance_sample(H[n:], H[:n], mean[n:], mean[:n], weights,
                                              n_samples, np.random.Generator(stream))
-    return estimates, rank
+    return estimates, rank, l_0
 
 
 def mc_predictive(model: Model, test: EventSet, mode: str, n_samples: int,
@@ -362,6 +372,16 @@ def mc_predictive(model: Model, test: EventSet, mode: str, n_samples: int,
     return tuple(_mc_estimates(model, test, n_samples, grid_res, seed, (mode,))[0][mode][:2])
 
 
+def predictive_bound_l0(model: Model, test: EventSet) -> float:
+    """Tightened bound with the variational covariance collapsed to zero,
+    E[log p(H | f)] under q(f | u = m), at :func:`node_count`'s nodes, as
+    :func:`_collapsed_bound` takes it from the Monte Carlo's marginals."""
+    d = model.domain
+    nodes, weights = gauss_legendre(d, [node_count(model)] * d.dims)
+    mean, cov, _ = _joint_qf(model, np.vstack([as_points(test.points, d.dims), nodes]))
+    return _collapsed_bound(mean, cov.diagonal(), test.n, weights)
+
+
 def predictive_report(model: Model, test: EventSet, n_samples: int = 1_000,
                       seed: int = 0) -> PredictiveReport:
     """Bundle both bounds and both MC estimates for a test set, with the
@@ -369,11 +389,11 @@ def predictive_report(model: Model, test: EventSet, n_samples: int = 1_000,
     the rank of the joint covariance's factor (``mc_rank``), each mode's
     effective sample size and the Mp mixture's component count."""
     res = [node_count(model)] * model.domain.dims
-    estimates, rank = _mc_estimates(model, test, n_samples, res, seed)
+    estimates, rank, l_0 = _mc_estimates(model, test, n_samples, res, seed)
     mp, m0 = estimates["Mp"], estimates["M0"]
     return PredictiveReport(
         l_p=predictive_bound_lp(model, test),
-        l_0=predictive_bound_l0(model, test),
+        l_0=l_0,
         m_p_hat=mp.log_mean, m_p_stderr=mp.stderr,
         m_0_hat=m0.log_mean, m_0_stderr=m0.stderr,
         n_samples=n_samples,

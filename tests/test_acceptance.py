@@ -207,13 +207,7 @@ def test_gradient_blocks_match_finite_differences_at_coal_start(M, optimize_z):
     assert start == y0.size
 
 
-_EXPLICIT_INVERSE = pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 1: the bound takes its q(f) marginals through an "
-                        "explicit K_zz^-1, which loses accuracy when K_zz is ill-conditioned")
-
-
-@pytest.mark.parametrize("M", [8, pytest.param(16, marks=_EXPLICIT_INVERSE),
-                               pytest.param(32, marks=_EXPLICIT_INVERSE)])
+@pytest.mark.parametrize("M", [8, 16, 32])
 def test_bound_data_term_matches_cholesky_marginals_at_coal_start(M):
     # the fit's own starting point on the bundled data: the bound's data term
     # within relative 1e-10 of the same sum over qf_marginals' Cholesky solves

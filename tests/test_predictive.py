@@ -11,6 +11,7 @@ from vbpp.core import (
     VariationalState,
     _evaluate,
     elbo,
+    expected_log_f_sq,
     gauss_legendre,
     kzz_factor,
     node_count,
@@ -83,7 +84,7 @@ def test_mc_duplicate_events_draw_from_a_singular_covariance(fitted):
     model, ev, d = fitted
     dup = EventSet(np.vstack([ev.points, ev.points[3:4]]))
     points = np.vstack([dup.points, gauss_legendre(d, [8])[0]])
-    estimates, rank = _mc_estimates(model, dup, 700, 8, seed=2)
+    estimates, rank, _ = _mc_estimates(model, dup, 700, 8, seed=2)
     assert rank < points.shape[0]
     assert all(np.isfinite(e).all() for e in estimates.values())
 
@@ -188,11 +189,11 @@ def test_mc_factors_in_place_as_on_a_copy(fitted, monkeypatch):
     assert rank == ref_rank and np.array_equal(order[piv - 1], np.arange(points.shape[0]))
     assert np.array_equal(np.tril(c[:, :rank]), np.tril(ref[:, :rank]))
 
-    got, _ = _mc_estimates(model, ev, 700, 8, seed=2)
+    got, *_ = _mc_estimates(model, ev, 700, 8, seed=2)
     factor = predictive._pivoted_cholesky
     monkeypatch.setattr(predictive, "_pivoted_cholesky",
                         lambda cov: factor(np.ascontiguousarray(cov)))
-    want, _ = _mc_estimates(model, ev, 700, 8, seed=2)
+    want, *_ = _mc_estimates(model, ev, 700, 8, seed=2)
     assert got == want
 
 
@@ -202,9 +203,9 @@ def test_mc_draws_in_chunks_of_bounded_size(fitted, monkeypatch):
     # stderr, 6e-11 here, is itself at the rounding level of its weights)
     from vbpp import predictive
     model, ev, _ = fitted
-    whole, _ = _mc_estimates(model, ev, 700, 8, seed=2)
+    whole, *_ = _mc_estimates(model, ev, 700, 8, seed=2)
     monkeypatch.setattr(predictive, "DRAW_CHUNK_BYTES", 8 * 30 * 7)
-    chunked, _ = _mc_estimates(model, ev, 700, 8, seed=2)
+    chunked, *_ = _mc_estimates(model, ev, 700, 8, seed=2)
     for mode in ("Mp", "M0"):
         a, b = chunked[mode], whole[mode]
         assert a.log_mean == pytest.approx(b.log_mean, rel=1e-12, abs=0), mode
@@ -250,7 +251,7 @@ def test_mc_estimates_agree_with_the_jittered_dense_sampler(fitted):
     # factor, at the (samples, nodes, seed) of the Monte Carlo tests below
     model, ev, _ = fitted
     for n_samples, nodes, seed in ((3000, 1024, 1), (3000, 256, 2), (2000, 256, 4)):
-        new, _ = _mc_estimates(model, ev, n_samples, nodes, seed)
+        new, *_ = _mc_estimates(model, ev, n_samples, nodes, seed)
         old = _jittered_mc_log_liks(model, ev, n_samples, nodes, seed)
         for mode in ("Mp", "M0"):
             plain, plain_se = _plain_estimate(old[mode])
@@ -314,7 +315,7 @@ def _check_against_closed_form(model, points, n_samples=2000, seed=1):
     the oracle solves with it in full.  Returns the estimates."""
     res = [node_count(model)] * model.domain.dims
     nodes, weights = gauss_legendre(model.domain, res)
-    estimates, _ = _mc_estimates(model, EventSet(points), n_samples, res, seed)
+    estimates, *_ = _mc_estimates(model, EventSet(points), n_samples, res, seed)
     for mode, est in estimates.items():
         exact = two_event_log_lik(model, points, nodes, weights, mode)
         assert abs(est.log_mean - exact) <= 4 * est.stderr + 1e-8, (mode, est, exact)
@@ -369,7 +370,7 @@ def test_mc_finds_the_orthants_that_hold_mass_when_the_mean_vanishes(dispersed):
     points = np.linspace(0.3, 4.8, 6)[:, None]
     res = [node_count(zero)]
     nodes, weights = gauss_legendre(d, res)
-    estimates, _ = _mc_estimates(zero, EventSet(points), 2000, res, seed=1)
+    estimates, *_ = _mc_estimates(zero, EventSet(points), 2000, res, seed=1)
     for mode, est in estimates.items():
         log_z, mean, S = tilted_moments(zero, points, nodes, weights, mode)
         assert not mean.any()
@@ -401,7 +402,7 @@ def test_mc_covers_the_orthants_of_six_nearly_independent_events():
 def test_mc_on_an_empty_test_set_is_the_exact_tilt_normaliser(fitted):
     model, _, d = fitted
     nodes, weights = gauss_legendre(d, [16])
-    estimates, _ = _mc_estimates(model, EventSet(np.empty((0, 1))), 500, 16, seed=3)
+    estimates, *_ = _mc_estimates(model, EventSet(np.empty((0, 1))), 500, 16, seed=3)
     for mode, est in estimates.items():
         log_z, _, _ = tilted_moments(model, np.empty((0, 1)), nodes, weights, mode)
         assert est.log_mean == pytest.approx(log_z, rel=1e-9), mode
@@ -435,7 +436,7 @@ def test_mc_predictive_deterministic(fitted, monkeypatch):
     assert a != c
     # mc_predictive samples only its own mode, and each mode has its own
     # stream, so it gives the estimate that both modes together give
-    both, _ = _mc_estimates(model, ev, 500, 128, seed=5)
+    both, *_ = _mc_estimates(model, ev, 500, 128, seed=5)
     calls = []
     sample = predictive._importance_sample
     monkeypatch.setattr(predictive, "_importance_sample",
@@ -445,27 +446,23 @@ def test_mc_predictive_deterministic(fitted, monkeypatch):
     assert len(calls) == 1
 
 
-def test_mc_bounds_hold(dispersed):
+def test_mc_bounds_hold(fitted):
+    # the converged fit to uniform events collapses to a nearly constant
+    # intensity, so q*(f) is nearly deterministic and M_p's stderr (1e-9)
+    # leaves l_p little room for rounding
+    model, ev, _ = fitted
+    mp, mp_se = mc_predictive(model, ev, "Mp", 3000, 1024, seed=1)
+    m0, m0_se = mc_predictive(model, ev, "M0", 3000, 1024, seed=1)
+    assert predictive_bound_lp(model, ev) <= mp + 3 * mp_se
+    assert predictive_bound_l0(model, ev) <= m0 + 3 * m0_se
+
+
+def test_mc_bounds_hold_on_a_dispersed_posterior(dispersed):
     model, ev, _ = dispersed
     mp, mp_se = mc_predictive(model, ev, "Mp", 3000, 1024, seed=1)
     m0, m0_se = mc_predictive(model, ev, "M0", 3000, 1024, seed=1)
     assert predictive_bound_lp(model, ev) <= mp + 3 * mp_se
     assert predictive_bound_l0(model, ev) <= m0 + 3 * m0_se
-
-
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1: through Psi and the explicit K_zz^-1, l_p's closed form rounds "
-    "2.5e-7 nats high here (cond K_zz 5.5e8), above M_p's vanishing stderr"))
-def test_bounds_hold_on_a_collapsed_posterior(fitted):
-    # the converged fit to uniform events collapses to a nearly constant
-    # intensity (gamma 8e-7), so q*(f) is nearly deterministic and M_p's
-    # stderr (5e-9) leaves l_p no room for rounding.  l_0, taken in the
-    # Monte Carlo's arithmetic, holds by Jensen's inequality
-    model, ev, _ = fitted
-    m0, m0_se = mc_predictive(model, ev, "M0", 3000, 1024, seed=1)
-    assert predictive_bound_l0(model, ev) <= m0 + 3 * m0_se
-    mp, mp_se = mc_predictive(model, ev, "Mp", 3000, 1024, seed=1)
-    assert predictive_bound_lp(model, ev) <= mp + 3 * mp_se
 
 
 def test_mc_m0_has_less_spread_than_mp(dispersed):
@@ -497,6 +494,23 @@ def test_predictive_report_fields(fitted):
     assert doc["m_p_components"] >= 2
 
 
+def test_report_l0_is_the_collapsed_bound_at_its_nodes(fitted):
+    # predictive_report takes l_0 from its Monte-Carlo run, from the
+    # marginals of q(f | u = m) that predictive_bound_l0 forms at the same
+    # nodes: E[log f^2] at the events less the nodes' weighted E[f^2]
+    model, ev, d = fitted
+    rep = predictive_report(model, ev, n_samples=100, seed=0)
+    assert rep.l_0 == predictive_bound_l0(model, ev)
+    nodes, weights = gauss_legendre(d, rep.grid_resolution)
+    A = gram(np.vstack([ev.points, nodes]), model.inducing.Z, model.hyper)
+    mu = A @ np.linalg.solve(model.kzz, model.var_state.m)
+    var = model.hyper.gamma - np.einsum("nm,mn->n", A, np.linalg.solve(model.kzz, A.T))
+    var = np.maximum(var, VAR_FLOOR)
+    ell = expected_log_f_sq(mu[:ev.n], var[:ev.n])[0]
+    assert rep.l_0 == pytest.approx(ell.sum() - weights @ (mu[ev.n:] ** 2 + var[ev.n:]),
+                                    rel=1e-9)
+
+
 def test_predictive_report_rejects_test_events_outside_the_domain(fitted):
     model, _, d = fitted
     test = EventSet(np.array([[1.0], [d.hi[0] + 45.0]]))
@@ -521,7 +535,7 @@ def test_the_empty_set_in_2d_fits_and_scores():
 def test_predictive_report_records_the_factor_rank(fitted):
     model, ev, d = fitted
     rep = predictive_report(model, ev, n_samples=400, seed=0)
-    _, rank = _mc_estimates(model, ev, 400, rep.grid_resolution, seed=0)
+    _, rank, _ = _mc_estimates(model, ev, 400, rep.grid_resolution, seed=0)
     assert rep.mc_rank == rank
     assert 0 < rank < ev.n + rep.grid_resolution[0]
 
