@@ -6,24 +6,20 @@ first argument,
 
     gt(z) = 2 z sum_j j! z^j / ((2)_j (3/2)_j),     z <= 0,
 
-equivalently sum_{k>=1} z^k / (k (1/2)_k).  Direct summation of the
-alternating series loses all precision once |z| exceeds a few tens, so three
-regimes are used, all summing the same function:
+equivalently sum_{k>=1} z^k / (k (1/2)_k).  It has the integral form
 
-* |z| <= 14: the literal series, summed by its term recurrence;
-* 14 < |z| <= 300: the Kummer-transformed, all-positive-terms form
-  gt(-t) = -E_{K ~ Poisson(t)}[psi(K + 1/2) - psi(1/2)], evaluated over the
-  bulk of the Poisson weights;
-* |z| > 300: the asymptotic expansion
-  gt(-t) = -(C + log 4t) + 1/(2t) + 3/(8t^2) + ... (C = Euler-Mascheroni).
+    gt(-t) = -4 int_0^sqrt(t) D(s) ds,
 
-``build_table`` and the reference ``g_tilde_series`` share one
-implementation of the three regimes.  Bound evaluation goes through the
-precomputed lookup table with log-uniform knots and linear interpolation;
-its reported derivative is the slope of the active interval so that value
-and derivative are exactly consistent.  Beyond the table the asymptotic
-expansion gives the value and the closed form gt'(z) = 2 D(sqrt(-z)) /
-sqrt(-z), with D the Dawson function, gives the derivative.
+with D the Dawson function, so its derivative is gt'(z) = 2 D(sqrt(-z)) /
+sqrt(-z).  Bound evaluation goes through a precomputed table of knots
+log-uniform in t = -z, whose values are that integral by Gauss-Legendre
+quadrature between neighbouring knots, summed in order.  Between knots the
+table interpolates by cubic Hermite in log t with the closed-form slopes, so
+the lookup is C^1 and its reported derivative is the interpolant's own.
+Below the first knot the series' first two terms 2z + (2/3) z^2 are exact to
+rounding; beyond the last, the asymptotic expansion
+gt(-t) = -(C + log 4t) + 1/(2t) + 3/(8t^2) + ... (C = Euler-Mascheroni)
+gives the value and the closed form the derivative.
 """
 
 from __future__ import annotations
@@ -32,45 +28,26 @@ import functools
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import dawsn, digamma, gammaln
+from scipy.special import dawsn
 
 EULER_MASCHERONI = 0.5772156649015329
 
-_LITERAL_MAX = 14.0
-_POISSON_MAX = 300.0
-_SERIES_CAP = 400
 _SERIES_T_MAX = 1e15                     # the asymptotic correction's largest t
 _FOUR_T_MAX = np.finfo(float).max / 4.0  # the largest t whose 4t is finite
 
-# Knot layout: z = -10^(k / KNOTS_PER_DECADE) spanning |z| in
-# [10^LO_EXP, 10^HI_EXP], plus the knot z = 0.  Linear interpolation at this
-# density keeps the relative error below 1e-6 everywhere (verified in tests).
-KNOTS_PER_DECADE = 1024
+# Knot layout: t = 10^(k / KNOTS_PER_DECADE) for |z| = t in [10^LO_EXP,
+# 10^HI_EXP].  Cubic Hermite interpolation in log t at this density keeps the
+# relative error below 1e-8 everywhere (verified in tests).
+KNOTS_PER_DECADE = 64
 LO_EXP = -8
 HI_EXP = 5
+_PER_LOG = KNOTS_PER_DECADE / np.log(10.0)   # knots per unit of log t
+# Gauss-Legendre nodes per interval between knots; four already reach rounding.
+_QUADRATURE_NODES = 8
 
 
 class GTildeDomainError(ValueError):
     """Raised when the function is evaluated at a positive argument."""
-
-
-def _series_poisson(t: np.ndarray) -> np.ndarray:
-    # gt(-t) = -(E_{K~Poisson(t)}[digamma(K + 1/2)] - digamma(1/2)); the
-    # expectation is taken over a +-12 sigma window of the Poisson weights,
-    # which each t slices out of per-k lookups shared by all t.
-    t = np.atleast_1d(t)
-    out = np.empty_like(t)
-    psi_half = digamma(0.5)
-    ks = np.arange(int(t.max() + 12.0 * np.sqrt(t.max()) + 30.0) + 2)
-    log_fact, psi = gammaln(ks + 1.0), digamma(ks + 0.5)
-    for i, ti in enumerate(t):
-        half = 12.0 * np.sqrt(ti) + 30.0
-        a, b = max(0, int(ti - half)), int(ti + half) + 1
-        logw = ks[a:b] * np.log(ti) - log_fact[a:b] - ti
-        w = np.exp(logw - logw.max())
-        w /= w.sum()
-        out[i] = -(w @ psi[a:b] - psi_half)
-    return out
 
 
 def _asymptotic_value(t: np.ndarray) -> np.ndarray:
@@ -86,41 +63,6 @@ def _asymptotic_value(t: np.ndarray) -> np.ndarray:
     return -(EULER_MASCHERONI + (np.log(4.0 * t4) + np.log(t / t4))) + corr
 
 
-def _series(t: np.ndarray) -> np.ndarray:
-    """The function at -t for an array of t >= 0, in the three regimes."""
-    values = np.empty_like(t)
-    small = t <= _LITERAL_MAX
-    mid = (~small) & (t <= _POISSON_MAX)
-    large = t > _POISSON_MAX
-    # 2z * sum_j t_j with t_0 = 1, t_{j+1} = t_j * z (j+1) / ((j+2)(j+3/2)), for all z at once.
-    if small.any():
-        zs = -t[small]
-        term = np.ones_like(zs)
-        total = np.zeros_like(zs)
-        for j in range(_SERIES_CAP):
-            total += term
-            if j > 3 and (np.abs(term) < 1e-17 * np.abs(total)).all():
-                break
-            term = term * zs * (j + 1) / ((j + 2) * (j + 1.5))
-        values[small] = 2.0 * zs * total
-    if mid.any():
-        values[mid] = _series_poisson(t[mid])
-    if large.any():
-        values[large] = _asymptotic_value(t[large])
-    return values
-
-
-def g_tilde_series(z: float) -> float:
-    """Converged series value of the function at a nonpositive argument.
-
-    Relative error is below 1e-10 for any z <= 0 representable in double
-    precision; raises for z > 0.
-    """
-    if z > 0:
-        raise GTildeDomainError(f"argument must be <= 0, got {z}")
-    return float(_series(np.array([-float(z)]))[0])
-
-
 def g_tilde_derivative(z) -> np.ndarray | float:
     """Closed-form derivative 2 D(sqrt(-z)) / sqrt(-z); equals 2 at z = 0."""
     z = np.asarray(z, dtype=float)
@@ -134,33 +76,44 @@ def g_tilde_derivative(z) -> np.ndarray | float:
 
 
 class GTildeTable(NamedTuple):
-    """Lookup table over log-uniform knots, densest near zero.
+    """Lookup table over log-uniform knots z = -t_knots.
 
-    The knots are z = -t_knots, with ``t_knots`` ascending strictly from 0
-    (the array a lookup searches); ``values`` are the series values at the
-    knots, and ``slopes[k]`` is the slope (values[k+1] - values[k]) /
-    (z_{k+1} - z_k) of the interval from knot k to knot k+1.  All three
-    are computed when the table is built and are read-only.
+    ``t_knots`` ascends strictly (the array a lookup searches); ``values``
+    are the function at the knots and ``slopes`` its closed-form derivative
+    there.  Column k of ``cubics`` holds the Horner coefficients (c0, c1,
+    c2, c3) of the Hermite cubic c0 + u (c1 + u (c2 + u c3)) on knot k's
+    interval, u = log(t / t_knots[k]) * KNOTS_PER_DECADE / log(10) in
+    [0, 1].  All four are computed when the table is built and are
+    read-only.
     """
 
     t_knots: np.ndarray
     values: np.ndarray
     slopes: np.ndarray
+    cubics: np.ndarray
 
     @property
     def knots(self) -> np.ndarray:
-        """The knots z, decreasing strictly from 0."""
+        """The knots z, decreasing strictly from -10^LO_EXP."""
         return -self.t_knots
 
 
 def build_table() -> GTildeTable:
-    """Tabulate the function at -10^(k / KNOTS_PER_DECADE) plus z = 0."""
+    """Tabulate the function at z = -10^(k / KNOTS_PER_DECADE)."""
     exps = np.arange(LO_EXP * KNOTS_PER_DECADE, HI_EXP * KNOTS_PER_DECADE + 1)
     t = 10.0 ** (exps / KNOTS_PER_DECADE)
-    knots = np.concatenate([[0.0], -t])
-    values = np.concatenate([[0.0], _series(t)])
-    table = GTildeTable(t_knots=-knots, values=values,
-                        slopes=np.diff(values) / np.diff(knots))
+    # -4 int D over [sqrt t_{k-1}, sqrt t_k] (from 0 for the first knot), summed in order
+    x, w = np.polynomial.legendre.leggauss(_QUADRATURE_NODES)
+    roots = np.sqrt(np.concatenate([[0.0], t]))
+    half, mid = 0.5 * np.diff(roots), 0.5 * (roots[1:] + roots[:-1])
+    values = np.cumsum(-4.0 * half * (dawsn(mid[:, None] + half[:, None] * x) @ w))
+    slopes = g_tilde_derivative(-t)
+    # the knots' slopes in u: d values / du = -t gt'(-t) / _PER_LOG
+    d = -t * slopes / _PER_LOG
+    dv = np.diff(values)
+    cubics = np.array([values[:-1], d[:-1], 3.0 * dv - 2.0 * d[:-1] - d[1:],
+                       d[:-1] + d[1:] - 2.0 * dv])
+    table = GTildeTable(t_knots=t, values=values, slopes=slopes, cubics=cubics)
     for arr in table:
         arr.setflags(write=False)
     return table
@@ -172,32 +125,36 @@ def default_table() -> GTildeTable:
     return build_table()
 
 
-def _interpolate(table: GTildeTable, z: np.ndarray, t: np.ndarray):
-    """(values, slopes) at arguments z = -t inside the table range.
+def _interpolate(table: GTildeTable, t: np.ndarray):
+    """(values, slopes) at arguments z = -t with t in [t_knots[0], t_knots[-1]].
 
-    Each t lies in [0, t_knots[-1]].  The interval index lo is
-    ``max(searchsorted(t_knots, t, side="left"), 1) - 1``, found in O(1): the
-    knots are log-uniform, so (log10 t - LO_EXP) * KNOTS_PER_DECADE, lowered
-    by 1e-6 against rounding and rounded up, is lo or lo - 1, and one
-    comparison against the next knot settles which.
+    The interval index lo is ``searchsorted(t_knots, t, side="right") - 1``,
+    capped at the last interval, found in O(1): the knots are log-uniform,
+    so (log10 t - LO_EXP) * KNOTS_PER_DECADE, raised by 1e-6 against rounding
+    and rounded down, is lo or lo + 1, and one comparison against that knot
+    settles which.
     """
-    pos = (np.log10(np.maximum(t, table.t_knots[1])) - LO_EXP) * KNOTS_PER_DECADE - 1e-6
-    lo = np.ceil(pos, out=pos).astype(np.intp)
-    lo += table.t_knots[lo + 1] < t
-    slope = table.slopes[lo]
-    return table.values[lo] + slope * (z + table.t_knots[lo]), slope   # z - z_lo
+    last = table.t_knots.size - 2
+    pos = (np.log10(t) - LO_EXP) * KNOTS_PER_DECADE + 1e-6
+    lo = np.floor(pos, out=pos).astype(np.intp)
+    lo -= table.t_knots[lo] > t
+    np.minimum(lo, last, out=lo)
+    c0, c1, c2, c3 = table.cubics[:, lo]
+    u = np.log(t / table.t_knots[lo]) * _PER_LOG
+    values = c0 + u * (c1 + u * (c2 + u * c3))
+    return values, -(c1 + u * (2.0 * c2 + 3.0 * u * c3)) * _PER_LOG / t
 
 
 def g_tilde_batch(z):
     """Interpolated (values, derivatives) at an array of nonpositive arguments.
 
     Both are arrays shaped like ``z`` (a scalar counts as one element).
-    Within the table range the value is linear interpolation between knots
-    and the derivative is the slope of the active interval, so the pair is
-    exactly consistent under finite differencing.  Below the table range the
-    asymptotic expansion takes over.  Every argument is looked up with its t
-    capped at the table's end, so the lookup runs on the whole array without
-    masks; the arguments beyond the table are then overwritten.
+    Within the table range the value is the table's Hermite cubic and the
+    derivative is that cubic's own, so the pair is consistent under finite
+    differencing.  Every argument is looked up with its t held to the
+    table's range, so the lookup runs on the whole array without masks; the
+    arguments below and beyond the table are then overwritten, with the
+    series' first two terms and the asymptotic expansion.
     """
     table = default_table()
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -205,9 +162,14 @@ def g_tilde_batch(z):
         raise GTildeDomainError("argument must be <= 0")
 
     t = -z
-    t_max = table.t_knots[-1]
-    t_in = np.fmin(t, t_max)             # NaN, like t beyond the table, looks up t_max
-    values, slopes = _interpolate(table, -t_in, t_in)
+    t_min, t_max = table.t_knots[0], table.t_knots[-1]
+    # NaN, like t beyond the table, looks up t_max
+    values, slopes = _interpolate(table, np.fmax(np.fmin(t, t_max), t_min))
+    below = t < t_min
+    if below.any():
+        zb = z[below]
+        values[below] = zb * (2.0 + (2.0 / 3.0) * zb)
+        slopes[below] = 2.0 + (4.0 / 3.0) * zb
     beyond = ~(t <= t_max)
     if beyond.any():
         tb = t[beyond]

@@ -355,12 +355,13 @@ def test_fit_in_which_every_evaluation_fails_raises(monkeypatch, tmp_path):
     assert not (tmp_path / "fit").exists()
 
 
-def test_fit_optimize_z_is_no_worse_than_the_grid_on_coal():
+@pytest.mark.parametrize("M", [5, 10, 16, 24, 32])
+def test_fit_optimize_z_is_no_worse_than_the_grid_on_coal(M):
     # the inducing points start on the grid, so moving them must not lose
     # more than the optimiser's tolerance against keeping them there
     ev, d = coal_style_dataset()
-    grid = fit(ev, d, 32, FitConfig(max_iters=5000)).fit_metadata["elbo"]
-    moved = fit(ev, d, 32, FitConfig(max_iters=5000, optimize_z=True))
+    grid = fit(ev, d, M, FitConfig(max_iters=5000)).fit_metadata["elbo"]
+    moved = fit(ev, d, M, FitConfig(max_iters=5000, optimize_z=True))
     assert moved.fit_metadata["elbo"] >= grid - 0.1
     assert contains(d, moved.inducing.Z).all()
 
