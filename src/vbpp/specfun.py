@@ -42,7 +42,8 @@ KNOTS_PER_DECADE = 64
 LO_EXP = -8
 HI_EXP = 5
 _PER_LOG = KNOTS_PER_DECADE / np.log(10.0)   # knots per unit of log t
-# Gauss-Legendre nodes per interval between knots; four already reach rounding.
+# Gauss-Legendre nodes per interval between knots, twice the four that already
+# reach rounding against 40-digit values.
 _QUADRATURE_NODES = 8
 
 
