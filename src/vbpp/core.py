@@ -6,7 +6,8 @@ distribution q(u) = N(m, S), S = L L^T.  The bound is
 
     L = -(int E[f]^2 + int Var[f]) + sum_n E[log f_n^2] - KL(q(u) || p(u)),
 
-where both domain integrals are closed-form through the Psi matrix and the
+where both domain integrals read B = K^-1 Psi K^-1, the integral of the
+kernel interpolant's outer product (see :func:`domain_integrals`), and the
 per-event expectations go through the tabulated special function in
 :mod:`vbpp.specfun`.
 """
@@ -28,6 +29,9 @@ from .pointdata import Domain, EventSet, as_points, domain_measure, tensor_grid,
 
 JITTER_SCALE = 1e-8
 VAR_FLOOR = 1e-12
+RULE_NODES_PER_SCALE = 4   # domain_integrals' nodes per lengthscale of the extent
+RULE_MIN_NODES = 16        # added in each dimension
+RULE_MAX_NODES = 4096      # in all; past it the integrals come from Psi
 
 GRAD_BLOCKS = ("log_gamma", "log_alpha", "u_bar", "m", "L", "Z")
 
@@ -215,6 +219,29 @@ def node_count(model: Model) -> int:
     return n
 
 
+def domain_integrals(model: Model, psi: np.ndarray) -> tuple[np.ndarray, float]:
+    """B = K^-1 Psi K^-1 = int a(x) a(x)^T dx, a(x) = K^-1 k(Z, x), and the
+    prior part of int Var[f], int (gamma - k(x, Z) a(x)) dx.
+
+    Both by a Gauss-Legendre rule on a(x), from a Cholesky solve, whose
+    rounding is first order in cond K_zz; from Psi by two solves it is
+    second order (at coal-1d's fit, cond 1.2e9, int E[f]^2 came out 1.3e-9
+    of itself low).  On the integrands, sums of exp(-(x - z)^2 / alpha_r),
+    n_r nodes err by about exp(-(2 n_r sqrt(alpha_r) / extent_r)^2).  Past
+    RULE_MAX_NODES, where lengthscales are short and K_zz well conditioned,
+    both come from ``psi``."""
+    h, d = model.hyper, model.domain
+    counts = np.ceil(RULE_NODES_PER_SCALE * d.extent / np.sqrt(h.alpha)) + RULE_MIN_NODES
+    if counts.prod() > RULE_MAX_NODES:
+        solved = model.kzz_solve(psi)
+        return model.kzz_solve(solved.T), h.gamma * domain_measure(d) - float(solved.trace())
+    nodes, weights = gauss_legendre(d, counts)
+    A = gram(nodes, model.inducing.Z, h)
+    Abar = model.kzz_solve(A.T).T
+    return Abar.T @ (weights[:, None] * Abar), \
+        float(weights @ (h.gamma - np.einsum("nm,nm->n", Abar, A)))
+
+
 def expected_log_f_sq(mu, var):
     """E[log f^2] for f ~ N(mu, var), elementwise, through the lookup table.
 
@@ -288,7 +315,8 @@ class ThetaStage(NamedTuple):
     psi: tuple                   # Psi and its partials, as psi_with_partials returns them
     A: np.ndarray                # K(X, Z)
     Abar: np.ndarray             # rows a_n^T = k_n^T K^-1
-    int_var_prior: float         # gamma |T| - tr(K^-1 Psi)
+    B: np.ndarray                # K^-1 Psi K^-1, as domain_integrals returns it
+    int_var_prior: float         # gamma |T| - tr(K^-1 Psi), likewise
     var_prior: np.ndarray        # gamma - a_n^T k_n
 
 
@@ -307,9 +335,7 @@ def theta_stage(model: Model, events: EventSet = EventSet(), wrt=(),
     xz_sq = sq_diffs(X, Z) if xz_sq is None else xz_sq
     A = kernel_from_sq(xz_sq, h)             # N x M, as gram(X, Z, h)
     Abar = np.ascontiguousarray(model.kzz_solve(A.T).T)
-    return ThetaStage(model, X, xz_sq, psi, A, Abar,
-                      h.gamma * domain_measure(model.domain)
-                      - float(model.kzz_solve(psi[0]).trace()),
+    return ThetaStage(model, X, xz_sq, psi, A, Abar, *domain_integrals(model, psi[0]),
                       h.gamma - np.einsum("nm,nm->n", Abar, A))
 
 
@@ -337,14 +363,14 @@ def q_terms(stage: ThetaStage, var_state: VariationalState, wrt=()) -> BoundTerm
     model, h, Z = stage.model, stage.model.hyper, stage.model.inducing.Z
     M, R = Z.shape
     m, Lq = var_state.m, var_state.L
-    psi, A, Abar = stage.psi[0], stage.A, stage.Abar
+    psi, A, Abar, B = stage.psi[0], stage.A, stage.Abar, stage.B
 
     d = h.u_bar - m
     solved = model.kzz_solve(np.column_stack([m, d, Lq]))
     c, q, U = solved[:, 0], solved[:, 1], solved[:, 2:]       # U = K^-1 L
-    psi_c, psi_u = psi @ c, psi @ U
-    int_mean_sq = float(c @ psi_c)
-    int_var = stage.int_var_prior + float((U * psi_u).sum())   # + tr(K^-1 S K^-1 Psi)
+    v, BL = B @ m, B @ Lq                       # K^-1 Psi c, K^-1 Psi U
+    int_mean_sq = float(m @ v)
+    int_var = stage.int_var_prior + float((Lq * BL).sum())     # + tr(L^T B L)
 
     logdet_s = 2.0 * float(np.log(Lq.diagonal()).sum())
     kl = 0.5 * (float((Lq * U).sum()) + model.kzz_logdet - logdet_s - M + float(d @ q))
@@ -363,13 +389,12 @@ def q_terms(stage: ThetaStage, var_state: VariationalState, wrt=()) -> BoundTerm
         e_s = 1.0 / var - gslope * mu**2 / (2.0 * var**2)
         e_s = np.where(clamped, 0.0, e_s)        # floored variance is locally constant
         Amu = Abar.T @ e_mu                      # sum_n e_mu_n a_n
-        v = model.kzz_solve(psi_c)               # K^-1 Psi c
         grads["m"] = -2.0 * v + q + Amu
         # L^T dL/dS L, whose S^-1 term is the identity exactly; formed itself,
         # S^-1 would cancel against K^-1 and lose eps cond(S)
         if "L" in wrt:
             AsL = AbarL.T @ (AbarL * e_s[:, None])
-            grads["L"] = 0.5 * np.eye(M) - 0.5 * (Lq.T @ U) - U.T @ psi_u + AsL
+            grads["L"] = 0.5 * np.eye(M) - 0.5 * (Lq.T @ U) - Lq.T @ BL + AsL
     if set(wrt) <= {"m", "L"}:
         return BoundTerms(int_mean_sq, int_var, data, kl, {b: grads[b] for b in wrt})
 
@@ -378,12 +403,11 @@ def q_terms(stage: ThetaStage, var_state: VariationalState, wrt=()) -> BoundTerm
     # Raw partials of the bound w.r.t. the kernel structures, which still
     # contract with an explicit K^-1 (ROADMAP item 1).
     K, Kinv, xz_sq = model.kzz, model.kzz_solve(np.eye(M)), stage.xz_sq
-    B = model.kzz_solve(model.kzz_solve(psi).T)     # K^-1 Psi K^-1
     W = U @ U.T                                     # K^-1 S K^-1
     work = np.empty_like(A)                         # N x M scratch
     AsA = Abar.T @ np.multiply(Abar, e_s[:, None], out=work)
     g_psi = -np.multiply.outer(c, c) + Kinv - W
-    M1 = U @ model.kzz_solve(psi_u).T               # K^-1 S K^-1 Psi K^-1
+    M1 = U @ BL.T                                   # K^-1 S K^-1 Psi K^-1
     Gk = (np.multiply.outer(v, c) + np.multiply.outer(c, v)) - B + (M1 + M1.T) \
         - 0.5 * (Kinv - W - np.multiply.outer(q, q))
     What = A @ W                                # rows w_n^T

@@ -79,18 +79,15 @@ def g_tilde_derivative(z) -> np.ndarray | float:
 class GTildeTable(NamedTuple):
     """Lookup table over log-uniform knots z = -t_knots.
 
-    ``t_knots`` ascends strictly (the array a lookup searches); ``values``
-    are the function at the knots and ``slopes`` its closed-form derivative
-    there.  Column k of ``cubics`` holds the Horner coefficients (c0, c1,
-    c2, c3) of the Hermite cubic c0 + u (c1 + u (c2 + u c3)) on knot k's
-    interval, u = log(t / t_knots[k]) * KNOTS_PER_DECADE / log(10) in
-    [0, 1].  All four are computed when the table is built and are
-    read-only.
+    ``t_knots`` ascends strictly (the array a lookup searches).  Column k of
+    ``cubics`` holds the Horner coefficients (c0, c1, c2, c3) of the Hermite
+    cubic c0 + u (c1 + u (c2 + u c3)) on knot k's interval, u = log(t /
+    t_knots[k]) * KNOTS_PER_DECADE / log(10) in [0, 1]: c0 is the function
+    at knot k and c1 its closed-form derivative there in u.  Both arrays
+    are computed when the table is built and are read-only.
     """
 
     t_knots: np.ndarray
-    values: np.ndarray
-    slopes: np.ndarray
     cubics: np.ndarray
 
     @property
@@ -108,13 +105,12 @@ def build_table() -> GTildeTable:
     roots = np.sqrt(np.concatenate([[0.0], t]))
     half, mid = 0.5 * np.diff(roots), 0.5 * (roots[1:] + roots[:-1])
     values = np.cumsum(-4.0 * half * (dawsn(mid[:, None] + half[:, None] * x) @ w))
-    slopes = g_tilde_derivative(-t)
     # the knots' slopes in u: d values / du = -t gt'(-t) / _PER_LOG
-    d = -t * slopes / _PER_LOG
+    d = -t * g_tilde_derivative(-t) / _PER_LOG
     dv = np.diff(values)
     cubics = np.array([values[:-1], d[:-1], 3.0 * dv - 2.0 * d[:-1] - d[1:],
                        d[:-1] + d[1:] - 2.0 * dv])
-    table = GTildeTable(t_knots=t, values=values, slopes=slopes, cubics=cubics)
+    table = GTildeTable(t_knots=t, cubics=cubics)
     for arr in table:
         arr.setflags(write=False)
     return table

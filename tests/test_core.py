@@ -23,7 +23,7 @@ from vbpp.core import (
     save_model,
 )
 from vbpp.kernel import HyperParams, gram, psi_with_partials
-from vbpp.optimizer import _initial_model
+from vbpp.optimizer import FitConfig, _initial_model, fit, pack, unpack
 from vbpp.pointdata import Domain, EventSet, coal_style_dataset, domain_measure, regular_grid
 from vbpp.specfun import EULER_MASCHERONI
 
@@ -134,6 +134,58 @@ def test_integral_terms_against_grid_quadrature():
     terms = _evaluate(model)
     assert terms.int_mean_sq == pytest.approx(float(weights @ mu**2), rel=1e-6)
     assert terms.int_var == pytest.approx(float(weights @ var), rel=1e-6)
+
+
+def _closed_domain_integrals(model):
+    """B = K^-1 Psi K^-1 and gamma |T| - tr(K^-1 Psi) from Psi's closed form."""
+    psi = psi_with_partials(model.inducing.Z, model.hyper, model.domain, ())[0]
+    solved = model.kzz_solve(psi)
+    return model.kzz_solve(solved.T), \
+        model.hyper.gamma * domain_measure(model.domain) - float(solved.trace())
+
+
+@pytest.mark.parametrize("build", [lambda: make_model(M=4, seed=5), lambda: _two_d_model()[0]],
+                         ids=["1d", "2d"])
+def test_domain_integrals_rule_matches_psi_where_k_zz_is_well_conditioned(build):
+    model = build()
+    psi = psi_with_partials(model.inducing.Z, model.hyper, model.domain, ())[0]
+    B, prior = core.domain_integrals(model, psi)
+    closed_B, closed_prior = _closed_domain_integrals(model)
+    np.testing.assert_allclose(B, closed_B, rtol=0, atol=1e-13 * np.abs(closed_B).max())
+    assert prior == pytest.approx(closed_prior, rel=1e-12)
+
+
+def test_domain_integrals_fall_back_to_psi_past_the_node_budget():
+    # a lengthscale of 1/1100 of the domain asks for 4416 nodes
+    model = make_model(M=4, seed=5)
+    model = Model(HyperParams(1.3, (4.0 / 1100) ** 2), model.inducing, model.var_state,
+                  model.domain)
+    psi = psi_with_partials(model.inducing.Z, model.hyper, model.domain, ())[0]
+    B, prior = core.domain_integrals(model, psi)
+    closed_B, closed_prior = _closed_domain_integrals(model)
+    assert np.array_equal(B, closed_B) and prior == closed_prior
+
+
+def test_domain_integrals_at_the_coal_fit():
+    # cond K_zz 1.2e9: Psi's closed form put int E[f]^2 1.3e-9 of itself low
+    # (2.4e-7 nats), int Var's prior part at -1.6e-7 where it is >= 0, and
+    # the bound at fixed q(u) 2.6e-7 nats off a quadratic along a theta line
+    ev, d = coal_style_dataset()
+    model = fit(ev, d, 16, FitConfig())
+    terms = _evaluate(model, ev)
+    nodes, weights = core.gauss_legendre(d, [512])
+    mu, _ = qf_marginals(nodes, model)
+    assert terms.int_mean_sq == pytest.approx(float(weights @ mu**2), rel=1e-12)
+    assert core.theta_stage(model).int_var_prior >= 0.0
+    cfg = FitConfig()
+    y0 = pack(model, cfg)
+    direction = np.random.default_rng(0).standard_normal(y0.size)
+    steps = (np.arange(41) - 20) * 5e-7 * direction[:, None] / np.linalg.norm(direction)
+    values = np.array([elbo(unpack(y0 + s, d, 16, cfg, fixed_z=model.inducing.Z,
+                                   var_state=model.var_state), ev) for s in steps.T])
+    offsets = np.arange(41) - 20
+    residual = values - np.polyval(np.polyfit(offsets, values, 2), offsets)
+    assert np.abs(residual).max() < 1e-9
 
 
 def test_elbo_no_events_components():

@@ -79,6 +79,12 @@ def dawsn_integral_oracle(z: float) -> float:
     return -4.0 * val
 
 
+def knot_values(table):
+    """The function at every knot as the table holds it: each cubic's c0,
+    and the last cubic at u = 1 for the last knot."""
+    return np.append(table.cubics[0], table.cubics[:, -1].sum())
+
+
 def test_value_at_zero():
     assert g_tilde_series(0.0) == 0.0
     v, s = g_tilde_batch(np.array([0.0]))
@@ -151,9 +157,9 @@ def test_table_exact_at_knots():
     # slope; the last knot closes the last interval
     table = specfun.default_table()
     vals, slopes = g_tilde_batch(table.knots)
-    assert np.array_equal(vals[:-1], table.values[:-1])
-    assert vals[-1] == pytest.approx(table.values[-1], rel=1e-15, abs=0)
-    np.testing.assert_allclose(slopes, table.slopes, rtol=1e-15, atol=0)
+    assert np.array_equal(vals[:-1], table.cubics[0])
+    assert vals[-1] == pytest.approx(knot_values(table)[-1], rel=1e-15, abs=0)
+    np.testing.assert_allclose(slopes, g_tilde_derivative(table.knots), rtol=1e-15, atol=0)
 
 
 def test_table_is_c1_at_every_interior_knot():
@@ -237,8 +243,11 @@ def test_asymptotic_value_is_finite_without_warnings_for_huge_t(t):
 
 
 def test_table_slopes_are_the_closed_form_derivative():
+    # each cubic's c1 is its knot's slope in u, d g / du = -t gt'(-t) / (du / dlog t)
     table = specfun.default_table()
-    assert np.array_equal(table.slopes, g_tilde_derivative(table.knots))
+    per_log = specfun.KNOTS_PER_DECADE / np.log(10.0)
+    t = table.t_knots[:-1]
+    assert np.array_equal(table.cubics[1], -t * g_tilde_derivative(-t) / per_log)
 
 
 def test_small_table_build():
@@ -255,7 +264,7 @@ def test_small_table_build():
 def test_knot_values_match_the_dawson_integral_oracle():
     table = specfun.default_table()
     oracle = np.array([dawsn_integral_oracle(z) for z in table.knots])
-    np.testing.assert_allclose(table.values, oracle, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(knot_values(table), oracle, rtol=1e-12, atol=0)
 
 
 def _series_poisson_per_knot(t):
