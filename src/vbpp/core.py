@@ -15,6 +15,7 @@ per-event expectations go through the tabulated special function in
 from __future__ import annotations
 
 import copy
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -117,11 +118,11 @@ def kzz_factor(Z: np.ndarray, hyper: HyperParams):
 class Model:
     """Hyperparameters + inducing points + variational state over a domain.
 
-    K_zz + jitter and its Cholesky factor are computed at construction and
-    shared by every evaluation; the model is immutable, so they can never go
-    stale.  Psi and its partials depend on what an evaluation differentiates,
-    so each evaluation of the bound computes them itself (see
-    :func:`_evaluate`).
+    K_zz + jitter, its Cholesky factor L and the factor's inverse L^-1 (one
+    dtrtri) are computed at construction and shared by every evaluation; the
+    model is immutable, so they can never go stale.  Psi and its partials
+    depend on what an evaluation differentiates, so each evaluation of the
+    bound computes them itself (see :func:`_evaluate`).
     """
 
     hyper: HyperParams
@@ -137,7 +138,8 @@ class Model:
             raise ValueError("inducing points, domain and hyperparameters disagree on R")
         if self.var_state.m.size != Z.shape[0]:
             raise ValueError("variational state size must match the number of inducing points")
-        kzz = kzz_factor(Z, self.hyper)
+        K, chol = kzz_factor(Z, self.hyper)
+        kzz = (K, chol, lapack.dtrtri(chol, lower=1)[0])
         for arr in kzz:
             arr.setflags(write=False)
         object.__setattr__(self, "_kzz", kzz)
@@ -154,14 +156,15 @@ class Model:
         return self._kzz[0]
 
     def kzz_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """(K_zz + jitter)^-1 rhs for an M x k ``rhs``, by LAPACK's dpotrs on
-        the model's factor: bit-identical to ``scipy.linalg.cho_solve``
-        without its finite checks.  The factor passed one when it was made,
-        and vbpp's right-hand sides are built from finite points."""
-        x, info = lapack.dpotrs(self._kzz[1], rhs, lower=True)
-        if info:
-            raise ValueError(f"illegal value in argument {-info} of dpotrs")
-        return x
+        """(K_zz + jitter)^-1 rhs for an M x k ``rhs``, as L^-T (L^-1 rhs): two
+        gemms, several times faster than LAPACK's dpotrs on L at one BLAS
+        thread, and no less accurate (see tests/test_core.py)."""
+        return self._kzz[2].T @ (self._kzz[2] @ rhs)
+
+    def kzz_solve_rows(self, A: np.ndarray) -> np.ndarray:
+        """A (K_zz + jitter)^-1 for an N x M ``A``, as (A L^-T) L^-1: rows
+        a_n^T = k_n^T K^-1, C-contiguous."""
+        return (A @ self._kzz[2].T) @ self._kzz[2]
 
     @property
     def kzz_logdet(self) -> float:
@@ -182,7 +185,7 @@ def qf_marginals(X, model: Model):
     Variances are floored at 1e-12.
     """
     A = gram(X, model.inducing.Z, model.hyper)        # N x M
-    Abar = model.kzz_solve(A.T).T                     # rows a_n^T = k_n^T K^-1
+    Abar = model.kzz_solve_rows(A)                    # rows a_n^T = k_n^T K^-1
     mu = Abar @ model.var_state.m
     AbarL = Abar @ model.var_state.L
     var = model.hyper.gamma - np.einsum("nm,nm->n", Abar, A) \
@@ -190,11 +193,20 @@ def qf_marginals(X, model: Model):
     return mu, np.maximum(var, VAR_FLOOR)
 
 
+@functools.lru_cache(maxsize=64)
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre rule on [-1, 1], read-only: one eigen-solve per n."""
+    rule = roots_legendre(n)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
+
+
 def gauss_legendre(d: Domain, res) -> tuple[np.ndarray, np.ndarray]:
     """Tensor-product Gauss-Legendre nodes and weights over the domain,
     ``res[r]`` of them along dimension r."""
     half = 0.5 * d.extent
-    rules = [roots_legendre(int(n)) for n in res]
+    rules = [_legendre_rule(int(n)) for n in res]
     nodes = tensor_grid([lo + h * (x + 1.0) for lo, h, (x, _) in zip(d.lo, half, rules)])
     weights = tensor_grid([h * w for h, (_, w) in zip(half, rules)]).prod(axis=1)
     return nodes, weights
@@ -223,8 +235,8 @@ def domain_integrals(model: Model, psi: np.ndarray) -> tuple[np.ndarray, float]:
     """B = K^-1 Psi K^-1 = int a(x) a(x)^T dx, a(x) = K^-1 k(Z, x), and the
     prior part of int Var[f], int (gamma - k(x, Z) a(x)) dx.
 
-    Both by a Gauss-Legendre rule on a(x), from a Cholesky solve, whose
-    rounding is first order in cond K_zz; from Psi by two solves it is
+    Both by a Gauss-Legendre rule on a(x), from :meth:`Model.kzz_solve_rows`,
+    whose rounding is first order in cond K_zz; from Psi by two solves it is
     second order (at coal-1d's fit, cond 1.2e9, int E[f]^2 came out 1.3e-9
     of itself low).  On the integrands, sums of exp(-(x - z)^2 / alpha_r),
     n_r nodes err by about exp(-(2 n_r sqrt(alpha_r) / extent_r)^2).  Past
@@ -237,7 +249,7 @@ def domain_integrals(model: Model, psi: np.ndarray) -> tuple[np.ndarray, float]:
         return model.kzz_solve(solved.T), h.gamma * domain_measure(d) - float(solved.trace())
     nodes, weights = gauss_legendre(d, counts)
     A = gram(nodes, model.inducing.Z, h)
-    Abar = model.kzz_solve(A.T).T
+    Abar = model.kzz_solve_rows(A)
     return Abar.T @ (weights[:, None] * Abar), \
         float(weights @ (h.gamma - np.einsum("nm,nm->n", Abar, A)))
 
@@ -265,6 +277,7 @@ class BoundTerms(NamedTuple):
     data: float             # sum_n E[log f_n^2]
     kl: float               # KL(q(u) || p(u))
     grads: dict
+    at_q: tuple | None = None   # the products theta's blocks read (see q_terms)
 
     @property
     def expected_log_lik(self) -> float:
@@ -293,9 +306,10 @@ def elbo_and_gradient(model: Model, events: EventSet, wrt=GRAD_BLOCKS, _stage=No
     "Z").  Positive parameters are differentiated in log space.  The "L"
     block is q(u)'s covariance relative to its factor L: L^T (dL/dS) L, the
     gradient in a symmetric Y at 0 for S = L (I + Y) L^T.  The "Z" block is
-    M x R, the gradient in the inducing locations.  A fit passes ``_stage``,
+    M x R, the gradient in the inducing locations.  A fit passes ``_stage``:
     this model's :func:`theta_stage` for these events and blocks, made once
-    per theta.  Returns (value, dict of gradient blocks).
+    per theta, or the :func:`q_terms` that its solve of q(u) formed there at
+    the model's q(u).  Returns (value, dict of gradient blocks).
     """
     terms = _evaluate(model, events, wrt, stage=_stage)
     return terms.elbo, terms.grads
@@ -323,9 +337,9 @@ class ThetaStage(NamedTuple):
 def theta_stage(model: Model, events: EventSet = EventSet(), wrt=(),
                 xz_sq: np.ndarray | None = None) -> ThetaStage:
     """The part of :func:`_evaluate` that q(u) does not enter, made once per
-    theta, with K^-1 as solves with the model's Cholesky factor.  Psi comes
-    with the partials that ``wrt`` needs: none for a value or q(u)'s blocks,
-    the log-alpha ones for theta, the Z ones too for "Z".  K(X, Z) reads
+    theta, with K^-1 by the model's inverse factor.  Psi comes with the
+    partials that ``wrt`` needs: none for a value or q(u)'s blocks, the
+    log-alpha ones for theta, the Z ones too for "Z".  K(X, Z) reads
     ``xz_sq``, the events' :func:`xz_sq_diffs`, made here unless given."""
     h, Z = model.hyper, model.inducing.Z
     partials = () if set(wrt) <= {"m", "L"} else ("log_alpha", "Z") if "Z" in wrt \
@@ -334,36 +348,21 @@ def theta_stage(model: Model, events: EventSet = EventSet(), wrt=(),
     X = as_points(events.points, Z.shape[1])
     xz_sq = sq_diffs(X, Z) if xz_sq is None else xz_sq
     A = kernel_from_sq(xz_sq, h)             # N x M, as gram(X, Z, h)
-    Abar = np.ascontiguousarray(model.kzz_solve(A.T).T)
+    Abar = model.kzz_solve_rows(A)
     return ThetaStage(model, X, xz_sq, psi, A, Abar, *domain_integrals(model, psi[0]),
                       h.gamma - np.einsum("nm,nm->n", Abar, A))
 
 
-def _evaluate(model: Model, events: EventSet = EventSet(), wrt=(),
-              stage: ThetaStage | None = None) -> BoundTerms:
-    """The one evaluation of the bound: every function above is a view of it.
-    It is :func:`q_terms` at the model's q(u) on the model's
-    :func:`theta_stage`, made here unless given."""
-    return q_terms(stage or theta_stage(model, events, wrt), model.var_state, wrt)
-
-
 def q_terms(stage: ThetaStage, var_state: VariationalState, wrt=()) -> BoundTerms:
-    """The bound's four terms at q(u) = ``var_state`` on ``stage``, with the
-    gradient blocks in ``wrt`` (as in :func:`elbo_and_gradient`), by one of
-    four paths: the value alone, with q(u)'s "m" and "L" blocks, with every
-    block but Z, or with every block; theta's blocks need a stage made for
-    them.  The value's products with K^-1 are the same Cholesky solves on
-    every path, so its four terms are bit-identical whichever blocks are
-    requested.  No events run the same code with N = 0."""
-    wrt = tuple(wrt)
-    unknown = set(wrt) - set(GRAD_BLOCKS)
-    if unknown:
-        raise ValueError(f"unknown gradient blocks: {sorted(unknown)}")
-
-    model, h, Z = stage.model, stage.model.hyper, stage.model.inducing.Z
-    M, R = Z.shape
+    """The bound's q(u) stage: its four terms at q(u) = ``var_state`` on
+    ``stage``, with q(u)'s "m" and "L" blocks if ``wrt`` names them (as in
+    :func:`elbo_and_gradient`), and for any block, in ``at_q``, the products
+    at q(u) that theta's blocks read (see :func:`_evaluate`).  Its four terms
+    are bit-identical whichever blocks are requested.  No events run the
+    same code with N = 0."""
+    model, h, M = stage.model, stage.model.hyper, var_state.m.size
     m, Lq = var_state.m, var_state.L
-    psi, A, Abar, B = stage.psi[0], stage.A, stage.Abar, stage.B
+    Abar, B = stage.Abar, stage.B
 
     d = h.u_bar - m
     solved = model.kzz_solve(np.column_stack([m, d, Lq]))
@@ -382,22 +381,48 @@ def q_terms(stage: ThetaStage, var_state: VariationalState, wrt=()) -> BoundTerm
     var = np.maximum(var_raw, VAR_FLOOR)
     ell, gslope = expected_log_f_sq(mu, var)
     data = float(ell.sum())
+    if not wrt:
+        return BoundTerms(int_mean_sq, int_var, data, kl, {})
 
-    grads: dict[str, np.ndarray | float] = {}
-    if wrt:
-        e_mu = gslope * mu / var
-        e_s = 1.0 / var - gslope * mu**2 / (2.0 * var**2)
-        e_s = np.where(clamped, 0.0, e_s)        # floored variance is locally constant
-        Amu = Abar.T @ e_mu                      # sum_n e_mu_n a_n
+    e_mu = gslope * mu / var
+    e_s = 1.0 / var - gslope * mu**2 / (2.0 * var**2)
+    e_s = np.where(clamped, 0.0, e_s)            # floored variance is locally constant
+    Amu = Abar.T @ e_mu                          # sum_n e_mu_n a_n
+    C = Abar.T @ (Abar * e_s[:, None])           # sum_n e_s_n a_n a_n^T
+    grads = {}
+    if "m" in wrt:
         grads["m"] = -2.0 * v + q + Amu
-        # L^T dL/dS L, whose S^-1 term is the identity exactly; formed itself,
-        # S^-1 would cancel against K^-1 and lose eps cond(S)
-        if "L" in wrt:
-            AsL = AbarL.T @ (AbarL * e_s[:, None])
-            grads["L"] = 0.5 * np.eye(M) - 0.5 * (Lq.T @ U) - Lq.T @ BL + AsL
-    if set(wrt) <= {"m", "L"}:
-        return BoundTerms(int_mean_sq, int_var, data, kl, {b: grads[b] for b in wrt})
+    # L^T dL/dS L, whose S^-1 term is the identity exactly; formed itself,
+    # S^-1 would cancel against K^-1 and lose eps cond(S)
+    if "L" in wrt:
+        grads["L"] = 0.5 * np.eye(M) - 0.5 * (Lq.T @ U) - Lq.T @ BL + Lq.T @ C @ Lq
+    return BoundTerms(int_mean_sq, int_var, data, kl, grads,
+                      (stage, var_state, c, q, U, v, BL, AbarL, e_mu, e_s, Amu, C))
 
+
+def _evaluate(model: Model, events: EventSet = EventSet(), wrt=(),
+              stage: ThetaStage | BoundTerms | None = None) -> BoundTerms:
+    """The one evaluation of the bound: every function above is a view of it.
+    Its q(u) stage is :func:`q_terms` at the model's q(u) on the model's
+    :func:`theta_stage`, made here unless given; ``stage`` may also be those
+    q_terms, formed for "m" and "L" or for ``wrt``.  Theta's blocks come from
+    the products they keep, and need a stage made for them."""
+    wrt = tuple(wrt)
+    unknown = set(wrt) - set(GRAD_BLOCKS)
+    if unknown:
+        raise ValueError(f"unknown gradient blocks: {sorted(unknown)}")
+    terms = stage if isinstance(stage, BoundTerms) else \
+        q_terms(stage or theta_stage(model, events, wrt), model.var_state, wrt)
+    grads = {b: terms.grads[b] for b in wrt if b in ("m", "L")}
+    if set(wrt) <= {"m", "L"}:
+        return BoundTerms(*terms[:4], grads)
+
+    stage, var_state, c, q, U, v, BL, AbarL, e_mu, e_s, Amu, C = terms.at_q
+    if var_state is not model.var_state:
+        raise ValueError("the q(u) terms were formed at another q(u)")
+    model, h, Z = stage.model, stage.model.hyper, stage.model.inducing.Z
+    M, R = Z.shape
+    psi, A, Abar, B = stage.psi[0], stage.A, stage.Abar, stage.B
     grads["u_bar"] = -float(q.sum())
 
     # Raw partials of the bound w.r.t. the kernel structures, which still
@@ -405,14 +430,13 @@ def q_terms(stage: ThetaStage, var_state: VariationalState, wrt=()) -> BoundTerm
     K, Kinv, xz_sq = model.kzz, model.kzz_solve(np.eye(M)), stage.xz_sq
     W = U @ U.T                                     # K^-1 S K^-1
     work = np.empty_like(A)                         # N x M scratch
-    AsA = Abar.T @ np.multiply(Abar, e_s[:, None], out=work)
     g_psi = -np.multiply.outer(c, c) + Kinv - W
     M1 = U @ BL.T                                   # K^-1 S K^-1 Psi K^-1
     Gk = (np.multiply.outer(v, c) + np.multiply.outer(c, v)) - B + (M1 + M1.T) \
         - 0.5 * (Kinv - W - np.multiply.outer(q, q))
-    What = A @ W                                # rows w_n^T
-    AsW = Abar.T @ np.multiply(What, e_s[:, None], out=work)
-    Gk = Gk - np.multiply.outer(Amu, c) + AsA - AsW - AsW.T
+    What = AbarL @ U.T                          # rows w_n^T = k_n^T W
+    AsW = C @ var_state.L @ U.T                 # sum_n e_s_n a_n w_n^T
+    Gk = Gk - np.multiply.outer(Amu, c) + C - AsW - AsW.T
     # GA = outer(e_mu, c) + e_s * (-2 Abar + 2 What), built in place.
     GA = np.multiply(Abar, -2.0)
     What *= 2.0
@@ -448,7 +472,7 @@ def q_terms(stage: ThetaStage, var_state: VariationalState, wrt=()) -> BoundTerm
             grads["Z"][:, r] = (Gk_sym * K * (-delta_zz / h.alpha[r])).sum(axis=1) \
                 + (g_psi_sym * stage.psi[2][r]).sum(axis=1) + work.sum(axis=0)
 
-    return BoundTerms(int_mean_sq, int_var, data, kl, {b: grads[b] for b in wrt})
+    return BoundTerms(*terms[:4], {b: grads[b] for b in wrt})
 
 
 # ----------------------------------------------------------------------

@@ -118,7 +118,7 @@ def _usable(terms: BoundTerms) -> bool:
     return all(np.isfinite(x).all() for x in (terms.elbo, terms.grads["m"], terms.grads["L"]))
 
 
-def solve_q(stage, q0: VariationalState) -> tuple[VariationalState, int]:
+def solve_q(stage, q0: VariationalState) -> tuple[VariationalState, int, BoundTerms]:
     """Maximise the bound in q(u) at the stage's theta, from ``q0``, by
     natural-gradient steps of size rho: S^-1 <- S^-1 - 2 rho dL/dS and
     m <- m + rho S dL/dm.  With the bound's "L" block G = L^T dL/dS L the new
@@ -129,7 +129,8 @@ def solve_q(stage, q0: VariationalState) -> tuple[VariationalState, int]:
     step.  A step that moves the bound by no more than the tolerance ends
     the solve untaken, as does a natural gradient that promises no more (a
     full step's gain, dL/dm^T S dL/dm / 2 + tr(G G)).  Returns (q, accepted
-    steps); raises FloatingPointError when the bound or its gradient at
+    steps, the :func:`vbpp.core.q_terms` at q, which theta's gradient blocks
+    read); raises FloatingPointError when the bound or its gradient at
     ``q0`` is not finite."""
     q, terms = q0, q_terms(stage, q0, ("m", "L"))
     if not _usable(terms):
@@ -150,16 +151,16 @@ def solve_q(stage, q0: VariationalState) -> tuple[VariationalState, int]:
                 t = q_terms(stage, trial, ("m", "L"))
                 if _usable(t) and t.elbo >= terms.elbo - tol:
                     if t.elbo <= terms.elbo + tol:
-                        return q, steps
+                        return q, steps, terms
                     break
             except (np.linalg.LinAlgError, ValueError):    # or S overflowed
                 pass
             rho /= 2.0
             if rho < MIN_STEP:
-                return q, steps
+                return q, steps, terms
         q, terms, steps = trial, t, steps + 1
         rho = min(1.0, 2.0 * rho)
-    return q, steps
+    return q, steps, terms
 
 
 # ----------------------------------------------------------------------
@@ -192,10 +193,10 @@ class _ProfiledBound:
             model = unpack(theta, self.start.domain, q0.m.size, self.cfg,
                            fixed_z=self.start.inducing.Z, var_state=q0)
             stage = theta_stage(model, self.events, self.wrt, self.xz_sq)
-            q, steps = solve_q(stage, q0)
+            q, steps, terms = solve_q(stage, q0)
             self.inner_steps += steps
             model = model.with_var_state(q)
-            value, grads = elbo_and_gradient(model, self.events, self.wrt, _stage=stage)
+            value, grads = elbo_and_gradient(model, self.events, self.wrt, _stage=terms)
         except (np.linalg.LinAlgError, FloatingPointError):
             return FAILED_OBJECTIVE, np.zeros_like(theta)
         g = -np.concatenate([np.ravel(grads[name]) for name in self.wrt])

@@ -83,7 +83,7 @@ def _joint_qf(model: Model, points: np.ndarray):
     plus (A-bar L)(A-bar L)^T.
     """
     A = gram(points, model.inducing.Z, model.hyper)
-    Abar = model.kzz_solve(A.T).T
+    Abar = model.kzz_solve_rows(A)
     cov = blas.dgemm(-1.0, Abar.T, A.T, beta=1.0, c=gram(points, points, model.hyper).T,
                      trans_a=1, overwrite_c=1)
     return Abar @ model.var_state.m, cov, Abar @ model.var_state.L

@@ -357,11 +357,49 @@ def test_cholesky_matches_scipy_bit_for_bit():
         cholesky(K)
 
 
-def test_kzz_solve_matches_cho_solve_bit_for_bit():
-    model, ev = _coal_start()
-    ref = (kzz_factor(model.inducing.Z, model.hyper)[1], True)
-    for rhs in (np.eye(model.num_inducing), gram(ev.points, model.inducing.Z, model.hyper).T):
-        assert np.array_equal(model.kzz_solve(rhs), scipy.linalg.cho_solve(ref, rhs))
+def _long_double_kzz_solve(chol, rhs):
+    """K^-1 rhs by forward and back substitution in long double, with the
+    float factor ``chol`` taken as exact."""
+    Lx, y = chol.astype(np.longdouble), rhs.astype(np.longdouble)
+    for i in range(y.shape[0]):
+        y[i] = (y[i] - Lx[i, :i] @ y[:i]) / Lx[i, i]
+    for i in reversed(range(y.shape[0])):
+        y[i] = (y[i] - Lx[i + 1:, i] @ y[i + 1:]) / Lx[i, i]
+    return y
+
+
+@pytest.fixture(scope="module")
+def dense_fit():
+    """The dense 1-D configuration (gamma 200, alpha 1, seed 3) fitted at M = 32."""
+    from vbpp.simulate import ground_truth, thin_sample
+    d = Domain([0.0], [10.0])
+    ev = thin_sample(ground_truth(HyperParams(200.0, [1.0]), d, seed=3), d, seed=3)
+    return fit(ev, d, 32, FitConfig(max_iters=5000)), ev
+
+
+@pytest.mark.parametrize("case", [8, 16, 32, 64, "dense"])
+def test_kzz_solve_is_as_accurate_as_dpotrs(case, request):
+    # K^-1 A^T for the events' A = K(X, Z), at the coal start (cond K_zz from
+    # 4e3 at M = 8 to 3e9 at M = 64) and at the dense fit: the products with
+    # the inverse factor, in both forms, err from a long-double solve on the
+    # same factor at most twice as much as LAPACK's dpotrs, or by less than
+    # 1e-13 of the solution's largest entry
+    if case == "dense":
+        model, ev = request.getfixturevalue("dense_fit")
+    else:
+        ev, d = coal_style_dataset()
+        model = _initial_model(ev, d, regular_grid(d, case))
+    chol = kzz_factor(model.inducing.Z, model.hyper)[1]
+    A = gram(ev.points, model.inducing.Z, model.hyper)
+    want = _long_double_kzz_solve(chol, A.T)
+    scale = float(np.abs(want).max())
+
+    def error(x):
+        return float(np.abs(x - want).max()) / scale
+
+    bound = max(2.0 * error(scipy.linalg.lapack.dpotrs(chol, A.T, lower=1)[0]), 1e-13)
+    assert error(model.kzz_solve(A.T)) <= bound
+    assert error(model.kzz_solve_rows(A).T) <= bound
 
 
 def test_gradient_rejects_unknown_block():

@@ -282,10 +282,10 @@ def test_solve_q_raises_the_bound_and_stops_at_its_own_answer():
     objective, _ = _coal_start_objective()
     stage = theta_stage(objective.start, objective.events, objective.wrt, objective.xz_sq)
     q0 = objective.start.var_state
-    q, steps = solve_q(stage, q0)
+    q, steps, _ = solve_q(stage, q0)
     assert steps > 0
     assert q_terms(stage, q).elbo > q_terms(stage, q0).elbo + 1.0
-    again, more = solve_q(stage, q)
+    again, more, _ = solve_q(stage, q)
     assert q_terms(stage, again).elbo >= q_terms(stage, q).elbo
     assert more < steps
 
@@ -402,6 +402,31 @@ def test_objective_with_cached_squares_is_bit_identical_to_the_bound(case, reque
     assert cached_value == value
     for b in GRAD_BLOCKS:
         assert np.array_equal(cached_grads[b], grads[b]), b
+
+
+@pytest.mark.parametrize("case", ["coal-start", "2d-start", "coal-start-z"])
+def test_objective_hands_the_solved_q_terms_to_the_bound(case, request):
+    # the objective takes the value and theta's blocks from the terms that
+    # solve_q formed at its answer; they must be the bits the bound itself
+    # gives at that q on the same stage
+    if case.startswith("coal"):
+        ev, d = coal_style_dataset()
+        Z = regular_grid(d, 16)
+    else:
+        _, ev, d = request.getfixturevalue("grid_2d_fit")
+        Z = regular_grid(d, 6)
+    objective = _ProfiledBound(ev, _initial_model(ev, d, Z),
+                               FitConfig(optimize_z=case.endswith("-z")))
+    f, g = objective(pack(objective.start, objective.cfg))
+    _, model, value = objective.last
+    assert model.var_state is not objective.start.var_state
+    stage = theta_stage(model, ev, objective.wrt, objective.xz_sq)
+    want, grads = elbo_and_gradient(model, ev, objective.wrt, _stage=stage)
+    assert value == want and f == -want
+    assert np.array_equal(g, -np.concatenate([np.ravel(grads[b]) for b in objective.wrt]))
+    _, _, terms = solve_q(stage, objective.start.var_state)
+    with pytest.raises(ValueError):        # terms formed at another q(u) object
+        elbo_and_gradient(model, ev, objective.wrt, _stage=terms)
 
 
 def test_optimize_z_objective_never_reuses_squares_of_another_z():
