@@ -120,9 +120,9 @@ class Model:
 
     K_zz + jitter, its Cholesky factor L and the factor's inverse L^-1 (one
     dtrtri) are computed at construction and shared by every evaluation; the
-    model is immutable, so they can never go stale.  Psi and its partials
-    depend on what an evaluation differentiates, so each evaluation of the
-    bound computes them itself (see :func:`_evaluate`).
+    model is immutable, so they can never go stale.  Psi comes with Z's
+    partials only where an evaluation differentiates in Z, so each
+    evaluation of the bound computes it itself (see :func:`theta_stage`).
     """
 
     hyper: HyperParams
@@ -277,7 +277,7 @@ class BoundTerms(NamedTuple):
     data: float             # sum_n E[log f_n^2]
     kl: float               # KL(q(u) || p(u))
     grads: dict
-    at_q: tuple | None = None   # the products theta's blocks read (see q_terms)
+    at_q: tuple | None = None   # what theta_gradient reads (see q_terms)
 
     @property
     def expected_log_lik(self) -> float:
@@ -299,19 +299,17 @@ def predictive_bound_lp(model: Model, test: EventSet) -> float:
     return _evaluate(model, test).expected_log_lik
 
 
-def elbo_and_gradient(model: Model, events: EventSet, wrt=GRAD_BLOCKS, _stage=None):
+def elbo_and_gradient(model: Model, events: EventSet, wrt=GRAD_BLOCKS):
     """Bound value and its analytic gradient, returned for the blocks in ``wrt``.
 
     ``wrt`` names blocks of ("log_gamma", "log_alpha", "u_bar", "m", "L",
     "Z").  Positive parameters are differentiated in log space.  The "L"
     block is q(u)'s covariance relative to its factor L: L^T (dL/dS) L, the
     gradient in a symmetric Y at 0 for S = L (I + Y) L^T.  The "Z" block is
-    M x R, the gradient in the inducing locations.  A fit passes ``_stage``:
-    this model's :func:`theta_stage` for these events and blocks, made once
-    per theta, or the :func:`q_terms` that its solve of q(u) formed there at
-    the model's q(u).  Returns (value, dict of gradient blocks).
+    M x R, the gradient in the inducing locations.  Returns (value, dict of
+    gradient blocks).
     """
-    terms = _evaluate(model, events, wrt, stage=_stage)
+    terms = _evaluate(model, events, wrt)
     return terms.elbo, terms.grads
 
 
@@ -334,17 +332,15 @@ class ThetaStage(NamedTuple):
     var_prior: np.ndarray        # gamma - a_n^T k_n
 
 
-def theta_stage(model: Model, events: EventSet = EventSet(), wrt=(),
+def theta_stage(model: Model, events: EventSet = EventSet(), with_z: bool = False,
                 xz_sq: np.ndarray | None = None) -> ThetaStage:
     """The part of :func:`_evaluate` that q(u) does not enter, made once per
-    theta, with K^-1 by the model's inverse factor.  Psi comes with the
-    partials that ``wrt`` needs: none for a value or q(u)'s blocks, the
-    log-alpha ones for theta, the Z ones too for "Z".  K(X, Z) reads
+    theta, with K^-1 by the model's inverse factor.  Psi comes with its
+    log-alpha partials, and with its Z ones if ``with_z``, for which
+    :func:`theta_gradient` then forms the "Z" block.  K(X, Z) reads
     ``xz_sq``, the events' :func:`xz_sq_diffs`, made here unless given."""
     h, Z = model.hyper, model.inducing.Z
-    partials = () if set(wrt) <= {"m", "L"} else ("log_alpha", "Z") if "Z" in wrt \
-        else ("log_alpha",)
-    psi = psi_with_partials(Z, h, model.domain, partials)
+    psi = psi_with_partials(Z, h, model.domain, with_z)
     X = as_points(events.points, Z.shape[1])
     xz_sq = sq_diffs(X, Z) if xz_sq is None else xz_sq
     A = kernel_from_sq(xz_sq, h)             # N x M, as gram(X, Z, h)
@@ -353,13 +349,11 @@ def theta_stage(model: Model, events: EventSet = EventSet(), wrt=(),
                       h.gamma - np.einsum("nm,nm->n", Abar, A))
 
 
-def q_terms(stage: ThetaStage, var_state: VariationalState, wrt=()) -> BoundTerms:
+def q_terms(stage: ThetaStage, var_state: VariationalState) -> BoundTerms:
     """The bound's q(u) stage: its four terms at q(u) = ``var_state`` on
-    ``stage``, with q(u)'s "m" and "L" blocks if ``wrt`` names them (as in
-    :func:`elbo_and_gradient`), and for any block, in ``at_q``, the products
-    at q(u) that theta's blocks read (see :func:`_evaluate`).  Its four terms
-    are bit-identical whichever blocks are requested.  No events run the
-    same code with N = 0."""
+    ``stage``, q(u)'s "m" and "L" blocks (as in :func:`elbo_and_gradient`),
+    and in ``at_q`` the stage, q(u) and the products at q(u) that
+    :func:`theta_gradient` reads.  No events run the same code with N = 0."""
     model, h, M = stage.model, stage.model.hyper, var_state.m.size
     m, Lq = var_state.m, var_state.L
     Abar, B = stage.Abar, stage.B
@@ -381,49 +375,45 @@ def q_terms(stage: ThetaStage, var_state: VariationalState, wrt=()) -> BoundTerm
     var = np.maximum(var_raw, VAR_FLOOR)
     ell, gslope = expected_log_f_sq(mu, var)
     data = float(ell.sum())
-    if not wrt:
-        return BoundTerms(int_mean_sq, int_var, data, kl, {})
 
     e_mu = gslope * mu / var
     e_s = 1.0 / var - gslope * mu**2 / (2.0 * var**2)
     e_s = np.where(clamped, 0.0, e_s)            # floored variance is locally constant
     Amu = Abar.T @ e_mu                          # sum_n e_mu_n a_n
     C = Abar.T @ (Abar * e_s[:, None])           # sum_n e_s_n a_n a_n^T
-    grads = {}
-    if "m" in wrt:
-        grads["m"] = -2.0 * v + q + Amu
-    # L^T dL/dS L, whose S^-1 term is the identity exactly; formed itself,
-    # S^-1 would cancel against K^-1 and lose eps cond(S)
-    if "L" in wrt:
-        grads["L"] = 0.5 * np.eye(M) - 0.5 * (Lq.T @ U) - Lq.T @ BL + Lq.T @ C @ Lq
+    grads = {"m": -2.0 * v + q + Amu,
+             # L^T dL/dS L, whose S^-1 term is the identity exactly; formed
+             # itself, S^-1 would cancel against K^-1 and lose eps cond(S)
+             "L": 0.5 * np.eye(M) - 0.5 * (Lq.T @ U) - Lq.T @ BL + Lq.T @ C @ Lq}
     return BoundTerms(int_mean_sq, int_var, data, kl, grads,
                       (stage, var_state, c, q, U, v, BL, AbarL, e_mu, e_s, Amu, C))
 
 
-def _evaluate(model: Model, events: EventSet = EventSet(), wrt=(),
-              stage: ThetaStage | BoundTerms | None = None) -> BoundTerms:
+def _evaluate(model: Model, events: EventSet = EventSet(), wrt=()) -> BoundTerms:
     """The one evaluation of the bound: every function above is a view of it.
-    Its q(u) stage is :func:`q_terms` at the model's q(u) on the model's
-    :func:`theta_stage`, made here unless given; ``stage`` may also be those
-    q_terms, formed for "m" and "L" or for ``wrt``.  Theta's blocks come from
-    the products they keep, and need a stage made for them."""
+    It is :func:`q_terms` at the model's q(u) on the model's
+    :func:`theta_stage`, made with Z's partials if ``wrt`` names "Z", and
+    :func:`theta_gradient` on those terms if ``wrt`` names a theta block."""
     wrt = tuple(wrt)
     unknown = set(wrt) - set(GRAD_BLOCKS)
     if unknown:
         raise ValueError(f"unknown gradient blocks: {sorted(unknown)}")
-    terms = stage if isinstance(stage, BoundTerms) else \
-        q_terms(stage or theta_stage(model, events, wrt), model.var_state, wrt)
-    grads = {b: terms.grads[b] for b in wrt if b in ("m", "L")}
-    if set(wrt) <= {"m", "L"}:
-        return BoundTerms(*terms[:4], grads)
+    terms = q_terms(theta_stage(model, events, "Z" in wrt), model.var_state)
+    if not set(wrt) <= {"m", "L"}:
+        terms.grads.update(theta_gradient(terms))
+    return BoundTerms(*terms[:4], {b: terms.grads[b] for b in wrt})
 
+
+def theta_gradient(terms: BoundTerms) -> dict:
+    """The bound's theta blocks, "log_gamma", "log_alpha", "u_bar" and, if
+    the stage was made ``with_z``, "Z", at the q(u) of ``terms``, a
+    :func:`q_terms`; at the q(u) a fit solves they are the gradient of the
+    solved bound.  They read the stage and the products kept in ``at_q``."""
     stage, var_state, c, q, U, v, BL, AbarL, e_mu, e_s, Amu, C = terms.at_q
-    if var_state is not model.var_state:
-        raise ValueError("the q(u) terms were formed at another q(u)")
     model, h, Z = stage.model, stage.model.hyper, stage.model.inducing.Z
     M, R = Z.shape
     psi, A, Abar, B = stage.psi[0], stage.A, stage.Abar, stage.B
-    grads["u_bar"] = -float(q.sum())
+    grads = {"u_bar": -float(q.sum())}
 
     # Raw partials of the bound w.r.t. the kernel structures, which still
     # contract with an explicit K^-1 (ROADMAP item 1).
@@ -451,7 +441,7 @@ def _evaluate(model: Model, events: EventSet = EventSet(), wrt=(),
     # One pass over the dimensions forms the Z-Z differences once for both
     # blocks; the X-Z ones only for the Z block.
     grads["log_alpha"] = np.empty(R)
-    with_z = "Z" in wrt
+    with_z = stage.psi[2] is not None
     if with_z:
         grads["Z"] = np.empty((M, R))
         Gk_sym = Gk + Gk.T
@@ -472,7 +462,7 @@ def _evaluate(model: Model, events: EventSet = EventSet(), wrt=(),
             grads["Z"][:, r] = (Gk_sym * K * (-delta_zz / h.alpha[r])).sum(axis=1) \
                 + (g_psi_sym * stage.psi[2][r]).sum(axis=1) + work.sum(axis=0)
 
-    return BoundTerms(*terms[:4], {b: grads[b] for b in wrt})
+    return grads
 
 
 # ----------------------------------------------------------------------
@@ -522,5 +512,5 @@ def load_model(path) -> Model:
         doc = json.load(fh)
     try:
         return model_from_dict(doc)
-    except (KeyError, TypeError) as exc:     # valid JSON, but not a saved model
+    except (KeyError, TypeError, ValueError) as exc:   # valid JSON, but not a saved model
         raise ValueError(f"{path}: not a vbpp model ({exc!r})") from exc

@@ -87,14 +87,14 @@ def gram(A, B, h: HyperParams) -> np.ndarray:
     return out
 
 
-def _psi_dim_factors(Z: np.ndarray, h: HyperParams, d: Domain, r: int, wrt):
-    """Psi's factor for dimension ``r`` and the partials of it that ``wrt`` names.
+def _psi_dim_factors(Z: np.ndarray, h: HyperParams, d: Domain, r: int, with_z: bool):
+    """Psi's factor for dimension ``r`` and its partials.
 
-    Returns (fac, dfac_dalpha, dfac_dzi), each (M, M); a partial is None
-    unless ``wrt`` holds "log_alpha", respectively "Z".  ``dfac_dzi[i, j]``
-    is the partial of fac[i, j] w.r.t. z_{i,r} (the partial w.r.t. z_{j,r}
-    is its transpose).  For R > 1, where a grid repeats coordinates, all
-    three are computed on the distinct coordinates and then expanded.
+    Returns (fac, dfac_dalpha, dfac_dzi), each (M, M); dfac_dzi is None
+    unless ``with_z``.  ``dfac_dzi[i, j]`` is the partial of fac[i, j] w.r.t.
+    z_{i,r} (the partial w.r.t. z_{j,r} is its transpose).  For R > 1, where
+    a grid repeats coordinates, all three are computed on the distinct
+    coordinates and then expanded.
     """
     a = h.alpha[r]
     s = np.sqrt(a)
@@ -108,15 +108,11 @@ def _psi_dim_factors(Z: np.ndarray, h: HyperParams, d: Domain, r: int, wrt):
     E = erf(u_lo) - erf(u_hi)
     base = (np.sqrt(np.pi) * s / 2.0) * np.exp(-(delta**2) / (4.0 * a))
     fac = base * E
-    dfac_dalpha = dfac_dzi = None
-    if "log_alpha" in wrt or "Z" in wrt:
-        e_lo = np.exp(-u_lo**2)
-        e_hi = np.exp(-u_hi**2)
-    if "log_alpha" in wrt:
-        dE_da = (u_hi * e_hi - u_lo * e_lo) / (np.sqrt(np.pi) * a)
-        dfac_dalpha = fac * (1.0 / (2.0 * a) + delta**2 / (4.0 * a**2)) + base * dE_da
-    if "Z" in wrt:
-        dfac_dzi = _dfac_dzi(fac, base, delta, a, s, e_lo, e_hi)
+    e_lo = np.exp(-u_lo**2)
+    e_hi = np.exp(-u_hi**2)
+    dE_da = (u_hi * e_hi - u_lo * e_lo) / (np.sqrt(np.pi) * a)
+    dfac_dalpha = fac * (1.0 / (2.0 * a) + delta**2 / (4.0 * a**2)) + base * dE_da
+    dfac_dzi = _dfac_dzi(fac, base, delta, a, s, e_lo, e_hi) if with_z else None
     out = fac, dfac_dalpha, dfac_dzi
     return tuple(f if f is None or h.dims == 1 else f[np.ix_(inv, inv)] for f in out)
 
@@ -127,21 +123,19 @@ def _dfac_dzi(fac, base, delta, a, s, e_lo, e_hi):
     return fac * (-delta / (2.0 * a)) + base * (0.5 * dE_dzbar)
 
 
-def psi_with_partials(Z, h: HyperParams, d: Domain, wrt=("log_alpha", "Z")):
+def psi_with_partials(Z, h: HyperParams, d: Domain, with_z: bool = True):
     """Psi, the M x M matrix of integrals int_T K(z_i, x) K(x, z_j) dx, with
-    the partials of it that ``wrt`` names.
+    its partials w.r.t. log alpha and, if ``with_z``, w.r.t. Z.
 
     For the ARD exponentiated-quadratic kernel the product of kernels is a
     single exponentiated quadratic in x, so the integral factorises over
-    dimensions into Gaussian-error-function terms.  Psi itself is computed
-    the same way whatever ``wrt`` holds; the partials w.r.t. log alpha only
-    when it holds "log_alpha", those w.r.t. Z only when it holds "Z".  The
-    bound asks for none, for ("log_alpha",) or for ("log_alpha", "Z").
+    dimensions into Gaussian-error-function terms.  Psi and its log-alpha
+    partials are computed the same way whatever ``with_z`` is.
 
     Returns
     -------
     psi : (M, M)
-    dpsi_dlog_alpha : (R, M, M) or None
+    dpsi_dlog_alpha : (R, M, M)
         Partial w.r.t. log alpha_r.
     dpsi_dzi : (R, M, M) or None
         dpsi_dzi[r, i, j] is the partial of Psi[i, j] w.r.t. z_{i, r}.
@@ -151,17 +145,16 @@ def psi_with_partials(Z, h: HyperParams, d: Domain, wrt=("log_alpha", "Z")):
     facs = np.empty((R, M, M))
     dfacs = []
     for r in range(R):
-        facs[r], *partials = _psi_dim_factors(Z, h, d, r, wrt)
+        facs[r], *partials = _psi_dim_factors(Z, h, d, r, with_z)
         dfacs.append(partials)
 
     psi = h.gamma**2 * facs.prod(axis=0)
-    dpsi_dlog_alpha = np.empty((R, M, M)) if "log_alpha" in wrt else None
-    dpsi_dzi = np.empty((R, M, M)) if "Z" in wrt else None
-    for r in range(R if "log_alpha" in wrt or "Z" in wrt else 0):
+    dpsi_dlog_alpha = np.empty((R, M, M))
+    dpsi_dzi = np.empty((R, M, M)) if with_z else None
+    for r in range(R):
         others = h.gamma**2 * facs[np.arange(R) != r].prod(axis=0)
         dfac_da, dfac_dz = dfacs[r]
-        if dpsi_dlog_alpha is not None:
-            dpsi_dlog_alpha[r] = others * dfac_da * h.alpha[r]
-        if dpsi_dzi is not None:
+        dpsi_dlog_alpha[r] = others * dfac_da * h.alpha[r]
+        if with_z:
             dpsi_dzi[r] = others * dfac_dz
     return psi, dpsi_dlog_alpha, dpsi_dzi

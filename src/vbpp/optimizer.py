@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .core import (BoundTerms, InducingPoints, Model, VariationalState, cholesky,
-                   elbo_and_gradient, kzz_factor, q_terms, theta_stage, xz_sq_diffs)
+                   kzz_factor, q_terms, theta_gradient, theta_stage, xz_sq_diffs)
 from .kernel import HyperParams
 from .pointdata import (Domain, EventSet, PointDataError, as_points, check_in_domain,
                         domain_measure, regular_grid)
@@ -129,10 +129,11 @@ def solve_q(stage, q0: VariationalState) -> tuple[VariationalState, int, BoundTe
     step.  A step that moves the bound by no more than the tolerance ends
     the solve untaken, as does a natural gradient that promises no more (a
     full step's gain, dL/dm^T S dL/dm / 2 + tr(G G)).  Returns (q, accepted
-    steps, the :func:`vbpp.core.q_terms` at q, which theta's gradient blocks
-    read); raises FloatingPointError when the bound or its gradient at
-    ``q0`` is not finite."""
-    q, terms = q0, q_terms(stage, q0, ("m", "L"))
+    steps, the :func:`vbpp.core.q_terms` at q, from which
+    :func:`vbpp.core.theta_gradient` forms theta's blocks); raises
+    FloatingPointError when the bound or its gradient at ``q0`` is not
+    finite."""
+    q, terms = q0, q_terms(stage, q0)
     if not _usable(terms):
         raise FloatingPointError("the bound or its gradient in q(u) is not finite")
     rho, steps = 1.0, 0
@@ -148,7 +149,7 @@ def solve_q(stage, q0: VariationalState) -> tuple[VariationalState, int, BoundTe
                                   lower=1)[0]
                 S = Y.T @ Y
                 trial = VariationalState(q.m + rho * (S @ terms.grads["m"]), cholesky(S))
-                t = q_terms(stage, trial, ("m", "L"))
+                t = q_terms(stage, trial)
                 if _usable(t) and t.elbo >= terms.elbo - tol:
                     if t.elbo <= terms.elbo + tol:
                         return q, steps, terms
@@ -192,11 +193,11 @@ class _ProfiledBound:
         try:
             model = unpack(theta, self.start.domain, q0.m.size, self.cfg,
                            fixed_z=self.start.inducing.Z, var_state=q0)
-            stage = theta_stage(model, self.events, self.wrt, self.xz_sq)
+            stage = theta_stage(model, self.events, self.cfg.optimize_z, self.xz_sq)
             q, steps, terms = solve_q(stage, q0)
             self.inner_steps += steps
             model = model.with_var_state(q)
-            value, grads = elbo_and_gradient(model, self.events, self.wrt, _stage=terms)
+            value, grads = terms.elbo, theta_gradient(terms)
         except (np.linalg.LinAlgError, FloatingPointError):
             return FAILED_OBJECTIVE, np.zeros_like(theta)
         g = -np.concatenate([np.ravel(grads[name]) for name in self.wrt])

@@ -274,6 +274,19 @@ def test_runtime_errors_exit_1(workspace, capsys):
                "sim/events.csv", "--split", "1.5", "--out-dir", "e4") == 1
 
 
+def test_predict_names_the_file_of_a_malformed_model(workspace, capsys):
+    # valid JSON whose parts do not make a model is reported with its path
+    doc = json.loads((workspace / "fit" / "model.json").read_text())
+    for name, change in (("short_L.json", {"L": doc["L"][:-1]}),
+                         ("short_m.json", {"m": doc["m"][:-1]}),
+                         ("negative_gamma.json", {"hyper": {**doc["hyper"], "gamma": -1}})):
+        (workspace / name).write_text(json.dumps({**doc, **change}))
+        capsys.readouterr()
+        assert run(workspace, "predict", "--model", name, "--out-dir", "p9") == 1
+        assert f"{name}: not a vbpp model" in capsys.readouterr().err
+    assert not (workspace / "p9").exists()
+
+
 def test_help_exits_zero(workspace):
     assert run(workspace, "--help") == 0
 

@@ -138,7 +138,7 @@ def test_integral_terms_against_grid_quadrature():
 
 def _closed_domain_integrals(model):
     """B = K^-1 Psi K^-1 and gamma |T| - tr(K^-1 Psi) from Psi's closed form."""
-    psi = psi_with_partials(model.inducing.Z, model.hyper, model.domain, ())[0]
+    psi = psi_with_partials(model.inducing.Z, model.hyper, model.domain, False)[0]
     solved = model.kzz_solve(psi)
     return model.kzz_solve(solved.T), \
         model.hyper.gamma * domain_measure(model.domain) - float(solved.trace())
@@ -148,7 +148,7 @@ def _closed_domain_integrals(model):
                          ids=["1d", "2d"])
 def test_domain_integrals_rule_matches_psi_where_k_zz_is_well_conditioned(build):
     model = build()
-    psi = psi_with_partials(model.inducing.Z, model.hyper, model.domain, ())[0]
+    psi = psi_with_partials(model.inducing.Z, model.hyper, model.domain, False)[0]
     B, prior = core.domain_integrals(model, psi)
     closed_B, closed_prior = _closed_domain_integrals(model)
     np.testing.assert_allclose(B, closed_B, rtol=0, atol=1e-13 * np.abs(closed_B).max())
@@ -160,7 +160,7 @@ def test_domain_integrals_fall_back_to_psi_past_the_node_budget():
     model = make_model(M=4, seed=5)
     model = Model(HyperParams(1.3, (4.0 / 1100) ** 2), model.inducing, model.var_state,
                   model.domain)
-    psi = psi_with_partials(model.inducing.Z, model.hyper, model.domain, ())[0]
+    psi = psi_with_partials(model.inducing.Z, model.hyper, model.domain, False)[0]
     B, prior = core.domain_integrals(model, psi)
     closed_B, closed_prior = _closed_domain_integrals(model)
     assert np.array_equal(B, closed_B) and prior == closed_prior
@@ -304,16 +304,15 @@ def _two_d_model():
 
 @pytest.mark.parametrize("build", [_coal_start, _two_d_model], ids=["coal-start", "2d"])
 def test_bound_is_bit_identical_whatever_blocks_are_requested(build, monkeypatch):
-    # the bound takes one of four paths, the value alone, the value with the
-    # q(u) blocks m and L, every block but Z, or every block, and wrt only
-    # chooses which blocks are returned; so a value, any request and any
-    # order of blocks must round identically
+    # the bound takes one of two paths, without Psi's Z partials or with
+    # them, and wrt only chooses which blocks are returned; so a value, any
+    # request and any order of blocks must round identically
     model, ev = build()
     seen = []
 
-    def psi_spy(Z, h, d, wrt):
-        seen.append(wrt)
-        return psi_with_partials(Z, h, d, wrt)
+    def psi_spy(Z, h, d, with_z):
+        seen.append(with_z)
+        return psi_with_partials(Z, h, d, with_z)
 
     monkeypatch.setattr(core, "psi_with_partials", psi_spy)
     full = _evaluate(model, ev, GRAD_BLOCKS)
@@ -327,11 +326,8 @@ def test_bound_is_bit_identical_whatever_blocks_are_requested(build, monkeypatch
         assert tuple(part.grads) == wrt
         for b in wrt:
             assert np.array_equal(part.grads[b], full.grads[b]), b
-    # Psi's partials: none for a value or q(u)'s blocks, log-alpha ones for
-    # theta without Z, and both with Z
-    value, no_z, with_z = (), ("log_alpha",), ("log_alpha", "Z")
-    assert seen == [with_z, value, *[no_z] * 3, value, value, with_z, value, no_z, with_z,
-                    with_z]
+    # one Psi per evaluation, with its Z partials only where "Z" is requested
+    assert seen == [True] + ["Z" in wrt for wrt in requests]
     assert elbo(model, ev) == full.elbo
     assert predictive_bound_lp(model, ev) == full.expected_log_lik
 

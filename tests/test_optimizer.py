@@ -11,6 +11,7 @@ from vbpp.core import (
     elbo_and_gradient,
     kzz_factor,
     q_terms,
+    theta_gradient,
     theta_stage,
     xz_sq_diffs,
 )
@@ -184,14 +185,14 @@ def coal_fit():
     import vbpp.optimizer as optimizer
     from vbpp.pointdata import coal_style_dataset
     ev, d = coal_style_dataset()
-    real, calls = optimizer.elbo_and_gradient, []
+    real, calls = optimizer.theta_gradient, []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimizer, "elbo_and_gradient", counted)
+        mp.setattr(optimizer, "theta_gradient", counted)
         model = fit(ev, d, 16)
     return model, ev, len(calls)
 
@@ -280,7 +281,8 @@ def test_profiled_gradient_matches_finite_differences_at_coal_start():
 
 def test_solve_q_raises_the_bound_and_stops_at_its_own_answer():
     objective, _ = _coal_start_objective()
-    stage = theta_stage(objective.start, objective.events, objective.wrt, objective.xz_sq)
+    stage = theta_stage(objective.start, objective.events, objective.cfg.optimize_z,
+                        objective.xz_sq)
     q0 = objective.start.var_state
     q, steps, _ = solve_q(stage, q0)
     assert steps > 0
@@ -302,14 +304,14 @@ def test_objective_rejects_steps_that_overflow(index, value):
 
 def test_objective_rejects_a_non_finite_gradient(monkeypatch):
     # a finite value with a NaN block would poison L-BFGS-B's curvature pairs
-    real = optimizer.elbo_and_gradient
+    real = optimizer.theta_gradient
 
     def nan_block(*args, **kwargs):
-        value, grads = real(*args, **kwargs)
+        grads = real(*args, **kwargs)
         grads["log_alpha"] = np.full_like(grads["log_alpha"], np.nan)
-        return value, grads
+        return grads
 
-    monkeypatch.setattr(optimizer, "elbo_and_gradient", nan_block)
+    monkeypatch.setattr(optimizer, "theta_gradient", nan_block)
     negative_bound, y = _coal_start_objective()
     f, g = negative_bound(y)
     assert f == FAILED_OBJECTIVE
@@ -345,7 +347,7 @@ def test_fit_in_which_every_evaluation_fails_raises(monkeypatch, tmp_path):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("forced")
 
-    monkeypatch.setattr(optimizer, "elbo_and_gradient", fail)
+    monkeypatch.setattr(optimizer, "theta_gradient", fail)
     ev, d = coal_style_dataset()
     with pytest.raises(FitError):
         fit(ev, d, 16)
@@ -396,10 +398,10 @@ def test_objective_with_cached_squares_is_bit_identical_to_the_bound(case, reque
         want_f, want_g = _ProfiledBound(ev, model, cfg)(y)
     assert f == want_f
     assert np.array_equal(g, want_g)
-    stage = theta_stage(model, ev, ("log_alpha", "Z"), xz_sq_diffs(ev, Z))
+    cached = q_terms(theta_stage(model, ev, True, xz_sq_diffs(ev, Z)), model.var_state)
+    cached_grads = {**cached.grads, **theta_gradient(cached)}
     value, grads = elbo_and_gradient(model, ev, GRAD_BLOCKS)
-    cached_value, cached_grads = elbo_and_gradient(model, ev, GRAD_BLOCKS, _stage=stage)
-    assert cached_value == value
+    assert cached.elbo == value
     for b in GRAD_BLOCKS:
         assert np.array_equal(cached_grads[b], grads[b]), b
 
@@ -408,7 +410,7 @@ def test_objective_with_cached_squares_is_bit_identical_to_the_bound(case, reque
 def test_objective_hands_the_solved_q_terms_to_the_bound(case, request):
     # the objective takes the value and theta's blocks from the terms that
     # solve_q formed at its answer; they must be the bits the bound itself
-    # gives at that q on the same stage
+    # gives from scratch at that q
     if case.startswith("coal"):
         ev, d = coal_style_dataset()
         Z = regular_grid(d, 16)
@@ -420,13 +422,9 @@ def test_objective_hands_the_solved_q_terms_to_the_bound(case, request):
     f, g = objective(pack(objective.start, objective.cfg))
     _, model, value = objective.last
     assert model.var_state is not objective.start.var_state
-    stage = theta_stage(model, ev, objective.wrt, objective.xz_sq)
-    want, grads = elbo_and_gradient(model, ev, objective.wrt, _stage=stage)
+    want, grads = elbo_and_gradient(model, ev, objective.wrt)
     assert value == want and f == -want
     assert np.array_equal(g, -np.concatenate([np.ravel(grads[b]) for b in objective.wrt]))
-    _, _, terms = solve_q(stage, objective.start.var_state)
-    with pytest.raises(ValueError):        # terms formed at another q(u) object
-        elbo_and_gradient(model, ev, objective.wrt, _stage=terms)
 
 
 def test_optimize_z_objective_never_reuses_squares_of_another_z():
