@@ -212,8 +212,10 @@ def _psi_inputs(case):
 
 
 @pytest.mark.parametrize("case", ["2d-grid", "2d-partly-shared", "1d-grid"])
-@pytest.mark.parametrize("with_z", [False, True])
-def test_psi_on_distinct_coordinates_is_bit_identical_to_all_pairs(case, with_z):
+@pytest.mark.parametrize("wrt", [(), ("log_alpha",), ("Z",), ("log_alpha", "Z")])
+def test_psi_on_distinct_coordinates_is_bit_identical_to_all_pairs(case, wrt):
+    # the log-alpha partials always come; a request naming Z also forms Z's
+    with_z = "Z" in wrt
     Z, h, d = _psi_inputs(case)
     for r in range(h.dims):
         got = _psi_dim_factors(Z, h, d, r, with_z)
