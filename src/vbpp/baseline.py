@@ -7,8 +7,9 @@ to integrate to one inside the domain (end correction), so the intensity
 integrates exactly to N there.  One log-space kernel sum, taken row by row,
 serves the objective, the intensity and the held-out score, so each stays
 finite where every kernel term of a point underflows.  The objective has an
-analytic gradient in log sigma, on which the search in two or more
-dimensions runs.
+analytic gradient in log sigma.  In two or more dimensions the search scans
+a log-spaced grid on the value alone and refines only the grid's peaks on
+that gradient.
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .pointdata import Domain, EventSet, as_points, check_in_domain, write_json
+from .pointdata import Domain, EventSet, as_points, check_in_domain, tensor_grid, write_json
 
 SIGMA_FLOOR_FRAC = 1e-3   # of the domain extent; guards the duplicate-point collapse
 SIGMA_CEIL_FRAC = 10.0
+SCAN_POINTS = 8   # per dimension of the log-sigma scan in two or more dimensions
+MAX_STARTS = 8    # grid peaks refined by L-BFGS-B, the highest first
 # numpy's exp is 10-100x slower per element where the result falls below
 # about e^-708, so kernel exponents are clipped at -700 below their row's
 # largest.
@@ -43,6 +46,9 @@ class KsModel:
         sigma = np.atleast_1d(np.asarray(self.sigma, dtype=float))
         if not (sigma > 0).all():
             raise ValueError("all bandwidths must be positive")
+        if self.train.n and sigma.shape != (self.train.points.shape[1],):
+            raise ValueError(f"{self.train.points.shape[1]}-D events need one bandwidth "
+                             f"per dimension, got {sigma.shape[0]}")
         object.__setattr__(self, "sigma", sigma)
         self.sigma.setflags(write=False)
 
@@ -116,9 +122,16 @@ def _total(peak: np.ndarray, row: np.ndarray) -> float:
     return float(np.sum(peak) + np.sum(np.log(row)))
 
 
+def _loo_sums(train: EventSet, d: Domain):
+    """``_log_kernel_sums`` of the leave-one-out objective, which needs N >= 2."""
+    if train.n < 2:
+        raise InsufficientDataError("leave-one-out bandwidth selection needs N >= 2")
+    return _log_kernel_sums(train.points, train.points, d, leave_one_out=True)
+
+
 def loo_objective(train: EventSet, sigma, d: Domain) -> float:
     """sum_i log sum_{j != i} N_T(x_i; x_j, Sigma)."""
-    return _total(*_log_kernel_sums(train.points, train.points, d, leave_one_out=True)(sigma))
+    return _total(*_loo_sums(train, d)(sigma))
 
 
 def fit_bandwidth(train: EventSet, d: Domain) -> KsModel:
@@ -128,17 +141,18 @@ def fit_bandwidth(train: EventSet, d: Domain) -> KsModel:
     extent; the lower floor is load-bearing for duplicate points, where the
     raw objective is unbounded.  In 1-D it is one bounded scalar search over
     the band.  In two or more dimensions the objective has several basins,
-    so L-BFGS-B on the analytic gradient runs from eight fixed starts
-    (log-uniform in the band) and the best end point is kept.  A training
-    event outside ``d`` raises PointDataError.
+    so the value alone is first scanned on a tensor grid of SCAN_POINTS
+    log-spaced points per dimension, ends included (8^R evaluations).  Every
+    grid point at least as high as its 2R axis neighbours starts L-BFGS-B on
+    the analytic gradient, in the same box, the MAX_STARTS highest if more
+    qualify, and the best end point is kept.  A training event outside ``d``
+    raises PointDataError.
     """
     from scipy.optimize import minimize, minimize_scalar   # here, so `import vbpp` skips it
-    if train.n < 2:
-        raise InsufficientDataError("leave-one-out bandwidth selection needs N >= 2")
+    sums = _loo_sums(train, d)
     check_in_domain(train.points, d, origin="training event")
     lo = np.log(SIGMA_FLOOR_FRAC * d.extent)
     hi = np.log(SIGMA_CEIL_FRAC * d.extent)
-    sums = _log_kernel_sums(train.points, train.points, d, leave_one_out=True)
     if d.dims == 1:
         res = minimize_scalar(lambda t: -_total(*sums(np.exp(t))), bounds=(lo[0], hi[0]),
                               method="bounded", options={"xatol": 1e-8})
@@ -148,10 +162,18 @@ def fit_bandwidth(train: EventSet, d: Domain) -> KsModel:
         peak, row, g = sums(np.exp(log_sigma), grad=True)
         return -_total(peak, row), -g
 
-    rng = np.random.Generator(np.random.Philox(key=[0, 0x4B53]))
-    starts = [lo + rng.random(d.dims) * (hi - lo) for _ in range(8)]
-    ends = [minimize(negated, start, jac=True, method="L-BFGS-B", bounds=list(zip(lo, hi)))
-            for start in starts]
+    grid = tensor_grid([np.linspace(a, b, SCAN_POINTS) for a, b in zip(lo, hi)])
+    values = np.array([_total(*sums(np.exp(t))) for t in grid])
+    scan = values.reshape((SCAN_POINTS,) * d.dims)
+    is_peak = np.ones(scan.shape, dtype=bool)
+    for r in range(d.dims):   # moveaxis gives views, so the masks land in is_peak
+        v, p = np.moveaxis(scan, r, 0), np.moveaxis(is_peak, r, 0)
+        p[1:] &= v[1:] >= v[:-1]
+        p[:-1] &= v[:-1] >= v[1:]
+    peaks = np.flatnonzero(is_peak)
+    starts = peaks[np.argsort(-values[peaks], kind="stable")[:MAX_STARTS]]
+    ends = [minimize(negated, grid[i], jac=True, method="L-BFGS-B", bounds=list(zip(lo, hi)))
+            for i in starts]
     return KsModel(train=train, sigma=np.exp(min(ends, key=lambda res: res.fun).x))
 
 

@@ -61,6 +61,13 @@ def test_ksmodel_rejects_nonpositive_bandwidth():
         KsModel(EventSet(np.zeros((3, 1))), np.array([0.0]))
 
 
+def test_ksmodel_needs_one_bandwidth_per_dimension():
+    with pytest.raises(ValueError, match="one bandwidth per dimension"):
+        KsModel(EventSet(np.zeros((3, 2))), np.array([0.1]))
+    with pytest.raises(ValueError, match="one bandwidth per dimension"):
+        KsModel(EventSet(np.zeros((3, 1))), np.array([0.1, 0.2]))
+
+
 def test_truncnorm_reduces_to_normal_on_wide_domain():
     d = Domain([-100.0], [100.0])
     got = truncnorm_pdf([0.3], [0.0], [1.0], d)
@@ -233,7 +240,7 @@ def test_loo_is_bit_identical_to_the_oracle():
         floor = SIGMA_FLOOR_FRAC * d.extent
         cases += [(d, train, floor), (d, far, floor), (d, train, np.full(dims, 0.02)),
                   (d, far, np.full(dims, 0.3)), (d, train, np.array([0.7, 0.05][:dims]))]
-    d, train = _sim_2d_train(1)
+    d, train = _sim_train(1)
     cases += [(d, train, sigma) for sigma in
               (SIGMA_FLOOR_FRAC * d.extent, np.array([0.885, 0.550]), np.array([3.0, 0.2]))]
     for d, events, sigma in cases:
@@ -278,6 +285,14 @@ def test_fit_bandwidth_needs_two_points():
     d = Domain([0.0], [1.0])
     with pytest.raises(InsufficientDataError):
         fit_bandwidth(EventSet(np.array([[0.5]])), d)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_loo_objective_needs_two_points(n):
+    # on one event the row peak is -inf and the objective would read NaN
+    d = Domain([0.0], [10.0])
+    with pytest.raises(InsufficientDataError):
+        loo_objective(EventSet(np.ones((n, 1))), [1.0], d)
 
 
 def test_duplicate_points_hit_the_floor():
@@ -332,8 +347,9 @@ def _counting_loo(monkeypatch):
 
 
 def _nelder_mead_oracle(train, d):
-    """fit_bandwidth's 2-D oracle: the best end point of Nelder-Mead on the
-    value alone, from the same eight starts inside the same box."""
+    """fit_bandwidth's oracle in two or more dimensions: the best end point of
+    Nelder-Mead on the value alone, inside the same box, from eight fixed
+    log-uniform starts (not fit_bandwidth's scan)."""
     loo = _loo(train, d)
     lo, hi = np.log(SIGMA_FLOOR_FRAC * d.extent), np.log(SIGMA_CEIL_FRAC * d.extent)
     rng = np.random.Generator(np.random.Philox(key=[0, 0x4B53]))
@@ -347,25 +363,34 @@ def _nelder_mead_oracle(train, d):
     return best
 
 
-def _sim_2d_train(seed):
-    """The training half of a 2-D simulation drawn as ``vbpp simulate
-    --domain 0:10,0:10 --gamma 4 --alpha 4,4 --grid-res 48`` does."""
-    d = Domain([0.0, 0.0], [10.0, 10.0])
-    truth = ground_truth(HyperParams(4.0, np.array([4.0, 4.0])), d, resolution=48, seed=seed)
+def _sim_train(seed, gamma=4.0, alpha=(4.0, 4.0), hi=10.0, grid_res=48):
+    """The training half of a simulation on [0, hi]^R, drawn as ``vbpp simulate``
+    draws it; the defaults are ``--domain 0:10,0:10 --gamma 4 --alpha 4,4
+    --grid-res 48``."""
+    d = Domain(np.zeros(len(alpha)), np.full(len(alpha), hi))
+    truth = ground_truth(HyperParams(gamma, np.array(alpha)), d, resolution=grid_res, seed=seed)
     train, _ = split_events(thin_sample(truth, d, seed=seed), 0.5, 0)
     return d, train
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-def test_fit_bandwidth_2d_reaches_the_nelder_mead_oracle(seed):
-    d, train = _sim_2d_train(seed)
+@pytest.mark.parametrize("draw", [
+    *[pytest.param({"seed": seed}, id=str(seed)) for seed in (1, 2, 3, 4, 5)],
+    # draws on which the choice of starts decides the basin the search ends in
+    pytest.param({"seed": 5, "alpha": (0.3, 0.3)}, id="alpha-0.3,0.3-seed-5"),
+    pytest.param({"seed": 9, "alpha": (0.3, 0.3)}, id="alpha-0.3,0.3-seed-9"),
+    pytest.param({"seed": 2, "gamma": 2.0, "alpha": (1.0, 9.0)}, id="gamma-2-alpha-1,9-seed-2"),
+    pytest.param({"seed": 3, "gamma": 3.0, "alpha": (2.0, 2.0, 2.0), "hi": 4.0, "grid_res": 16},
+                 id="3d-seed-3"),
+])
+def test_fit_bandwidth_2d_reaches_the_nelder_mead_oracle(draw):
+    d, train = _sim_train(**draw)
     found = loo_objective(train, fit_bandwidth(train, d).sigma, d)
     oracle = _nelder_mead_oracle(train, d)
     assert found >= oracle - 1e-9 * abs(oracle)
 
 
 def test_fit_bandwidth_2d_from_starts_where_every_kernel_term_underflows(monkeypatch):
-    # at several starts the isolated corner point is so far from the cluster,
+    # at several scan points the isolated corner point is so far from the cluster,
     # in bandwidths, that all its kernel exponents lie below LOG_KERNEL_CUT
     d = Domain([0.0, 0.0], [1.0, 1.0])
     rng = np.random.default_rng(7)
@@ -380,10 +405,10 @@ def test_fit_bandwidth_2d_from_starts_where_every_kernel_term_underflows(monkeyp
 
 
 def test_fit_bandwidth_2d_evaluation_count(monkeypatch):
-    d, train = _sim_2d_train(1)
+    d, train = _sim_train(1)
     evaluated = _counting_loo(monkeypatch)
     fit_bandwidth(train, d)
-    assert len(evaluated) <= 300
+    assert len(evaluated) <= 100
 
 
 def test_log_predictive_two_routes_agree():
