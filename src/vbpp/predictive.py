@@ -15,10 +15,12 @@ M0 and H = [G, A-bar L] for Mp, where G is one pivoted Cholesky factor of
 rank r of the covariance of q(f | u = m), taken with no jitter.  The
 quadrature term is a quadratic in z, so it is folded exactly into the
 Gaussian, which leaves prod_k f_k^2: f is needed only at the test events.
-The proposal is a mixture of Laplace fits to that target, one per sign
-orthant of f at the test events that may hold mass, plus a defensive
-component.  The estimate is the log of the mean weight, with its
-delta-method stderr and the weights' effective sample size.
+That Gaussian is whitened and, with fewer test events than z has
+dimensions, cut by a QR factor to their span.  The proposal is a mixture
+of Laplace fits to that target, one per sign orthant of f at the test
+events that may hold mass, plus a defensive component.  The estimate is
+the log of the mean weight, with its delta-method stderr and the weights'
+effective sample size.
 """
 
 from __future__ import annotations
@@ -115,14 +117,19 @@ def _pivoted_cholesky(cov: np.ndarray):
     return c, int(rank), np.argsort(piv)
 
 
-def _tilted_gaussian(Hn: np.ndarray, mu_n: np.ndarray, weights: np.ndarray):
-    """The quadrature term folded into the latent Gaussian: with
-    f_n = mu_n + Hn z at the nodes and z ~ N(0, I),
+def _whitened_tilt(Hn, Ht, mu_n, mu_t, weights):
+    """The quadrature term folded into the latent Gaussian, then whitened:
+    with f = mu_n + Hn z at the nodes, mu_t + Ht z at the test events and
+    z ~ N(0, I),
 
         N(z; 0, I) exp(-sum_j w_j f_j^2) = Z0 N(z; m0, Lambda^-1),
-        Lambda = I + 2 Hn^T W Hn.
+        Lambda = I + 2 Hn^T W Hn = C C^T,
 
-    Returns (Lambda, its lower Cholesky factor, m0, log Z0).
+    and z = m0 + C^-T v gives f = f0 + T v at the test events, with
+    v ~ N(0, I), f0 = mu_t + Ht m0 and T = Ht C^-T.  Where the test events
+    are fewer than z's dimensions, T^T = QR (economic) and f = f0 + R^T w,
+    w = Q^T v ~ N(0, I): the rest of v is an exact N(0, I) factor, so T is
+    replaced by R^T.  Returns (T, f0, log Z0).
     """
     WH = weights[:, None] * Hn
     lam = 2.0 * (Hn.T @ WH)
@@ -131,82 +138,79 @@ def _tilted_gaussian(Hn: np.ndarray, mu_n: np.ndarray, weights: np.ndarray):
     b = -2.0 * (WH.T @ mu_n)
     m0 = lapack.dpotrs(chol, b, lower=1)[0]
     log_z0 = 0.5 * (b @ m0) - weights @ mu_n**2 - np.log(chol.diagonal()).sum()
-    return lam, chol, m0, float(log_z0)
+    T = blas.dtrsm(1.0, chol, Ht, side=1, lower=1, trans_a=1)
+    if T.shape[0] < T.shape[1]:
+        T = np.linalg.qr(T.T, mode="r").T
+    return T, mu_t + Ht @ m0, float(log_z0)
 
 
-def _log_target(lam, m0, z, f) -> float:
-    """log N(z; m0, Lambda^-1) + sum_k log f_k^2, without the normaliser."""
-    dz = z - m0
-    return float(np.log(f * f).sum() - 0.5 * dz @ (lam @ dz))
+def _log_target(v, f) -> float:
+    """log N(v; 0, I) + sum_k log f_k^2, without the normaliser."""
+    return float(np.log(f * f).sum() - 0.5 * v @ v)
 
 
-def _orthant_mode(lam, m0, Ht, mu_t, z, f2_floor):
-    """Mode of :func:`_log_target`, f = mu_t + Ht z, in the sign orthant of f
-    at the start ``z``.
+def _orthant_mode(T, f0, v, f2_floor):
+    """Mode of :func:`_log_target`, f = f0 + T v, in f's sign orthant at ``v``.
 
     The target is log-concave there.  Damped Newton steps stop short of any
     f_k's zero and backtrack until the target rises; the search ends when the
     Newton decrement falls below 1e-10 or after 50 steps.  The Hessian's
     weights 2 / f_k^2 take f_k^2 no smaller than ``f2_floor``, so that an f_k
-    near zero on the way cannot swamp Lambda in rounding; a mode's f_k^2 lies
-    far above it.  Returns (z, f, log target at z, lower Cholesky factor of
-    the negated Hessian Lambda + 2 Ht^T diag(1/f^2) Ht at z).
+    near zero on the way cannot swamp the identity in rounding; a mode's
+    f_k^2 lies far above it.  Returns (v, f, log target at v, lower Cholesky
+    factor of the negated Hessian I + 2 T^T diag(1/f^2) T at v).
     """
-    f = mu_t + Ht @ z
-    value = _log_target(lam, m0, z, f)
+    f = f0 + T @ v
+    value = _log_target(v, f)
     for steps in range(51):
-        grad = lam @ (m0 - z) + Ht.T @ (2.0 / f)
-        scaled = Ht / np.sqrt(np.maximum(f * f, f2_floor))[:, None]
+        grad = T.T @ (2.0 / f) - v
+        scaled = T / np.sqrt(np.maximum(f * f, f2_floor))[:, None]
         chol = cholesky(blas.dsyrk(2.0, scaled, trans=1, lower=1, beta=1.0,
-                                   c=lam.copy(order="F"), overwrite_c=1))
+                                   c=np.eye(v.size, order="F"), overwrite_c=1))
         step = lapack.dpotrs(chol, grad, lower=1)[0]
         decrement = grad @ step
         if decrement <= 1e-10 or steps == 50:
             break
-        df = Ht @ step
+        df = T @ step
         toward = f * df < 0
         t = min(1.0, 0.99 * np.min(-f[toward] / df[toward])) if toward.any() else 1.0
         while t > 1e-10:
-            z_new = z + t * step
-            f_new = mu_t + Ht @ z_new
-            new_value = _log_target(lam, m0, z_new, f_new)
+            v_new = v + t * step
+            f_new = f0 + T @ v_new
+            new_value = _log_target(v_new, f_new)
             if new_value >= value + 0.25 * t * decrement and (f_new * f > 0).all():
                 break
             t *= 0.5
         else:
             break
-        z, f, value = z_new, f_new, new_value
-    return z, f, value, chol
+        v, f, value = v_new, f_new, new_value
+    return v, f, value, chol
 
 
-def _laplace_components(lam, lam_chol, m0, Ht, mu_t):
+def _laplace_components(T, f0):
     """The Laplace fits of :func:`_orthant_mode`, one per sign orthant found.
 
-    The first is the mode reached from m0, or, where f vanishes at m0, from
-    the point that moves each such f_k about one sd s_k off zero, s_k^2 being
-    f_k's variance under N(m0, Lambda^-1).  An event is a candidate for a
-    sign flip when its f at m0 lies within 3 s_k of zero.  s_k leaves out the
-    event's own factor f_k^2, so a cluster of events near a zero of f
-    qualifies, as a lone one does.  From each fit in turn, new starts are
-    made: the fit's mode reflected through m0, which flips every event near
-    zero at once, and each candidate mirrored, moving z along the
-    candidate's Laplace regression Lambda-hat^-1 h_k until f_k takes the
-    opposite value, which may flip events correlated with it too.  A start
-    in an orthant not yet fitted is fitted unless the target there lies more
-    than ``SCREEN_NATS`` below the first mode; at most ``MAX_COMPONENTS``
-    are fitted.  The searches floor f_k^2 in the Hessian at (1e-6 s_k)^2.
-    Returns a list of (z, f, log target, factor) tuples.
+    The first is the mode reached from 0, or, where f vanishes there, from
+    the point that moves each such f_k about one sd s_k = ||T_k|| off zero.
+    An event is a candidate for a sign flip when f0_k lies within 3 s_k of
+    zero; s_k leaves out the event's own factor f_k^2, so a cluster of events
+    near a zero of f qualifies, as a lone one does.  From each fit in turn,
+    new starts are made: the mode reflected through 0, which flips every
+    event near zero at once, and each candidate mirrored, moving v along its
+    Laplace regression Lambda-hat^-1 T_k until f_k takes the opposite value,
+    which may flip events correlated with it too.  A start in an orthant not
+    yet fitted is fitted unless the target there lies more than
+    ``SCREEN_NATS`` below the first mode; at most ``MAX_COMPONENTS`` are
+    fitted.  The searches floor f_k^2 in the Hessian at (1e-6 s_k)^2.
+    Returns a list of (v, f, log target, factor) tuples.
     """
-    f0 = mu_t + Ht @ m0
-    tilted = blas.dtrsm(1.0, lam_chol, Ht, side=1, lower=1, trans_a=1)     # Ht C^-T
-    var = np.einsum("kd,kd->k", tilted, tilted)
+    var = np.einsum("kd,kd->k", T, T)
     candidates = np.flatnonzero(f0**2 < 9.0 * var)
     candidates = candidates[np.argsort(f0[candidates] ** 2 / var[candidates], kind="stable")]
     zero = (f0 == 0) & (var > 0)
-    push = tilted[zero].T @ (1.0 / np.sqrt(var[zero]))
-    start = m0 + lapack.dtrtrs(lam_chol, push, lower=1, trans=1)[0]
+    start = T[zero].T @ (1.0 / np.sqrt(var[zero]))
     f2_floor = 1e-12 * var
-    components = [_orthant_mode(lam, m0, Ht, mu_t, start, f2_floor)]
+    components = [_orthant_mode(T, f0, start, f2_floor)]
     if not candidates.size:
         return components
     seen, floor = {(components[0][1] > 0).tobytes()}, components[0][2] - SCREEN_NATS
@@ -214,22 +218,22 @@ def _laplace_components(lam, lam_chol, m0, Ht, mu_t):
     def full(start) -> bool:
         """Fit the orthant of f at ``start`` if it is new and the target there
         clears the screen; whether the mixture is full."""
-        f = mu_t + Ht @ start
+        f = f0 + T @ start
         orthant = (f > 0).tobytes()
-        if orthant not in seen and f.all() and _log_target(lam, m0, start, f) >= floor:
+        if orthant not in seen and f.all() and _log_target(start, f) >= floor:
             seen.add(orthant)
-            components.append(_orthant_mode(lam, m0, Ht, mu_t, start, f2_floor))
+            components.append(_orthant_mode(T, f0, start, f2_floor))
         return len(components) == MAX_COMPONENTS
 
-    for z_hat, f_hat, _, chol in components:        # grows as orthants are found
-        # the reflection through m0 flips every event near zero at once:
-        # where f's mean vanishes, it is the mode's mirror image
-        if full(2.0 * m0 - z_hat):
+    for v_hat, f_hat, _, chol in components:        # grows as orthants are found
+        # the reflection through 0 flips every event near zero at once:
+        # where f0 vanishes, it is the mode's mirror image
+        if full(-v_hat):
             return components
-        B = blas.dtrsm(1.0, chol, Ht, side=1, lower=1, trans_a=1)      # Ht C^-T
+        B = blas.dtrsm(1.0, chol, T, side=1, lower=1, trans_a=1)      # T C^-T
         for k in candidates:
             regression = lapack.dtrtrs(chol, B[k], lower=1, trans=1)[0]
-            if full(z_hat - (2.0 * f_hat[k] / (B[k] @ B[k])) * regression):
+            if full(v_hat - (2.0 * f_hat[k] / (B[k] @ B[k])) * regression):
                 return components
     return components
 
@@ -237,61 +241,57 @@ def _laplace_components(lam, lam_chol, m0, Ht, mu_t):
 def _importance_sample(Hn, Ht, mu_n, mu_t, weights, n_samples: int,
                        rng: np.random.Generator) -> MCEstimate:
     """log E[prod_k f_k^2 exp(-sum_j w_j f_j^2)] for f = mu + H z, z ~ N(0, I),
-    where Ht and Hn are H's rows at the test events and the nodes.
+    where Ht and Hn are H's rows at the test events and the nodes: log Z0 +
+    log E[prod_k f_k^2] for f = f0 + T v, v ~ N(0, I) (:func:`_whitened_tilt`).
 
     The proposal mixes the Laplace components, weighted by their evidence,
-    with a defensive component (Hesterberg 1995) that takes
-    ``DEFENSIVE_SHARE`` of the draws: the tilted Gaussian's covariance
-    Lambda^-1, centred at the first mode.  The Laplace components are
-    narrower than the target, whose tails are those of N(m0, Lambda^-1) times
-    a polynomial; the defensive one keeps the weights' variance finite.  Each
-    component gets its share of the draws, rounded to whole draws by largest
-    remainders, and the mixture density uses those realised shares.  A
-    component j with factor C_j (Lambda-hat_j = C_j C_j^T = Lambda + Ht^T D_j
-    Ht, D_j = 2 / f_j^2 for a Laplace fit and 0 for the defensive one) draws
-    z = z_j + C_j^-T e.  Every component's density, and the target's, then
-    follows from f at the test events and g_i^T (z - m0), g_i = Lambda (z_i -
-    m0):
+    with a defensive component (Hesterberg 1995), N(0, I) centred at the
+    first mode, that takes ``DEFENSIVE_SHARE`` of the draws: the target's
+    tails, those of N(0, I) times a polynomial, are wider than the Laplace
+    fits'.  Each component gets its share of the draws, rounded to whole
+    draws by largest remainders, and the mixture density uses those realised
+    shares.  Component i, with factor C_i C_i^T = I + T^T D_i T (D_i =
+    2 / f_i^2 for a Laplace fit, 0 for the defensive one), draws
+    v = v_i + C_i^-T e, and
 
-        (z - z_i)^T Lambda-hat_i (z - z_i) = q(z) - 2 g_i^T (z - m0)
-            + g_i^T (z_i - m0) + sum_k D_ik (f_k - f_ik)^2,
+        (v - v_i)^T C_i C_i^T (v - v_i) = v^T v - 2 v_i^T v + v_i^T v_i
+            + sum_k D_ik (f_k - f_ik)^2,
 
-    and q(z) = (z - m0)^T Lambda (z - m0) cancels in the weight.  So each draw
-    costs one product with the (n_test + K) x D matrix [Ht; g^T] C_j^-T.  The
+    where v^T v cancels in the weight.  So each draw costs one product with
+    the (n_test + K) x D matrix [T; V] C_j^-T, V's rows being the v_i.  The
     draws are made in chunks of at most ``DRAW_CHUNK_BYTES`` per array; the
     stream is the same whatever the chunk, so the weights agree to rounding.
     An empty test set returns log Z0 exactly, with no draws.
     """
-    lam, lam_chol, m0, log_z0 = _tilted_gaussian(Hn, mu_n, weights)
-    if not Ht.shape[0]:
+    T, f0, log_z0 = _whitened_tilt(Hn, Ht, mu_n, mu_t, weights)
+    if not T.shape[0]:
         return MCEstimate(log_z0, 0.0, 0.0, 0)
-    components = _laplace_components(lam, lam_chol, m0, Ht, mu_t)
+    components = _laplace_components(T, f0)
     log_evidence = np.array([value - np.log(c.diagonal()).sum() for _, _, value, c in components])
     shares = np.exp(log_evidence - log_evidence.max())
     shares = np.append((1.0 - DEFENSIVE_SHARE) / shares.sum() * shares, DEFENSIVE_SHARE)
-    components.append((components[0][0], components[0][1], None, lam_chol))
+    components.append((*components[0][:2], None, np.eye(T.shape[1])))
     exact = n_samples * shares
     counts = np.floor(exact).astype(int)
     counts[np.argsort(counts - exact, kind="stable")[:n_samples - counts.sum()]] += 1
     components = [c for c, n in zip(components, counts) if n]
     counts = counts[counts > 0]
 
-    # row i of each: component i's log density, up to -q(z)/2 and the terms
-    # every component shares, is const_i + g_i^T (z - m0) + quad_i f^2 + lin_i f
-    K, (n_t, dims) = len(components), Ht.shape
-    g, quad, lin, const = np.empty((K, dims)), np.zeros((K, n_t)), np.zeros((K, n_t)), np.empty(K)
-    for i, (z, f, value, c) in enumerate(components):
-        g[i] = lam @ (z - m0)
-        const[i] = np.log(counts[i] / n_samples) + np.log(c.diagonal()).sum() \
-            - 0.5 * g[i] @ (z - m0)
-        if value is not None:                       # a Laplace fit
+    # row i of each: component i's log density, up to -v^T v / 2 and the terms
+    # every component shares, is const_i + v_i^T v + quad_i f^2 + lin_i f
+    K, (n_t, dims) = len(components), T.shape
+    V = np.array([v for v, *_ in components])
+    quad, lin = np.zeros((2, K, n_t))
+    const = np.log(counts / n_samples) - 0.5 * np.einsum("kd,kd->k", V, V)
+    for i, (_, f, value, c) in enumerate(components):
+        if value is not None:                       # a Laplace fit; else c = I
             quad[i], lin[i] = -1.0 / f**2, 2.0 / f
-            const[i] -= n_t
-    Hg, log_w = np.vstack([Ht, g]), []
+            const[i] += np.log(c.diagonal()).sum() - n_t
+    TV, log_w = np.vstack([T, V]), []
     chunk = max(1, DRAW_CHUNK_BYTES // (8 * (n_t + K)))
-    for j, (z, f, _, c) in enumerate(components):
-        A = blas.dtrsm(1.0, c, Hg, side=1, lower=1, trans_a=1)
-        offset = const + g @ (z - m0)
+    for j, (v, f, _, c) in enumerate(components):
+        A = blas.dtrsm(1.0, c, TV, side=1, lower=1, trans_a=1)
+        offset = const + V @ v
         parts = []
         for done in range(0, counts[j], chunk):
             y = rng.standard_normal((min(chunk, counts[j] - done), dims)) @ A.T
@@ -303,7 +303,7 @@ def _importance_sample(Hn, Ht, mu_n, mu_t, weights, n_samples: int,
             log_mix = peak + np.log(np.exp(terms - peak[:, None]).sum(axis=1))
             parts.append(np.log(f2).sum(axis=1) - log_mix)
         log_w.append(np.concatenate(parts))
-    return _mixture_estimate(log_w, log_z0 + np.log(lam_chol.diagonal()).sum())
+    return _mixture_estimate(log_w, log_z0)
 
 
 def _mixture_estimate(log_w: list[np.ndarray], shift: float) -> MCEstimate:

@@ -5,7 +5,7 @@ sized to the machine.  The bound works on small matrices (N x M, M in the
 tens), where waking a second thread costs far more than the product itself
 (10-200x on a two-core machine) and the fixed cost hides the bound's linear
 scaling in N.  The joint covariance of Monte Carlo prediction holds the test
-events plus the quadrature nodes (106 to 774 points on the benchmark's
+events plus the quadrature nodes (106 to 806 points on the benchmark's
 models), too few to repay a second thread either.  So importing vbpp sets
 both pools to one thread, and results do not depend on the core count.
 

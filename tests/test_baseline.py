@@ -381,6 +381,10 @@ def _sim_train(seed, gamma=4.0, alpha=(4.0, 4.0), hi=10.0, grid_res=48):
     pytest.param({"seed": 2, "gamma": 2.0, "alpha": (1.0, 9.0)}, id="gamma-2-alpha-1,9-seed-2"),
     pytest.param({"seed": 3, "gamma": 3.0, "alpha": (2.0, 2.0, 2.0), "hi": 4.0, "grid_res": 16},
                  id="3d-seed-3"),
+    pytest.param({"seed": 1, "gamma": 3.0, "alpha": (2.0, 2.0, 2.0), "hi": 4.0, "grid_res": 16},
+                 id="3d-seed-1", marks=pytest.mark.xfail(strict=True, reason=(
+                     "CHANGES.md FOUND line on baseline.fit_bandwidth in 3-D: L-BFGS-B from "
+                     "the scan's peaks ends 0.216 nats below the oracle on this draw"))),
 ])
 def test_fit_bandwidth_2d_reaches_the_nelder_mead_oracle(draw):
     d, train = _sim_train(**draw)

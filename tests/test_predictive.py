@@ -248,15 +248,24 @@ def _plain_estimate(log_liks):
 
 def test_mc_estimates_agree_with_the_jittered_dense_sampler(fitted):
     # importance sampling against plain draws through a dense jittered
-    # factor, at the (samples, nodes, seed) of the Monte Carlo tests below
+    # factor, at the (samples, nodes, seed) of the Monte Carlo tests below,
+    # on both sides of the sampler's reduction: with n_test = 24 test events
+    # and D = rank (M0) or rank + 6 (Mp) latent dimensions, 1024 nodes give
+    # D = 25 / 31 and 256 nodes 20 / 26 (M0 / Mp), so there M0 samples in D
+    # dimensions (n_test >= D) at 256 nodes and in n_test at 1024, and Mp in
+    # n_test at both; 64 nodes give 14 / 20, where neither mode is reduced
     model, ev, _ = fitted
-    for n_samples, nodes, seed in ((3000, 1024, 1), (3000, 256, 2), (2000, 256, 4)):
-        new, *_ = _mc_estimates(model, ev, n_samples, nodes, seed)
+    reduced = {"Mp": set(), "M0": set()}
+    for n_samples, nodes, seed in ((3000, 1024, 1), (3000, 256, 2), (2000, 256, 4),
+                                   (2000, 64, 3)):
+        new, rank, _ = _mc_estimates(model, ev, n_samples, nodes, seed)
         old = _jittered_mc_log_liks(model, ev, n_samples, nodes, seed)
         for mode in ("Mp", "M0"):
+            reduced[mode].add(ev.n < rank + (model.num_inducing if mode == "Mp" else 0))
             plain, plain_se = _plain_estimate(old[mode])
             se = np.hypot(new[mode].stderr, plain_se)
             assert abs(new[mode].log_mean - plain) <= 4 * se, (mode, seed)
+    assert reduced == {"Mp": {True, False}, "M0": {True, False}}
 
 
 def tilted_moments(model, points, nodes, weights, mode):
@@ -294,16 +303,22 @@ def two_event_log_lik(model, points, nodes, weights, mode):
 
 @pytest.fixture(scope="module")
 def benchmark_models():
-    """The coal model (M = 16) and the dense 1-D configuration (gamma 200,
-    alpha 1, seed 3, M = 32), each fitted to all its events, and the first
-    two events of each held-out half."""
+    """The coal model (M = 16), the dense 1-D configuration (gamma 200,
+    alpha 1, seed 3, M = 32) and the 2-D one (gamma 4, alpha 4,4 on
+    [0, 10]^2, grid 48, seed 1, 6 inducing points per dimension), each
+    fitted to all its events, and the first two events of each held-out
+    half."""
     from vbpp.pointdata import coal_style_dataset, split_events
     from vbpp.simulate import ground_truth, thin_sample
     coal, d_coal = coal_style_dataset()
     d = Domain([0.0], [10.0])
     dense = thin_sample(ground_truth(HyperParams(200.0, [1.0]), d, seed=3), d, seed=3)
+    d2 = Domain([0.0, 0.0], [10.0, 10.0])
+    sim2d = thin_sample(ground_truth(HyperParams(4.0, [4.0, 4.0]), d2, resolution=48, seed=1),
+                        d2, seed=1)
     out = {}
-    for name, events, dom, M in (("coal", coal, d_coal, 16), ("dense", dense, d, 32)):
+    for name, events, dom, M in (("coal", coal, d_coal, 16), ("dense", dense, d, 32),
+                                 ("sim-2d", sim2d, d2, 6)):
         model = fit(events, dom, M, FitConfig(max_iters=5000))
         out[name] = model, split_events(events, 0.5, 0)[1].points[:2]
     return out
@@ -322,8 +337,10 @@ def _check_against_closed_form(model, points, n_samples=2000, seed=1):
     return estimates
 
 
-@pytest.mark.parametrize("name", ["coal", "dense"])
+@pytest.mark.parametrize("name", ["coal", "dense", "sim-2d"])
 def test_mc_matches_the_two_event_closed_form(benchmark_models, name):
+    # two test events against D = rank (+ M) latent dimensions: the sampler
+    # works in the test events' two-dimensional span
     model, points = benchmark_models[name]
     _check_against_closed_form(model, points)
 
