@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .pointdata import Domain, EventSet, as_points, check_in_domain, tensor_grid, write_json
+from .pointdata import (Domain, EventSet, as_points, check_in_domain, tensor_grid, tile_rows,
+                        write_json)
 
 SIGMA_FLOOR_FRAC = 1e-3   # of the domain extent; guards the duplicate-point collapse
 SIGMA_CEIL_FRAC = 10.0
@@ -68,51 +69,74 @@ def _log_kernel_sums(query: np.ndarray, centres: np.ndarray, d: Domain,
     underflow.  The per-dimension squared differences are built once.
     Shifted exponents are clipped at LOG_KERNEL_CUT.  With ``leave_one_out``
     the queries are the centres and the diagonal is left out: it is set to
-    -inf before the row peaks and zeroed after the exp.
+    -inf before the row peaks and zeroed after the exp.  Each call sweeps
+    the queries in row tiles of at most about ``TILE_BYTES``, in one reused
+    buffer; every row's arithmetic is the same whatever the tile.
 
     ``sums(sigma)`` returns (peak, row), with row_i = sum_j exp(s_ij - peak_i)
     w_j; ``_total`` sums their logs over the queries.  ``sums(sigma,
     grad=True)`` also returns the total's gradient in log sigma.  With p_ij =
     exp(s_ij) w_j / sum_k exp(s_ik) w_k, its component along r is sum_ij p_ij
     ((q_ir - c_jr)^2 / sigma_r^2 - 1 - d log mass_jr / d log sigma_r), where
-    mass_jr is centre j's kernel mass inside the domain.
+    mass_jr is centre j's kernel mass inside the domain; its sums over i
+    are accumulated tile by tile.
     """
     query, centres = as_points(query, d.dims), as_points(centres, d.dims)
-    half_sq = np.empty((d.dims, query.shape[0], centres.shape[0]))
+    n, m = query.shape[0], centres.shape[0]
+    half_sq = np.empty((d.dims, n, m))
     for r in range(d.dims):
         np.subtract.outer(query[:, r], centres[:, r], out=half_sq[r])
         np.square(half_sq[r], out=half_sq[r])
         np.multiply(half_sq[r], -0.5, out=half_sq[r])
-    buf = np.empty_like(half_sq[0])
+    # BLAS's matrix-vector product takes rows in groups of four and numpy's
+    # takes a lone row as a dot product, so tiles of a multiple of four rows,
+    # with a lone last row joining the tile before it, give every row sum
+    # the bits of one product over all the rows.
+    rows = max(4, tile_rows(m) // 4 * 4)
+    starts = list(range(0, max(n - 1, 1), rows))
+    bounds = list(zip(starts, starts[1:] + [n]))
+    buf = np.empty((min(rows + 1, n), m))
+    spare = np.empty_like(buf) if d.dims > 1 else None
 
     def sums(sigma, grad=False):
         sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-        np.multiply(half_sq[0], sigma[0] ** -2, out=buf)
-        for r in range(1, d.dims):
-            np.add(buf, half_sq[r] * sigma[r] ** -2, out=buf)
-        if leave_one_out:
-            np.fill_diagonal(buf, -np.inf)
-        peak = buf.max(axis=1, initial=-np.inf)   # -inf, and a zero sum, for no centres
-        np.subtract(buf, peak[:, None], out=buf)
-        np.maximum(buf, LOG_KERNEL_CUT, out=buf)
-        np.exp(buf, out=buf)
-        if leave_one_out:
-            np.fill_diagonal(buf, 0.0)
         a = (d.hi - centres) / sigma             # (m, R) standardised edges
         b = (d.lo - centres) / sigma
         mass = ndtr(a) - ndtr(b)
         weight = (2.0 * np.pi) ** (-d.dims / 2) / np.prod(sigma) / mass.prod(axis=1)
-        row = buf @ weight
+        peak, row = np.empty(n), np.empty(n)
+        dots, col_sums = np.zeros(d.dims), np.zeros(m)
+        for lo, hi in bounds:
+            tile = buf[:hi - lo]
+            np.multiply(half_sq[0, lo:hi], sigma[0] ** -2, out=tile)
+            for r in range(1, d.dims):
+                np.multiply(half_sq[r, lo:hi], sigma[r] ** -2, out=spare[:hi - lo])
+                np.add(tile, spare[:hi - lo], out=tile)
+            if leave_one_out:
+                diag = tile.reshape(-1)[lo::m + 1]   # (i, i) for the tile's rows i
+                diag[:] = -np.inf
+            # -inf, and a zero sum, for no centres
+            np.max(tile, axis=1, initial=-np.inf, out=peak[lo:hi])
+            np.subtract(tile, peak[lo:hi, None], out=tile)
+            np.maximum(tile, LOG_KERNEL_CUT, out=tile)
+            np.exp(tile, out=tile)
+            if leave_one_out:
+                diag[:] = 0.0
+            np.matmul(tile, weight, out=row[lo:hi])
+            if grad:
+                # responsibilities p_ij = k_ij w_j / row_i; each row sums to one
+                np.multiply(tile, weight, out=tile)
+                np.divide(tile, row[lo:hi, None], out=tile)
+                for r in range(d.dims):
+                    dots[r] += np.vdot(tile, half_sq[r, lo:hi])
+                col_sums += tile.sum(axis=0)
         if not grad:
             return peak, row
-        # responsibilities p_ij = k_ij w_j / row_i; each row sums to one
-        np.multiply(buf, weight, out=buf)
-        np.divide(buf, row[:, None], out=buf)
         # d log mass / d log sigma = (b phi(b) - a phi(a)) / mass
         dlog_mass = (b * np.exp(-0.5 * b**2) - a * np.exp(-0.5 * a**2)) \
             / (np.sqrt(2.0 * np.pi) * mass)
-        g = [-2.0 * sigma[r] ** -2 * np.vdot(buf, half_sq[r]) for r in range(d.dims)]
-        return peak, row, np.array(g) - query.shape[0] - buf.sum(axis=0) @ dlog_mass
+        g = [-2.0 * sigma[r] ** -2 * dots[r] for r in range(d.dims)]
+        return peak, row, np.array(g) - n - col_sums @ dlog_mass
 
     return sums
 

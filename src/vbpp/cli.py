@@ -129,12 +129,13 @@ def cmd_evaluate(args) -> int:
         events = load_events(args.data, d)
         train, test = split_events(events, args.split, args.split_seed)
 
+    # the baseline first: a training part it cannot fit fails before the Monte Carlo
+    ks = fit_bandwidth(train, d) if args.baseline else None
     report = predictive_report(model, test, n_samples=args.samples, seed=args.seed)
     doc = report.to_dict()
     doc["n_test"] = test.n
 
-    if args.baseline:
-        ks = fit_bandwidth(train, d)
+    if ks is not None:
         doc["ks_log_predictive"] = ks_log_predictive(ks, test, d)
         doc["ks_sigma"] = ks.sigma.tolist()
 

@@ -4,7 +4,8 @@ Points are N x R rows.  :func:`as_points` is the one rule for shaping a point
 set given R: a flat array is one point when its length is R and otherwise N
 one-dimensional points, and an array with no rows is the empty set.  Grids
 are Cartesian products with the last dimension varying fastest
-(:func:`tensor_grid`).
+(:func:`tensor_grid`).  Sweeps over arrays with one row per point run in
+row tiles of at most ``TILE_BYTES`` (:func:`tile_rows`).
 """
 
 from __future__ import annotations
@@ -13,6 +14,11 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+# One float64 row tile: a few such arrays fit in a 2 MiB per-core L2 cache,
+# where a sweep over a whole N x N array does not.
+TILE_BYTES = 2**18
 
 
 class PointDataError(ValueError):
@@ -32,6 +38,12 @@ def as_points(x, dims: int) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != dims:
         raise ValueError(f"points must have {dims} coordinates, got shape {pts.shape}")
     return pts
+
+
+def tile_rows(width: int) -> int:
+    """Rows of ``width`` float64 values in one tile of at most ``TILE_BYTES``,
+    and at least one."""
+    return max(1, TILE_BYTES // (8 * max(width, 1)))
 
 
 def tensor_grid(axes) -> np.ndarray:

@@ -35,12 +35,11 @@ from scipy.special import ndtri
 from .core import (VAR_FLOOR, Model, cholesky, expected_log_f_sq, gauss_legendre, node_count,
                    predictive_bound_lp, qf_marginals)
 from .kernel import gram
-from .pointdata import EventSet, as_points, check_in_domain
+from .pointdata import EventSet, as_points, check_in_domain, tile_rows
 
 DEFENSIVE_SHARE = 0.05   # of the draws, from the defensive component
 MAX_COMPONENTS = 8       # Laplace fits in one mixture
 SCREEN_NATS = 12.0       # see _laplace_components
-DRAW_CHUNK_BYTES = 2**23  # bounds each draws x n_test array of _importance_sample
 
 
 class MCEstimate(NamedTuple):
@@ -258,8 +257,10 @@ def _importance_sample(Hn, Ht, mu_n, mu_t, weights, n_samples: int,
             + sum_k D_ik (f_k - f_ik)^2,
 
     where v^T v cancels in the weight.  So each draw costs one product with
-    the (n_test + K) x D matrix [T; V] C_j^-T, V's rows being the v_i.  The
-    draws are made in chunks of at most ``DRAW_CHUNK_BYTES`` per array; the
+    the (n_test + K) x D matrix [T; V] C_j^-T, V's rows being the v_i, taken
+    block by block so that f's rows are contiguous.  The draws are made in
+    chunks of :func:`tile_rows` draws, so that the draws x (n_test + K)
+    arrays fit in one tile, in buffers reused from chunk to chunk; the
     stream is the same whatever the chunk, so the weights agree to rounding.
     An empty test set returns log Z0 exactly, with no draws.
     """
@@ -288,21 +289,27 @@ def _importance_sample(Hn, Ht, mu_n, mu_t, weights, n_samples: int,
             quad[i], lin[i] = -1.0 / f**2, 2.0 / f
             const[i] += np.log(c.diagonal()).sum() - n_t
     TV, log_w = np.vstack([T, V]), []
-    chunk = max(1, DRAW_CHUNK_BYTES // (8 * (n_t + K)))
+    chunk = min(tile_rows(n_t + K), counts.max())
+    z, fs, f2, ts = (np.empty((chunk, k)) for k in (dims, n_t, n_t, K))
     for j, (v, f, _, c) in enumerate(components):
         A = blas.dtrsm(1.0, c, TV, side=1, lower=1, trans_a=1)
         offset = const + V @ v
-        parts = []
+        lw = np.empty(counts[j])
         for done in range(0, counts[j], chunk):
-            y = rng.standard_normal((min(chunk, counts[j] - done), dims)) @ A.T
-            fj = y[:, :n_t]
+            rows = min(chunk, counts[j] - done)
+            zj, fj, f2j, terms = z[:rows], fs[:rows], f2[:rows], ts[:rows]
+            rng.standard_normal(out=zj)
+            np.matmul(zj, A[:n_t].T, out=fj)
+            np.matmul(zj, A[n_t:].T, out=terms)
             fj += f
-            f2 = fj * fj
-            terms = y[:, n_t:] + offset + f2 @ quad.T + fj @ lin.T
+            np.multiply(fj, fj, out=f2j)
+            terms += offset
+            terms += f2j @ quad.T
+            terms += fj @ lin.T
             peak = terms.max(axis=1)
             log_mix = peak + np.log(np.exp(terms - peak[:, None]).sum(axis=1))
-            parts.append(np.log(f2).sum(axis=1) - log_mix)
-        log_w.append(np.concatenate(parts))
+            np.subtract(np.log(f2j, out=f2j).sum(axis=1), log_mix, out=lw[done:done + rows])
+        log_w.append(lw)
     return _mixture_estimate(log_w, log_z0)
 
 

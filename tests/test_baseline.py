@@ -5,7 +5,7 @@ from scipy.optimize import minimize, minimize_scalar
 from scipy.special import logsumexp, ndtr
 from scipy.stats import norm
 
-from vbpp import baseline
+from vbpp import baseline, pointdata
 from vbpp.baseline import (
     SIGMA_CEIL_FRAC,
     SIGMA_FLOOR_FRAC,
@@ -250,6 +250,37 @@ def test_loo_is_bit_identical_to_the_oracle():
         want_value, want_grad = oracle(sigma, grad=True)
         assert value == want_value
         assert grad.tolist() == want_grad.tolist()
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_kernel_sums_over_several_tiles(dims, monkeypatch):
+    # rows of 561 training events go in tiles of 56, ten of them and a lone
+    # last row, and so do 449 = 8 x 56 + 1 test events; the values keep the
+    # bits of one sweep over all the rows
+    rng = np.random.default_rng(11)
+    d = Domain([0.0] * dims, [10.0] * dims)
+    train = EventSet(np.clip(rng.normal(3.0, 1.5, (561, dims)), 0.0, 10.0))
+    test = EventSet(rng.uniform(0.0, 10.0, (449, dims)))
+    assert pointdata.tile_rows(train.n) // 4 * 4 == 56
+    oracle, loo = _loo_oracle(train, d), _loo(train, d)
+    sigmas = [SIGMA_FLOOR_FRAC * d.extent, np.full(dims, 0.3), np.array([2.0, 0.7][:dims])]
+    # each gradient component adds up n*m same-signed terms in each of its
+    # sums, so two summation orders differ by at most 2 n m eps of their
+    # size, which is about n + |gradient|: 1.4e-10 relative at n = m = 561
+    tol = 2 * train.n**2 * np.finfo(float).eps
+    for sigma in sigmas:
+        assert loo_objective(train, sigma, d) == oracle(sigma)
+        value, grad = loo(sigma, grad=True)
+        want_value, want_grad = oracle(sigma, grad=True)
+        assert value == want_value
+        assert (np.abs(grad - want_grad) <= tol * (train.n + np.abs(want_grad))).all()
+    models = [KsModel(train, sigma) for sigma in sigmas]
+    tiled = [(ks_intensity(ks, test.points, d), ks_log_predictive(ks, test, d)) for ks in models]
+    monkeypatch.setattr(pointdata, "TILE_BYTES", 2**62)    # one tile
+    for ks, (intensity, score) in zip(models, tiled):
+        assert intensity.tolist() == ks_intensity(ks, test.points, d).tolist()
+        assert score == ks_log_predictive(ks, test, d)
+
 
 @pytest.mark.parametrize("dims", [1, 2])
 def test_loo_gradient_matches_finite_differences(dims):

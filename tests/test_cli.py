@@ -10,7 +10,7 @@ import pytest
 
 from vbpp import cli
 from vbpp.cli import build_parser, main, parse_domain
-from vbpp.pointdata import coal_style_dataset, load_events, save_events, split_events
+from vbpp.pointdata import EventSet, coal_style_dataset, load_events, save_events, split_events
 
 from test_baseline import lone_event_data
 
@@ -177,6 +177,23 @@ def test_evaluate_baseline_needs_training_events_before_any_scoring(workspace, c
                "sim/events.csv", "--baseline", "--out-dir", "e10") == 2
     assert "error: --baseline needs --train" in capsys.readouterr().err
     assert not (workspace / "e10").exists()
+
+
+def test_evaluate_baseline_fails_on_its_training_part_before_any_scoring(tmp_path, capsys,
+                                                                        monkeypatch):
+    # the split leaves the baseline fewer than two training events
+    save_events(EventSet(np.array([[1.0], [2.0], [3.0], [5.0], [8.0]])), tmp_path / "few.csv")
+    assert run(tmp_path, "fit", "--data", "few.csv", "--domain", "0:10", "--inducing", "4",
+               "--out-dir", "fit") == 0
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the held-out report ran before the baseline's fit")
+
+    monkeypatch.setattr(cli, "predictive_report", forbidden)
+    assert run(tmp_path, "evaluate", "--model", "fit/model.json", "--data", "few.csv",
+               "--split", "0.1", "--baseline", "--out-dir", "eval") == 1
+    assert "error: leave-one-out bandwidth selection needs N >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "eval" / "report.json").exists()
 
 
 def _reject_constant(name):

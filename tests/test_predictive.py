@@ -198,19 +198,47 @@ def test_mc_factors_in_place_as_on_a_copy(fitted, monkeypatch):
 
 
 def test_mc_draws_in_chunks_of_bounded_size(fitted, monkeypatch):
-    # each draws x n_test array is bounded by DRAW_CHUNK_BYTES; chunks of a
-    # few draws take the same stream, so the estimates agree to rounding (M0's
-    # stderr, 6e-11 here, is itself at the rounding level of its weights)
-    from vbpp import predictive
+    # each chunk's draws x (n_test + K) array, K the mixture's components,
+    # fits in pointdata.TILE_BYTES; chunks of a few draws take the same
+    # stream as one chunk of all of them, so the estimates agree to rounding
+    # (M0's stderr, 6e-11 here, is itself at the rounding level of its weights)
+    from vbpp import pointdata, predictive
     model, ev, _ = fitted
-    whole, *_ = _mc_estimates(model, ev, 700, 8, seed=2)
-    monkeypatch.setattr(predictive, "DRAW_CHUNK_BYTES", 8 * 30 * 7)
-    chunked, *_ = _mc_estimates(model, ev, 700, 8, seed=2)
-    for mode in ("Mp", "M0"):
-        a, b = chunked[mode], whole[mode]
-        assert a.log_mean == pytest.approx(b.log_mean, rel=1e-12, abs=0), mode
-        assert a.stderr == pytest.approx(b.stderr, rel=1e-6, abs=1e-12), mode
-        assert a.ess == pytest.approx(b.ess, rel=1e-12) and a.components == b.components
+    sample, runs = predictive._importance_sample, []
+
+    def recorded(Hn, Ht, mu_n, mu_t, weights, n_samples, rng):
+        chunks = []
+
+        class Recorder:
+            def standard_normal(self, **kwargs):
+                out = rng.standard_normal(**kwargs)
+                chunks.append(out.shape[0])
+                return out
+
+        est = sample(Hn, Ht, mu_n, mu_t, weights, n_samples, Recorder())
+        runs.append((8 * (Ht.shape[0] + est.components), chunks))
+        return est
+
+    monkeypatch.setattr(predictive, "_importance_sample", recorded)
+    estimates = {}
+    for budget in (2**62, pointdata.TILE_BYTES, 8 * 30 * 7):
+        monkeypatch.setattr(pointdata, "TILE_BYTES", budget)
+        runs.clear()
+        estimates[budget], *_ = _mc_estimates(model, ev, 2000, 8, seed=2)
+        for (row_bytes, chunks), mode in zip(runs, ("Mp", "M0")):
+            components = estimates[budget][mode].components
+            assert sum(chunks) == 2000 and max(chunks) * row_bytes <= budget, (budget, mode)
+            if budget == 2**62:      # one chunk per component
+                assert len(chunks) == components, mode
+            else:                    # chunks as large as the budget allows
+                assert max(chunks) == budget // row_bytes and len(chunks) > components
+    whole = estimates.pop(2**62)
+    for chunked in estimates.values():
+        for mode in ("Mp", "M0"):
+            a, b = chunked[mode], whole[mode]
+            assert a.log_mean == pytest.approx(b.log_mean, rel=1e-12, abs=0), mode
+            assert a.stderr == pytest.approx(b.stderr, rel=1e-6, abs=1e-12), mode
+            assert a.ess == pytest.approx(b.ess, rel=1e-12) and a.components == b.components
 
 
 def _jittered_mc_log_liks(model, test, n_samples, grid_res, seed):
